@@ -24,7 +24,7 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "in-memory cache entries")
 	spill := fs.String("spill", "", "directory for the gob spill-to-disk tier (empty = memory only)")
 	spillMax := fs.Int64("spillmax", engine.DefaultSpillMaxBytes, "byte budget for the spill dir (oldest files swept first)")
-	workers := fs.Int("workers", 0, "subdivision/solver workers (0 = NumCPU)")
+	workers := fs.Int("workers", 0, "solver search workers (0 = NumCPU); subdivision is sequential")
 	maxconc := fs.Int("maxconc", serve.DefaultMaxConcurrent, "max concurrent requests")
 	timeout := fs.Duration("timeout", serve.DefaultTimeout, "per-request deadline")
 	slowlog := fs.Duration("slowlog", 0, "log queries slower than this with a reproducing CLI line (0 = off)")

@@ -47,7 +47,9 @@ type Options struct {
 	// The chaos soak (and the dev-only -faultseed flag) pass a seeded
 	// faultfs.Faulty here to run the storage adversary against a live engine.
 	SpillFS faultfs.FS
-	// Workers bounds subdivision/solver parallelism; 0 = runtime.NumCPU().
+	// Workers bounds the solver's per-component search fan-out
+	// (solver.Options.Workers); 0 = runtime.NumCPU(). Subdivision is
+	// sequential.
 	Workers int
 	// MaxNodes is the default per-level solver budget for requests that do
 	// not set one; 0 = DefaultMaxNodes.
@@ -60,7 +62,7 @@ type Options struct {
 // store for reuse across queries.
 //
 // Every query method takes a context and honors it end-to-end: the solver's
-// backtracking loop, the parallel subdivision, and the converge search all
+// backtracking loop, the subdivision, and the converge search all
 // checkpoint cooperatively, so a canceled or timed-out caller stops burning
 // CPU within one checkpoint interval. Cancellation surfaces as ErrCanceled;
 // abandoned partial work is never cached as a verdict.
@@ -258,7 +260,7 @@ func boolInt(b bool) int64 {
 }
 
 // sdsLevel returns SDS^b(base) through the content-addressed store,
-// building missing levels one parallel subdivision at a time on top of the
+// building missing levels one subdivision at a time on top of the
 // deepest cached level. baseHash is hash(base.CanonicalString()), so two
 // tasks over equal input complexes share the whole chain.
 func (e *Engine) sdsLevel(ctx context.Context, base *topology.Complex, baseHash string, b int) (*topology.Complex, error) {
@@ -287,7 +289,7 @@ func (e *Engine) modelLevel(ctx context.Context, base *topology.Complex, baseHas
 		if err != nil {
 			return nil, err
 		}
-		sub, err := topology.SDSParallelCtx(cctx, prev, e.workers)
+		sub, err := topology.SDSCtx(cctx, prev)
 		if err != nil {
 			return nil, err
 		}

@@ -99,9 +99,9 @@ type Options struct {
 	Order Order
 
 	// Workers bounds the parallelism of the per-component search fan-out
-	// under EngineStructured, of EngineExhaustive's per-simplex carrier
-	// precompute, and (in SolveUpTo) of the subdivision between levels: 0
-	// means runtime.NumCPU(), 1 forces the sequential path. The structured
+	// under EngineStructured and of EngineExhaustive's per-simplex carrier
+	// precompute: 0 means runtime.NumCPU(), 1 forces the sequential path.
+	// The subdivision between levels (SolveUpTo) is sequential. The structured
 	// engine's precompute — domains, edges, carriers, support tables — is
 	// sequential: memoized on interned carriers and domains, it calls
 	// task.Allowed once per distinct key, too few calls to fan out.
@@ -549,21 +549,21 @@ func SolveUpTo(task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
 // subdivide is the between-levels subdivision step, a variable so tests can
 // inject non-cancellation failures (SolveUpToCtx must not misreport those
 // as client disconnects; see the ErrCanceled wrapping below).
-var subdivide = topology.SDSParallelCtx
+var subdivide = topology.SDSCtx
 
 // SolveUpToCtx is SolveUpTo honoring ctx: both the per-level search and the
 // subdivision step between levels stop cooperatively when the caller goes
 // away, returning ErrCanceled.
 //
 // The subdivision chain is built incrementally — level b's SDS^b(I) is one
-// (parallel) subdivision of level b−1's complex, not a recomputation from
+// subdivision of level b−1's complex, not a recomputation from
 // scratch — so the total subdivision cost is that of the last level alone.
 func SolveUpToCtx(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
 	var last *Result
 	sub := task.Inputs
 	for b := 0; b <= maxLevel; b++ {
 		if b > 0 {
-			next, err := subdivide(ctx, sub, opts.Workers)
+			next, err := subdivide(ctx, sub)
 			if err != nil {
 				// Only a subdivision failure caused by the caller going away
 				// is a cancellation; anything else (a genuine construction

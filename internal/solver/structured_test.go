@@ -22,10 +22,10 @@ import (
 // (500). A poisoned subdivision step under a live context must surface as
 // itself; under a dead context it must still read as cancellation.
 func TestSubdivisionErrorNotMisclassified(t *testing.T) {
-	defer func() { subdivide = topology.SDSParallelCtx }()
+	defer func() { subdivide = topology.SDSCtx }()
 
 	boom := errors.New("subdivision exploded")
-	subdivide = func(ctx context.Context, c *topology.Complex, workers int) (*topology.Complex, error) {
+	subdivide = func(ctx context.Context, c *topology.Complex) (*topology.Complex, error) {
 		return nil, boom
 	}
 
@@ -48,7 +48,7 @@ func TestSubdivisionErrorNotMisclassified(t *testing.T) {
 	// Dead context: a subdivision aborted because the caller went away is a
 	// cancellation, exactly as before the fix.
 	ctx, cancel := context.WithCancel(context.Background())
-	subdivide = func(sctx context.Context, c *topology.Complex, workers int) (*topology.Complex, error) {
+	subdivide = func(sctx context.Context, c *topology.Complex) (*topology.Complex, error) {
 		cancel()
 		return nil, sctx.Err()
 	}

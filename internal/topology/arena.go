@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"strconv"
 )
 
 // This file holds the index-based arena representation behind the
@@ -111,36 +110,6 @@ func EncodeVerts(buf []byte, vs []Vertex) []byte {
 	return buf
 }
 
-// cmpFacetOrder reproduces the historical Seal facet order — descending
-// size, then ascending comma-joined-decimal string order of the sorted
-// vertex lists — without materializing the strings. For equal-length
-// facets, comparing the decimal renderings element-wise is equivalent to
-// comparing the joined strings: ',' sorts below every digit, so a decimal
-// token that is a strict prefix of another compares below it in both views.
-func cmpFacetOrder(a, b []Vertex) int {
-	if len(a) != len(b) {
-		if len(a) > len(b) {
-			return -1
-		}
-		return 1
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			if r := cmpDecimal(a[i], b[i]); r != 0 {
-				return r
-			}
-		}
-	}
-	return 0
-}
-
-func cmpDecimal(x, y Vertex) int {
-	var bx, by [24]byte
-	sx := strconv.AppendInt(bx[:0], int64(x), 10)
-	sy := strconv.AppendInt(by[:0], int64(y), 10)
-	return slices.Compare(sx, sy)
-}
-
 // carrierUnion returns the sorted union of the carriers of the face's
 // vertices in c (which must have a base), using scratch for the gather; the
 // returned scratch is handed back for reuse.
@@ -154,145 +123,42 @@ func carrierUnion(c *Complex, face []Vertex, scratch []Vertex) (union, scratch2 
 	return append([]Vertex(nil), scratch...), scratch
 }
 
-// sdsFacetOut is the packed subdivision of a single source facet: distinct
-// faces and distinct (u, face) vertices in first-occurrence order, and the
-// subdivision facets as local vertex indices. All indices are local to the
-// facet; the merger translates them into the global arena.
-type sdsFacetOut struct {
-	faceData []Vertex // packed source-vertex lists of local faces
-	faceOff  []int32
-	recU     []Vertex // per local vertex: the u of (u, face)
-	recFace  []int32  // per local vertex: local face index
-	fData    []int32  // packed facet lists of local vertex indices
-	fOff     []int32
-}
-
-func (r *sdsFacetOut) reset() {
-	r.faceData = r.faceData[:0]
-	if r.faceOff == nil {
-		r.faceOff = make([]int32, 1, 16)
-	}
-	r.faceOff = r.faceOff[:1]
-	r.recU = r.recU[:0]
-	r.recFace = r.recFace[:0]
-	r.fData = r.fData[:0]
-	if r.fOff == nil {
-		r.fOff = make([]int32, 1, 16)
-	}
-	r.fOff = r.fOff[:1]
-}
-
-// sdsWorkerState is the per-worker scratch of the SDS builder. Local
-// vertices of a facet of size k are interned positionally: vertex (u, S)
-// with u = t[pos] and S the prefix set with bit mask m occupies slot
-// m·k + pos of a version-stamped dense table, so interning is two array
-// reads and no hashing. The tables persist across facets (and merge
-// batches) — the version stamp makes stale entries invisible.
-type sdsWorkerState struct {
-	version   int32
-	vertStamp []int32 // slot (mask·k + pos) → version of last write
-	vertID    []int32 // slot → local vertex index
-	faceStamp []int32 // mask → version of last write
-	faceID    []int32 // mask → local face index
-	facetBuf  []int32 // current partition's facet under construction
-}
-
-// subdivide computes the one-shot IS subdivision of facet t of c into r,
-// recording vertices in the exact order the sequential string-keyed
-// construction would first encounter them (facet order is the ordered-
-// partition enumeration order of ForEachOrderedPartition).
-func (w *sdsWorkerState) subdivide(c *Complex, t []Vertex, r *sdsFacetOut) {
-	k := len(t)
-	if k > 30 {
-		panic("topology: SDS of a facet with more than 31 vertices")
-	}
-	r.reset()
-	if k == 0 {
-		return
-	}
-	if need := (1 << k) * k; len(w.vertStamp) < need {
-		w.vertStamp = make([]int32, need)
-		w.vertID = make([]int32, need)
-		w.faceStamp = make([]int32, 1<<k)
-		w.faceID = make([]int32, 1<<k)
-		w.version = 0
-	}
-	w.version++
-	w.facetBuf = w.facetBuf[:0]
-	w.rec(c, t, r, uint32(1<<k)-1, 0, k)
-}
-
-func (w *sdsWorkerState) rec(c *Complex, t []Vertex, r *sdsFacetOut, remaining, prefixMask uint32, k int) {
-	if remaining == 0 {
-		r.fData = append(r.fData, w.facetBuf...)
-		r.fOff = append(r.fOff, int32(len(r.fData)))
-		return
-	}
-	// Enumerate non-empty subsets of the remaining elements as the next
-	// block, in the same sub = (sub−1)&remaining order as
-	// ForEachOrderedPartition.
-	for sub := remaining; sub > 0; sub = (sub - 1) & remaining {
-		pm := prefixMask | sub
-		mark := len(w.facetBuf)
-		fid := w.internFace(t, r, pm, k)
-		for m := sub; m != 0; m &= m - 1 {
-			pos := bits.TrailingZeros32(m)
-			slot := int(pm)*k + pos
-			var id int32
-			if w.vertStamp[slot] == w.version {
-				id = w.vertID[slot]
-			} else {
-				id = int32(len(r.recU))
-				r.recU = append(r.recU, t[pos])
-				r.recFace = append(r.recFace, fid)
-				w.vertStamp[slot] = w.version
-				w.vertID[slot] = id
-			}
-			w.facetBuf = append(w.facetBuf, id)
-		}
-		w.rec(c, t, r, remaining&^sub, pm, k)
-		w.facetBuf = w.facetBuf[:mark]
-	}
-}
-
-func (w *sdsWorkerState) internFace(t []Vertex, r *sdsFacetOut, mask uint32, k int) int32 {
-	if w.faceStamp[mask] == w.version {
-		return w.faceID[mask]
-	}
-	fid := int32(len(r.faceOff) - 1)
-	for m := mask; m != 0; m &= m - 1 {
-		r.faceData = append(r.faceData, t[bits.TrailingZeros32(m)])
-	}
-	r.faceOff = append(r.faceOff, int32(len(r.faceData)))
-	w.faceStamp[mask] = w.version
-	w.faceID[mask] = fid
-	return fid
-}
-
-// sdsMerger folds per-facet subdivision outputs, in source facet order,
-// into one arena complex. The global face and vertex intern tables persist
-// across all merge batches, so shared faces glue by integer identity: the
-// face table is keyed by packed vertex content, vertices by the 64-bit pair
-// (global face, u). Absorbing results in facet order reproduces the exact
-// first-occurrence vertex order of the sequential construction for any
-// worker count.
-type sdsMerger struct {
+// sdsBuilder builds one SDS level. Source facets are subdivided in order,
+// each facet's ordered partitions in the order of ForEachOrderedPartition,
+// and every face and vertex is interned into the level's tables on first
+// encounter — which reproduces the first-occurrence vertex order of the
+// string-keyed construction.
+//
+// Within a facet t of size k, a face is its position mask and vertex
+// (u, S) with u = t[pos] occupies slot mask·k + pos of a version-stamped
+// dense table, so a repeat encounter is two array reads and no hashing;
+// the tables persist across facets and the version stamp makes stale
+// entries invisible. Across facets, faces are interned by packed content
+// and vertices by the pair (face, u), so shared faces glue by integer
+// identity.
+type sdsBuilder struct {
 	c    *Complex // source (Prev)
 	out  *Complex
 	lvl  *SDSLevel
 	prov *provenance
 
-	faceIDs map[string]int32  // packed face content → global face index
-	vertIDs map[uint64]Vertex // face<<32 | u → global vertex
+	faceIDs map[string]int32  // packed face content → face index
+	vertIDs map[uint64]Vertex // face<<32 | u → vertex
 
-	encBuf  []byte
-	faceMap []int32  // local face → global face, per absorbed facet
-	vertMap []Vertex // local vertex → global vertex, per absorbed facet
+	version   int32
+	vertStamp []int32  // slot (mask·k + pos) → version of last write
+	vertID    []Vertex // slot → vertex
+	faceStamp []int32  // mask → version of last write
+	faceID    []int32  // mask → face index
+	facetBuf  []Vertex // current partition's facet under construction
+	faceBuf   []Vertex
+	encBuf    []byte
 }
 
-func newSDSMerger(c *Complex) *sdsMerger {
+func newSDSBuilder(c *Complex) *sdsBuilder {
 	out := newArenaComplex(c, provSDS)
-	return &sdsMerger{
+	out.facets = make([][]Vertex, 0, sdsFacetCount(c.Facets()))
+	return &sdsBuilder{
 		c:       c,
 		out:     out,
 		lvl:     &SDSLevel{Complex: out, Prev: c},
@@ -302,82 +168,153 @@ func newSDSMerger(c *Complex) *sdsMerger {
 	}
 }
 
-func (m *sdsMerger) absorb(r *sdsFacetOut) {
-	nf := len(r.faceOff) - 1
-	if cap(m.faceMap) < nf {
-		m.faceMap = make([]int32, nf)
-	}
-	m.faceMap = m.faceMap[:nf]
-	for j := 0; j < nf; j++ {
-		content := r.faceData[r.faceOff[j]:r.faceOff[j+1]]
-		m.encBuf = EncodeVerts(m.encBuf[:0], content)
-		gid, ok := m.faceIDs[string(m.encBuf)]
-		if !ok {
-			gid = int32(m.prov.numFaces())
-			m.faceIDs[string(m.encBuf)] = gid
-			m.prov.faceData = append(m.prov.faceData, content...)
-			m.prov.faceOff = append(m.prov.faceOff, int32(len(m.prov.faceData)))
+// maxPresizeFacets caps the facet list allocated before a level's first
+// cancellation checkpoint: a level beyond it grows by append, so an
+// oversized request still stops at a checkpoint instead of in one huge
+// allocation. SDS³(s³), 421,875 facets, is presized.
+const maxPresizeFacets = 1 << 20
+
+// sdsFacetCount is the facet count of SDS over the given facets, Lemma 3.3:
+// Σ CountOrderedPartitions(|t|), evaluated once per distinct facet size. It
+// returns 0 (no presizing) past maxPresizeFacets.
+func sdsFacetCount(facets [][]Vertex) int {
+	var perSize [MaxOrderedPartitionsN + 1]int
+	for _, t := range facets {
+		if len(t) > MaxOrderedPartitionsN {
+			return 0
 		}
-		m.faceMap[j] = gid
+		perSize[len(t)]++
 	}
-	nr := len(r.recU)
-	if cap(m.vertMap) < nr {
-		m.vertMap = make([]Vertex, nr)
-	}
-	m.vertMap = m.vertMap[:nr]
-	for li := 0; li < nr; li++ {
-		gface := m.faceMap[r.recFace[li]]
-		u := r.recU[li]
-		id := uint64(uint32(gface))<<32 | uint64(uint32(u))
-		v, ok := m.vertIDs[id]
-		if !ok {
-			v = Vertex(len(m.out.verts))
-			m.vertIDs[id] = v
-			m.out.verts = append(m.out.verts, vertexAttr{color: m.c.verts[u].color})
-			m.prov.u = append(m.prov.u, u)
-			m.prov.face = append(m.prov.face, gface)
-			m.lvl.U = append(m.lvl.U, u)
+	total := 0
+	for k, n := range perSize {
+		if n == 0 {
+			continue
 		}
-		m.vertMap[li] = v
-	}
-	for i := 0; i+1 < len(r.fOff); i++ {
-		lf := r.fData[r.fOff[i]:r.fOff[i+1]]
-		f := make([]Vertex, len(lf))
-		for x, li := range lf {
-			f[x] = m.vertMap[li]
+		per := CountOrderedPartitions(k)
+		if per > maxPresizeFacets {
+			return 0
 		}
+		if total += n * per; total > maxPresizeFacets {
+			return 0
+		}
+	}
+	return total
+}
+
+// subdivide adds the one-shot IS subdivision of source facet t.
+func (b *sdsBuilder) subdivide(t []Vertex) {
+	k := len(t)
+	if k > 30 {
+		panic("topology: SDS of a facet with more than 31 vertices")
+	}
+	if k == 0 {
+		return
+	}
+	if need := (1 << k) * k; len(b.vertStamp) < need {
+		b.vertStamp = make([]int32, need)
+		b.vertID = make([]Vertex, need)
+		b.faceStamp = make([]int32, 1<<k)
+		b.faceID = make([]int32, 1<<k)
+		b.version = 0
+	}
+	b.version++
+	b.facetBuf = b.facetBuf[:0]
+	b.rec(t, uint32(1<<k)-1, 0, k)
+}
+
+func (b *sdsBuilder) rec(t []Vertex, remaining, prefixMask uint32, k int) {
+	if remaining == 0 {
+		f := slices.Clone(b.facetBuf)
 		slices.Sort(f)
-		m.out.facets = append(m.out.facets, f)
+		b.out.facets = append(b.out.facets, f)
+		return
 	}
+	// Enumerate non-empty subsets of the remaining elements as the next
+	// block, in the same sub = (sub−1)&remaining order as
+	// ForEachOrderedPartition.
+	for sub := remaining; sub > 0; sub = (sub - 1) & remaining {
+		pm := prefixMask | sub
+		mark := len(b.facetBuf)
+		face := b.internFace(t, pm)
+		for m := sub; m != 0; m &= m - 1 {
+			pos := bits.TrailingZeros32(m)
+			slot := int(pm)*k + pos
+			if b.vertStamp[slot] != b.version {
+				b.vertStamp[slot] = b.version
+				b.vertID[slot] = b.internVertex(face, t[pos])
+			}
+			b.facetBuf = append(b.facetBuf, b.vertID[slot])
+		}
+		b.rec(t, remaining&^sub, pm, k)
+		b.facetBuf = b.facetBuf[:mark]
+	}
+}
+
+// internFace returns the index of the face of t with the given position
+// mask, adding the face on first encounter.
+func (b *sdsBuilder) internFace(t []Vertex, mask uint32) int32 {
+	if b.faceStamp[mask] == b.version {
+		return b.faceID[mask]
+	}
+	b.faceBuf = b.faceBuf[:0]
+	for m := mask; m != 0; m &= m - 1 {
+		b.faceBuf = append(b.faceBuf, t[bits.TrailingZeros32(m)])
+	}
+	b.encBuf = EncodeVerts(b.encBuf[:0], b.faceBuf)
+	face, ok := b.faceIDs[string(b.encBuf)]
+	if !ok {
+		face = int32(b.prov.numFaces())
+		b.faceIDs[string(b.encBuf)] = face
+		b.prov.faceData = append(b.prov.faceData, b.faceBuf...)
+		b.prov.faceOff = append(b.prov.faceOff, int32(len(b.prov.faceData)))
+	}
+	b.faceStamp[mask] = b.version
+	b.faceID[mask] = face
+	return face
+}
+
+// internVertex returns the vertex (u, face), adding it on first encounter.
+func (b *sdsBuilder) internVertex(face int32, u Vertex) Vertex {
+	id := uint64(uint32(face))<<32 | uint64(uint32(u))
+	v, ok := b.vertIDs[id]
+	if !ok {
+		v = Vertex(len(b.out.verts))
+		b.vertIDs[id] = v
+		b.out.verts = append(b.out.verts, vertexAttr{color: b.c.verts[u].color})
+		b.prov.u = append(b.prov.u, u)
+		b.prov.face = append(b.prov.face, face)
+		b.lvl.U = append(b.lvl.U, u)
+	}
+	return v
 }
 
 // finish materializes carriers and the structural S slices (both alias the
 // final, no-longer-growing face arena where possible) and seals the result
 // via the trusted path: SDS facets are pairwise distinct and maximal by
 // construction, so deduplication and containment checks are skipped.
-func (m *sdsMerger) finish() *SDSLevel {
-	out, p := m.out, m.prov
-	m.lvl.S = make([][]Vertex, len(out.verts))
+func (b *sdsBuilder) finish() *SDSLevel {
+	out, p := b.out, b.prov
+	b.lvl.S = make([][]Vertex, len(out.verts))
 	var carriers [][]Vertex // per face, computed at most once
 	var scratch []Vertex
-	if m.c.base != nil {
+	if b.c.base != nil {
 		carriers = make([][]Vertex, p.numFaces())
 	}
 	for v := range out.verts {
 		face := p.faceOf(p.face[v])
-		m.lvl.S[v] = face
-		if m.c.base == nil {
+		b.lvl.S[v] = face
+		if b.c.base == nil {
 			// Carrier of (u, S) is S itself; the face arena is final, so
 			// aliasing is safe.
 			out.verts[v].carrier = face
 		} else {
 			fi := p.face[v]
 			if carriers[fi] == nil {
-				carriers[fi], scratch = carrierUnion(m.c, face, scratch)
+				carriers[fi], scratch = carrierUnion(b.c, face, scratch)
 			}
 			out.verts[v].carrier = carriers[fi]
 		}
 	}
 	out.sealTrusted()
-	return m.lvl
+	return b.lvl
 }

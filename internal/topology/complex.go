@@ -43,8 +43,12 @@ type Complex struct {
 	facets [][]Vertex        // each sorted ascending; mutually non-contained
 	base   *Complex          // non-nil iff this complex is a subdivision
 
-	// incidence[v] lists indices into facets containing v; built by seal.
+	// incidence[v] lists indices into facets containing v. Seal builds it
+	// while absorbing faces; sealTrusted leaves it to the first HasSimplex
+	// (ensureIncidence): the solver never asks that of the level it solves
+	// on, so solve queries never pay for it.
 	incidence [][]int
+	incOnce   sync.Once
 	sealed    bool
 
 	// prov is non-nil exactly for arena complexes; it records how each
@@ -144,15 +148,14 @@ func (c *Complex) Seal() *Complex {
 		return c
 	}
 	// Sort by descending size, then by the decimal-string order of the
-	// vertex lists (cmpFacetOrder reproduces the historical comma-joined
-	// string comparison without building the strings). Duplicates land
-	// adjacent, so deduplication is a linear scan, and a containment check
-	// against already-retained facets absorbs proper faces.
-	sort.Slice(c.facets, func(i, j int) bool { return cmpFacetOrder(c.facets[i], c.facets[j]) < 0 })
+	// vertex lists (facetorder.go). Duplicates land adjacent, so
+	// deduplication is a linear scan, and a containment check against
+	// already-retained facets absorbs proper faces.
+	sortFacets(c.facets, len(c.verts))
 	inc := make([][]int, len(c.verts))
 	kept := c.facets[:0]
 	for i, f := range c.facets {
-		if i > 0 && cmpFacetOrder(c.facets[i-1], f) == 0 {
+		if i > 0 && slices.Equal(c.facets[i-1], f) {
 			continue
 		}
 		if len(kept) > 0 && containedInAny(f, inc, kept) {
@@ -175,39 +178,34 @@ func (c *Complex) Seal() *Complex {
 // ordered partition / permutation chain is recoverable from its vertex set,
 // and a subdivision facet of base facet t always contains a vertex whose
 // face is all of t, so it cannot sit inside the subdivision of another
-// facet). Skips deduplication and containment, sorts in the same order as
-// Seal, and builds the incidence index with a single pre-counted backing
-// array.
+// facet). Skips deduplication and containment and sorts in the same order
+// as Seal; the incidence index is built on first use (ensureIncidence).
 func (c *Complex) sealTrusted() *Complex {
 	if c.sealed {
 		return c
 	}
-	sort.Slice(c.facets, func(i, j int) bool { return cmpFacetOrder(c.facets[i], c.facets[j]) < 0 })
-	counts := make([]int32, len(c.verts))
-	total := 0
-	for _, f := range c.facets {
-		total += len(f)
-		for _, v := range f {
-			counts[v]++
-		}
-	}
-	backing := make([]int, total)
-	inc := make([][]int, len(c.verts))
-	off := 0
-	for v := range inc {
-		n := int(counts[v])
-		inc[v] = backing[off:off : off+n]
-		off += n
-	}
-	for i, f := range c.facets {
-		for _, v := range f {
-			inc[v] = append(inc[v], i)
-		}
-	}
+	sortFacets(c.facets, len(c.verts))
 	c.facets = c.facets[:len(c.facets):len(c.facets)]
-	c.incidence = inc
 	c.sealed = true
 	return c
+}
+
+// ensureIncidence builds the incidence index of a trusted-sealed complex,
+// at most once and safely under concurrent readers. Seal's index is
+// already in place.
+func (c *Complex) ensureIncidence() {
+	c.incOnce.Do(func() {
+		if c.incidence != nil {
+			return
+		}
+		inc := make([][]int, len(c.verts))
+		for i, f := range c.facets {
+			for _, v := range f {
+				inc[v] = append(inc[v], i)
+			}
+		}
+		c.incidence = inc
+	})
 }
 
 // containedInAny reports whether sorted simplex f is a subset of one of the
@@ -353,6 +351,7 @@ func (c *Complex) HasSimplex(vs []Vertex) bool {
 			return false
 		}
 	}
+	c.ensureIncidence()
 	return containedInAny(s, c.incidence, c.facets)
 }
 

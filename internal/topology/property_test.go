@@ -114,7 +114,7 @@ func TestSDSStructuredArenaInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomChromaticComplex(rng)
 		// Two levels: the first has a base complex as Prev, the second a
-		// subdivision — the two carrier codepaths of the merger.
+		// subdivision — the two carrier codepaths of the builder.
 		lvl := SDSStructured(c)
 		for depth := 0; depth < 2; depth++ {
 			prev := lvl.Prev

@@ -1,9 +1,12 @@
 package topology
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
+
+	"waitfree/internal/obs"
 )
 
 // SDS returns the standard chromatic subdivision of the sealed chromatic
@@ -39,22 +42,68 @@ type SDSLevel struct {
 
 // SDSStructured is SDS, additionally returning the construction structure.
 //
-// The construction runs on the arena representation: each facet's one-shot
-// IS subdivision is interned positionally (no string keys, no per-facet
-// maps), and the per-facet results are folded into a global integer intern
-// table in facet order. Vertex and facet order are identical to the
+// The construction runs on the arena representation: faces and vertices
+// of each facet's one-shot IS subdivision are interned positionally within
+// the facet and by integer identity across the level (no string keys; see
+// sdsBuilder in arena.go). Vertex and facet order are identical to the
 // historical string-keyed construction; string keys materialize lazily on
-// first use (see arena.go).
+// first use.
 func SDSStructured(c *Complex) *SDSLevel {
-	c.mustBeSealed("SDS")
-	m := newSDSMerger(c)
-	var w sdsWorkerState
-	var r sdsFacetOut
-	for _, t := range c.Facets() {
-		w.subdivide(c, t, &r)
-		m.absorb(&r)
+	// Background cannot be canceled, so the error path is unreachable.
+	lvl, _ := sdsStructuredCtx(context.Background(), c)
+	return lvl
+}
+
+// SDSCtx is SDS honoring ctx: the construction checks for cancellation
+// every sdsCheckInterval facets and abandons the level, returning an error
+// wrapping ctx.Err(). On success the result is identical to SDS(c). It is
+// the subdivision step of the engine, the solver and the converge search.
+func SDSCtx(ctx context.Context, c *Complex) (*Complex, error) {
+	lvl, err := sdsStructuredCtx(ctx, c)
+	if err != nil {
+		return nil, err
 	}
-	return m.finish()
+	return lvl.Complex, nil
+}
+
+// SDSParallelCtx is SDSCtx; workers is ignored.
+//
+// Deprecated: subdivision has one sequential builder. Use SDSCtx.
+func SDSParallelCtx(ctx context.Context, c *Complex, workers int) (*Complex, error) {
+	return SDSCtx(ctx, c)
+}
+
+// sdsCheckInterval is the cadence, in source facets, of the cancellation
+// checkpoint inside a subdivision level.
+const sdsCheckInterval = 64
+
+func sdsStructuredCtx(ctx context.Context, c *Complex) (lvl *SDSLevel, err error) {
+	c.mustBeSealed("SDS")
+	// Tracing: one sds.subdivide span per level, carrying the exact facet
+	// and vertex counts of the construction (the numbers Lemma 3.3 pins
+	// down — Σ over facets of CountOrderedPartitions(|facet|) new facets).
+	// A no-op when the context carries no trace.
+	ctx, span := obs.StartSpan(ctx, "sds.subdivide")
+	span.SetInt("facets_in", int64(len(c.Facets())))
+	defer func() {
+		if err != nil {
+			span.SetStr("error", "canceled")
+		} else {
+			span.SetInt("facets_out", int64(len(lvl.Complex.Facets())))
+			span.SetInt("vertices_out", int64(lvl.Complex.NumVertices()))
+		}
+		span.Finish()
+	}()
+	b := newSDSBuilder(c)
+	for i, t := range c.Facets() {
+		if i%sdsCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("topology: subdivision canceled: %w", err)
+			}
+		}
+		b.subdivide(t)
+	}
+	return b.finish(), nil
 }
 
 // SDSPow returns SDS^b(c); SDSPow(c, 0) is c itself.

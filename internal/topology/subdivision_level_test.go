@@ -1,9 +1,11 @@
 package topology
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -39,47 +41,54 @@ func complexesIdentical(t *testing.T, seq, par *Complex) {
 	}
 }
 
-// TestSDSParallelMatchesSequential pins the determinism contract of the
-// engine's parallel subdivision: SDSPowParallel is vertex-for-vertex and
-// facet-for-facet identical to the sequential SDSPow for all n ≤ 3 procs
-// and b ≤ 3 (capped where the complex would explode).
+// sdsPowParallelCtx iterates the deprecated SDSParallelCtx wrapper, the
+// entry point cmd/wfbench's direct phase calls.
+func sdsPowParallelCtx(t testing.TB, c *Complex, b, workers int) *Complex {
+	t.Helper()
+	for i := 0; i < b; i++ {
+		next, err := SDSParallelCtx(context.Background(), c, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = next
+	}
+	return c
+}
+
+// TestSDSParallelMatchesSequential pins the deprecated SDSParallelCtx
+// wrapper to SDSPow: vertex-for-vertex, facet-for-facet and canonically
+// identical for all n ≤ 2 procs and b ≤ 3, whatever worker count a caller
+// still passes.
 func TestSDSParallelMatchesSequential(t *testing.T) {
 	for n := 0; n <= 2; n++ {
-		maxB := 3
-		if n == 2 {
-			maxB = 3 // 13³ facets at the last level; still fast
-		}
-		for b := 0; b <= maxB; b++ {
+		for b := 0; b <= 3; b++ {
 			t.Run(fmt.Sprintf("n=%d/b=%d", n, b), func(t *testing.T) {
 				seq := SDSPow(Simplex(n), b)
-				for _, workers := range []int{0, 1, 2, 7} {
-					par := SDSPowParallel(Simplex(n), b, workers)
-					complexesIdentical(t, seq, par)
-					if seq.CanonicalString() != par.CanonicalString() {
-						t.Fatalf("canonical strings differ (workers=%d)", workers)
-					}
+				par := sdsPowParallelCtx(t, Simplex(n), b, 2)
+				complexesIdentical(t, seq, par)
+				if seq.CanonicalString() != par.CanonicalString() {
+					t.Fatal("canonical strings differ")
 				}
 			})
 		}
 	}
 }
 
-// TestSDSParallelStructured checks the retained (u, S) construction
-// structure matches the sequential one.
-func TestSDSParallelStructured(t *testing.T) {
-	c := SDS(Simplex(2)) // 13 facets: enough to trigger the parallel path
-	seq := SDSStructured(c)
-	par := SDSParallelStructured(c, 4)
-	complexesIdentical(t, seq.Complex, par.Complex)
-	if len(seq.U) != len(par.U) {
-		t.Fatalf("U length: %d vs %d", len(seq.U), len(par.U))
+// TestSDSStructuredMatchesLegacy checks the retained (u, S) construction
+// structure of the arena builder against the string-keyed oracle's.
+func TestSDSStructuredMatchesLegacy(t *testing.T) {
+	c := SDS(Simplex(2))
+	got, want := SDSStructured(c), legacySDSStructured(c)
+	complexesIdentical(t, want.Complex, got.Complex)
+	if len(got.U) != len(want.U) || len(got.S) != len(want.S) {
+		t.Fatalf("U/S length: %d/%d vs %d/%d", len(got.U), len(got.S), len(want.U), len(want.S))
 	}
-	for i := range seq.U {
-		if seq.U[i] != par.U[i] {
-			t.Fatalf("U[%d]: %v vs %v", i, seq.U[i], par.U[i])
+	for i := range want.U {
+		if got.U[i] != want.U[i] {
+			t.Fatalf("U[%d]: %v vs %v", i, got.U[i], want.U[i])
 		}
-		if fmt.Sprint(seq.S[i]) != fmt.Sprint(par.S[i]) {
-			t.Fatalf("S[%d]: %v vs %v", i, seq.S[i], par.S[i])
+		if fmt.Sprint(got.S[i]) != fmt.Sprint(want.S[i]) {
+			t.Fatalf("S[%d]: %v vs %v", i, got.S[i], want.S[i])
 		}
 	}
 }
@@ -102,10 +111,42 @@ func TestSDSParallelOnTaskLikeComplex(t *testing.T) {
 	}
 	c.Seal()
 	for b := 1; b <= 3; b++ {
-		seq := SDSPow(c, b)
-		par := SDSPowParallel(c, b, 3)
-		complexesIdentical(t, seq, par)
+		complexesIdentical(t, legacySDSPow(c, b), sdsPowParallelCtx(t, c, b, 3))
 	}
+}
+
+// TestHasSimplexOnSubdivisionConcurrent pins the lazy incidence index of a
+// trusted-sealed level: the seal leaves it unbuilt, and goroutines racing to
+// the first HasSimplex share one index that agrees with the closure.
+func TestHasSimplexOnSubdivisionConcurrent(t *testing.T) {
+	c := SDSPow(Simplex(2), 2)
+	if c.incidence != nil {
+		t.Fatal("sealTrusted built the incidence index eagerly")
+	}
+	inClosure := make(map[string]bool)
+	for _, byDim := range c.AllSimplices() {
+		for _, s := range byDim {
+			inClosure[simplexKey(s)] = true
+		}
+	}
+	n := c.NumVertices()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := 0; a < n; a++ {
+				for b := a + 1; b < n; b++ {
+					s := []Vertex{Vertex(a), Vertex(b)}
+					if got, want := c.HasSimplex(s), inClosure[simplexKey(s)]; got != want {
+						t.Errorf("HasSimplex(%v) = %v, closure says %v", s, got, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCountOrderedPartitionsOverflow(t *testing.T) {
@@ -174,6 +215,12 @@ func TestCanonicalStringDistinguishes(t *testing.T) {
 	}
 }
 
+// The SDSPow benchmarks are gated by cmd/benchguard against
+// BENCH_engine.json. The *Parallel pair predates the single builder and
+// keeps its baseline lines by timing the deprecated SDSParallelCtx wrapper
+// level by level; the (3,3) pair exercises the 421875-facet level from the
+// golden table.
+
 func BenchmarkSDSPowSequential(b *testing.B) {
 	base := Simplex(2)
 	b.ReportAllocs()
@@ -186,15 +233,9 @@ func BenchmarkSDSPowParallel(b *testing.B) {
 	base := Simplex(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SDSPowParallel(base, 3, 0)
+		sdsPowParallelCtx(b, base, 3, 0)
 	}
 }
-
-// The (3,3) pair exercises the 421875-facet level from the golden table —
-// the scale at which fan-out across workers matters. On a single-core
-// machine SDSPowParallel degenerates to the sequential path (workers = 1
-// takes the fallback), so the two numbers coincide there; see EXPERIMENTS
-// E21 for the recorded figures and the multicore caveat.
 
 func BenchmarkSDSPow33Sequential(b *testing.B) {
 	base := Simplex(3)
@@ -208,6 +249,6 @@ func BenchmarkSDSPow33Parallel(b *testing.B) {
 	base := Simplex(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SDSPowParallel(base, 3, 0)
+		sdsPowParallelCtx(b, base, 3, 0)
 	}
 }

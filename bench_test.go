@@ -543,30 +543,6 @@ func BenchmarkSnapshotScan(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md) ---------------------
 
-// BenchmarkSolverOrderingAblation quantifies the DFS-vs-BFS vertex-ordering
-// choice in the solvability checker: BFS interleaves independent subdivided
-// edges and thrashes across them (≈30M nodes on ε-agreement 1/9 at level 2),
-// DFS keeps chains consecutive (≈10³ nodes).
-func BenchmarkSolverOrderingAblation(b *testing.B) {
-	task := tasks.ApproxAgreement(4)
-	for _, tc := range []struct {
-		name  string
-		order solver.Order
-	}{{"dfs", solver.OrderDFS}, {"bfs", solver.OrderBFS}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var nodes int64
-			for i := 0; i < b.N; i++ {
-				res, err := solver.SolveAtLevel(task, 2, solver.Options{Order: tc.order})
-				if err != nil || !res.Solvable {
-					b.Fatalf("unexpected: %v %v", res.Solvable, err)
-				}
-				nodes += res.Nodes
-			}
-			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-		})
-	}
-}
-
 // BenchmarkScanAblation contrasts the wait-free Afek et al. scan with the
 // naive unbounded double collect, both under adversarial writers. The naive
 // scan frequently exhausts its collect budget; the wait-free one never

@@ -24,7 +24,6 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "in-memory cache entries")
 	spill := fs.String("spill", "", "directory for the gob spill-to-disk tier (empty = memory only)")
 	spillMax := fs.Int64("spillmax", engine.DefaultSpillMaxBytes, "byte budget for the spill dir (oldest files swept first)")
-	workers := fs.Int("workers", 0, "solver search workers (0 = NumCPU); subdivision is sequential")
 	maxconc := fs.Int("maxconc", serve.DefaultMaxConcurrent, "max concurrent requests")
 	timeout := fs.Duration("timeout", serve.DefaultTimeout, "per-request deadline")
 	slowlog := fs.Duration("slowlog", 0, "log queries slower than this with a reproducing CLI line (0 = off)")
@@ -48,7 +47,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	eo := engine.Options{CacheSize: *cacheSize, SpillDir: *spill, SpillMaxBytes: *spillMax, Workers: *workers}
+	eo := engine.Options{CacheSize: *cacheSize, SpillDir: *spill, SpillMaxBytes: *spillMax}
 	if *faultSeed != 0 {
 		// The storage adversary, same contract as the scheduler's -seed: the
 		// fault schedule is a pure function of the seed, printed up front so
@@ -141,8 +140,8 @@ func cmdServe(args []string) error {
 	go func() { errc <- serve.Run(ctx, *addr, srv, ready) }()
 	select {
 	case bound := <-ready:
-		fmt.Printf("wfrepro serve: listening on http://%s (cache=%d workers=%d maxconc=%d timeout=%s slowlog=%s pprof=%v)\n",
-			bound, *cacheSize, *workers, *maxconc, *timeout, *slowlog, *pprofOn)
+		fmt.Printf("wfrepro serve: listening on http://%s (cache=%d maxconc=%d timeout=%s slowlog=%s pprof=%v)\n",
+			bound, *cacheSize, *maxconc, *timeout, *slowlog, *pprofOn)
 	case err := <-errc:
 		return err
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"waitfree/internal/converge"
@@ -47,10 +45,6 @@ type Options struct {
 	// The chaos soak (and the dev-only -faultseed flag) pass a seeded
 	// faultfs.Faulty here to run the storage adversary against a live engine.
 	SpillFS faultfs.FS
-	// Workers bounds the solver's per-component search fan-out
-	// (solver.Options.Workers); 0 = runtime.NumCPU(). Subdivision is
-	// sequential.
-	Workers int
 	// MaxNodes is the default per-level solver budget for requests that do
 	// not set one; 0 = DefaultMaxNodes.
 	MaxNodes int64
@@ -69,16 +63,8 @@ type Options struct {
 type Engine struct {
 	cache    *Cache
 	flights  flightGroup
-	workers  int
 	maxNodes int64
 	metrics  *Metrics
-	// prior is the EWMA of observed solver nodes per subdivision facet —
-	// the calibration behind CalibratedSolveCost (cost.go). priorSet
-	// distinguishes "no solve observed yet" from a genuine zero (the
-	// structured solver really does decide whole families with zero nodes).
-	priorMu  sync.Mutex
-	prior    float64
-	priorSet bool
 	// peerFill, when set (SetPeerFiller, cluster mode), is consulted on a
 	// cache miss before computing: a non-owned key may already be answered
 	// byte-identically in the owning peer's cache.
@@ -90,12 +76,8 @@ func New(o Options) *Engine {
 	m := NewMetrics()
 	e := &Engine{
 		cache:    NewCache(o.CacheSize, o.SpillDir, o.SpillMaxBytes, o.SpillFS, m),
-		workers:  o.Workers,
 		maxNodes: o.MaxNodes,
 		metrics:  m,
-	}
-	if e.workers <= 0 {
-		e.workers = runtime.NumCPU()
 	}
 	if e.maxNodes == 0 {
 		e.maxNodes = DefaultMaxNodes
@@ -353,7 +335,7 @@ func (e *Engine) computeSolve(ctx context.Context, req SolveRequest, spec model.
 	if maxNodes == 0 {
 		maxNodes = e.maxNodes
 	}
-	opts := solver.Options{MaxNodes: maxNodes, Workers: e.workers}
+	opts := solver.Options{MaxNodes: maxNodes}
 	if !spec.IsWaitFree() {
 		opts.Model = spec.Canonical()
 	}
@@ -365,7 +347,7 @@ func (e *Engine) computeSolve(ctx context.Context, req SolveRequest, spec model.
 			return nil, err
 		}
 		res, err := solver.SolveAtLevelOn(ctx, task, b, sub, opts)
-		e.recordSolve(res, sub)
+		e.recordSolve(res)
 		if err != nil {
 			return nil, err // solver.ErrBudget or solver.ErrCanceled, wrapped with level and node count
 		}

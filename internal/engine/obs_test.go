@@ -12,7 +12,7 @@ import (
 // cache.lookup, flight.wait, sds.subdivide, solver.search — and the span
 // attributes must equal the response's deterministic counts, per level.
 func TestSolveTraceSpans(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
 	req := SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 2}, MaxLevel: 1}
@@ -74,7 +74,7 @@ func TestSolveTraceSpans(t *testing.T) {
 // <op>_error histogram and leave the success series untouched — otherwise
 // every disconnect would drag the reported p99 toward the timeout.
 func TestCanceledQueryNeverObservesSuccessHistogram(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the query starts: the engine must notice
 	_, err := e.Solve(ctx, SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 2}, MaxLevel: 1})

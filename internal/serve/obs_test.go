@@ -24,7 +24,7 @@ import (
 // response body — the trace is checkable against the answer, not merely
 // decorative.
 func TestTraceHeaderAndRegistry(t *testing.T) {
-	_, ts := newTestServer(t, engine.Options{Workers: 1}, Options{})
+	_, ts := newTestServer(t, engine.Options{}, Options{})
 
 	resp, err := http.Get(ts.URL + "/v1/solve?family=consensus&procs=2&maxb=1")
 	if err != nil {
@@ -106,7 +106,7 @@ func TestTraceHeaderAndRegistry(t *testing.T) {
 // one latency observation — in the success histogram for 200s and in the
 // _error histogram for everything else.
 func TestMetricsContract(t *testing.T) {
-	s, ts := newTestServer(t, engine.Options{Workers: 1}, Options{})
+	s, ts := newTestServer(t, engine.Options{}, Options{})
 	m := s.Engine().Metrics()
 
 	cases := []struct {
@@ -119,7 +119,7 @@ func TestMetricsContract(t *testing.T) {
 		{"adversary ok", "adversary", "/v1/adversary?algo=commitadopt&procs=3&seed=42", http.StatusOK},
 		{"converge ok", "converge", "/v1/converge?n=1&target=1&maxk=2", http.StatusOK},
 		{"bad param", "complex", "/v1/complex?n=99", http.StatusBadRequest},
-		// Consensus no longer works here: the structured engine's AC-3 pass
+		// Consensus no longer works here: the solver's AC-3 pass
 		// decides it with zero search nodes, so no budget can be exhausted.
 		// Set consensus survives propagation (its binding constraints are
 		// 2-dimensional) and still burns nodes at level 0.
@@ -178,7 +178,7 @@ func TestMetricsContract(t *testing.T) {
 // that replays the query.
 func TestSlowLogEmitsReproLine(t *testing.T) {
 	var buf bytes.Buffer
-	s, _ := newTestServer(t, engine.Options{Workers: 1}, Options{
+	s, _ := newTestServer(t, engine.Options{}, Options{
 		SlowLog: time.Nanosecond,
 		Logger:  slog.New(slog.NewTextHandler(&buf, nil)),
 	})
@@ -219,11 +219,11 @@ func TestReproCommandRenames(t *testing.T) {
 // TestPprofGate: /debug/pprof is absent by default and mounted only when
 // EnablePprof is set.
 func TestPprofGate(t *testing.T) {
-	_, off := newTestServer(t, engine.Options{Workers: 1}, Options{})
+	_, off := newTestServer(t, engine.Options{}, Options{})
 	if status, _ := get(t, off.URL+"/debug/pprof/"); status != http.StatusNotFound {
 		t.Errorf("pprof reachable without the flag: status %d", status)
 	}
-	_, on := newTestServer(t, engine.Options{Workers: 1}, Options{EnablePprof: true})
+	_, on := newTestServer(t, engine.Options{}, Options{EnablePprof: true})
 	if status, _ := get(t, on.URL+"/debug/pprof/"); status != http.StatusOK {
 		t.Errorf("pprof index with the flag on: status %d, want 200", status)
 	}

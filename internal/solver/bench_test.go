@@ -16,7 +16,7 @@ import (
 // it. The subdivision is built once outside the loop — these benchmarks
 // measure the search, not SDS construction.
 
-func benchSolve(b *testing.B, task *tasks.Task, level int, opts Options) {
+func benchSolve(b *testing.B, task *tasks.Task, level int, solve func(context.Context, *tasks.Task, int, *topology.Complex) (*Result, error)) {
 	b.Helper()
 	sub := topology.SDSPow(task.Inputs, level)
 	ctx := context.Background()
@@ -24,7 +24,7 @@ func benchSolve(b *testing.B, task *tasks.Task, level int, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SolveAtLevelOn(ctx, task, level, sub, opts)
+		res, err := solve(ctx, task, level, sub)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -33,40 +33,45 @@ func benchSolve(b *testing.B, task *tasks.Task, level int, opts Options) {
 	b.ReportMetric(float64(nodes), "nodes/op")
 }
 
-// BenchmarkSolverStructuredSetConsensus: the hardest level both engines
-// finish — set agreement's binding constraints are 2-dimensional, so forward
-// checking explores the same 1299 nodes as the oracle. This pins the node
-// count of the real search path.
+// solveDefault is the production search with default options.
+func solveDefault(ctx context.Context, task *tasks.Task, level int, sub *topology.Complex) (*Result, error) {
+	return SolveAtLevelOn(ctx, task, level, sub, Options{})
+}
+
+// BenchmarkSolverStructuredSetConsensus: the hardest level both the search
+// and the oracle finish — set agreement's binding constraints are
+// 2-dimensional, so forward checking explores the same 1299 nodes as the
+// oracle. This pins the node count of the real search path.
 func BenchmarkSolverStructuredSetConsensus(b *testing.B) {
-	benchSolve(b, tasks.SetConsensus(3, 2), 1, Options{})
+	benchSolve(b, tasks.SetConsensus(3, 2), 1, solveDefault)
 }
 
 // BenchmarkSolverExhaustiveSetConsensus keeps the oracle measured so a speed
-// regression in either engine is attributable.
+// regression in either search is attributable.
 func BenchmarkSolverExhaustiveSetConsensus(b *testing.B) {
-	benchSolve(b, tasks.SetConsensus(3, 2), 1, Options{Engine: EngineExhaustive})
+	benchSolve(b, tasks.SetConsensus(3, 2), 1, solveExhaustive)
 }
 
 // BenchmarkSolverStructuredConsensusDeep: binary consensus at the deepest E6
 // level. Propagation alone decides it — nodes/op must stay exactly 0; any
 // nonzero value means AC-3 stopped closing the consensus family.
 func BenchmarkSolverStructuredConsensusDeep(b *testing.B) {
-	benchSolve(b, tasks.Consensus(2), 3, Options{})
+	benchSolve(b, tasks.Consensus(2), 3, solveDefault)
 }
 
 // BenchmarkSolverExhaustiveConsensusDeep: the same instance under the
 // oracle's 68-node search — the before/after pair documented in
 // EXPERIMENTS.md E23.
 func BenchmarkSolverExhaustiveConsensusDeep(b *testing.B) {
-	benchSolve(b, tasks.Consensus(2), 3, Options{Engine: EngineExhaustive})
+	benchSolve(b, tasks.Consensus(2), 3, solveExhaustive)
 }
 
 // BenchmarkSolverStructuredApproxAgreement: a solvable instance where the
-// structured engine still searches (36 nodes vs the oracle's 85) — exercises
-// propagation, decomposition, and forward checking together on the success
-// path.
+// search still branches (36 nodes vs the oracle's 85) — exercises
+// propagation, decomposition, and forward checking together on the
+// success path.
 func BenchmarkSolverStructuredApproxAgreement(b *testing.B) {
-	benchSolve(b, tasks.ApproxAgreement(4), 2, Options{})
+	benchSolve(b, tasks.ApproxAgreement(4), 2, solveDefault)
 }
 
 // BenchmarkSolverStructuredConsensus4: the service's heavy query, binary
@@ -74,7 +79,7 @@ func BenchmarkSolverStructuredApproxAgreement(b *testing.B) {
 // decides it, so nodes/op must stay exactly 0 and ns/op is pure precompute:
 // the edge enumeration, carrier interning and support tables AC-3 reads.
 func BenchmarkSolverStructuredConsensus4(b *testing.B) {
-	benchSolve(b, tasks.Consensus(4), 2, Options{})
+	benchSolve(b, tasks.Consensus(4), 2, solveDefault)
 }
 
 // BenchmarkSolverTResilient: the restricted-subdivision search path —

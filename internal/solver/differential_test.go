@@ -61,13 +61,13 @@ func TestE6VerdictTable(t *testing.T) {
 	}
 }
 
-// TestE6DifferentialStructuredVsExhaustive cross-checks the structured
-// engine against the exhaustive oracle on every level of the E6 table that
-// the oracle can finish: verdicts must match exactly, every solvable result
-// must pass VerifyDecisionMap, and the structured node count must never
-// exceed the oracle's (forward checking explores a subset of the plain
-// backtracking's nodes; propagation and decomposition only shrink it
-// further).
+// TestE6DifferentialStructuredVsExhaustive cross-checks the search against
+// the exhaustive oracle on every level of the E6 table that the oracle can
+// finish, plus a fully slack edge task whose every value fits everywhere:
+// verdicts must match exactly, every solvable result must pass
+// VerifyDecisionMap, and the search's node count must never exceed the
+// oracle's (forward checking explores a subset of the plain backtracking's
+// nodes; propagation and decomposition only shrink it further).
 func TestE6DifferentialStructuredVsExhaustive(t *testing.T) {
 	cases := []struct {
 		task *tasks.Task
@@ -88,13 +88,14 @@ func TestE6DifferentialStructuredVsExhaustive(t *testing.T) {
 		{tasks.Consensus(3), 1},
 		{tasks.SetConsensus(3, 2), 0},
 		{tasks.SetConsensus(3, 2), 1},
+		{slackEdgeTask(), 0},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("%s/b=%d", tc.task.Name, tc.b), func(t *testing.T) {
 			sub := topology.SDSPow(tc.task.Inputs, tc.b)
-			exh, err := solver.SolveAtLevelOn(ctx, tc.task, tc.b, sub, solver.Options{Engine: solver.EngineExhaustive})
+			exh, err := solver.SolveExhaustive(ctx, tc.task, tc.b, sub)
 			if err != nil {
 				t.Fatalf("exhaustive: %v", err)
 			}
@@ -117,48 +118,104 @@ func TestE6DifferentialStructuredVsExhaustive(t *testing.T) {
 	}
 }
 
-// TestRandomTasksDifferential fuzzes the differential over
+// slackEdgeTask maps a single input edge into a complete two-value output
+// complex under an all-permissive Δ: every value of either endpoint is
+// consistent with every value of the other.
+func slackEdgeTask() *tasks.Task {
+	in := topology.NewComplex()
+	a := in.MustAddVertex("a", 0)
+	b := in.MustAddVertex("b", 1)
+	in.MustAddSimplex(a, b)
+
+	out := topology.NewComplex()
+	var outV []topology.Vertex
+	for col := 0; col < 2; col++ {
+		for val := 0; val < 2; val++ {
+			outV = append(outV, out.MustAddVertex(fmt.Sprintf("o%d_%d", col, val), col))
+		}
+	}
+	for _, v0 := range outV[:2] {
+		for _, v1 := range outV[2:] {
+			out.MustAddSimplex(v0, v1)
+		}
+	}
+	return &tasks.Task{
+		Name:    "slack-edge",
+		Procs:   2,
+		Inputs:  in.Seal(),
+		Outputs: out.Seal(),
+		Allowed: func(in, out []topology.Vertex) bool { return true },
+	}
+}
+
+// TestRandomTasksDifferential runs the differential over
 // topology.RandomChromaticComplex inputs with randomized pairwise output
 // constraints (monotone by construction: a face has fewer pairs than its
 // coface). Seeded, so any failure is a reproducible case, not a flake. The
-// bans drive a spread of solvable and unsolvable instances; both engines
-// must agree on all of them, at level 0 and level 1.
+// bans drive a spread of solvable and unsolvable instances; the search and
+// the oracle must agree on all of them, at level 0 and level 1.
 func TestRandomTasksDifferential(t *testing.T) {
-	ctx := context.Background()
 	var solvableSeen, unsolvableSeen int
 	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		task := randomPairwiseTask(rng, seed)
-		for b := 0; b <= 1; b++ {
-			sub := topology.SDSPow(task.Inputs, b)
-			exh, err := solver.SolveAtLevelOn(ctx, task, b, sub, solver.Options{Engine: solver.EngineExhaustive})
-			if err != nil {
-				t.Fatalf("seed %d b=%d exhaustive: %v", seed, b, err)
-			}
-			str, err := solver.SolveAtLevelOn(ctx, task, b, sub, solver.Options{})
-			if err != nil {
-				t.Fatalf("seed %d b=%d structured: %v", seed, b, err)
-			}
-			if str.Solvable != exh.Solvable {
-				t.Fatalf("seed %d b=%d: verdicts differ: structured %v, oracle %v", seed, b, str.Solvable, exh.Solvable)
-			}
-			if str.Nodes > exh.Nodes {
-				t.Errorf("seed %d b=%d: structured %d nodes > oracle %d", seed, b, str.Nodes, exh.Nodes)
-			}
-			if str.Solvable {
+		for _, solvable := range randomTaskDifferential(t, seed) {
+			if solvable {
 				solvableSeen++
-				if err := solver.VerifyDecisionMap(task, str); err != nil {
-					t.Errorf("seed %d b=%d: VerifyDecisionMap: %v", seed, b, err)
-				}
 			} else {
 				unsolvableSeen++
 			}
 		}
 	}
-	// The fuzz only means something if it exercises both verdicts.
+	// The differential only means something if it exercises both verdicts.
 	if solvableSeen == 0 || unsolvableSeen == 0 {
-		t.Fatalf("degenerate fuzz corpus: %d solvable, %d unsolvable", solvableSeen, unsolvableSeen)
+		t.Fatalf("degenerate corpus: %d solvable, %d unsolvable", solvableSeen, unsolvableSeen)
 	}
+}
+
+// FuzzSolverDifferential extends TestRandomTasksDifferential past its 40
+// seeds. The corpus seeds from 4 on have levels with dominated vertices
+// that carry a universal value, the case a vertex-elimination pass would
+// remove before searching.
+func FuzzSolverDifferential(f *testing.F) {
+	for _, seed := range []int64{0, 1, 4, 5, 6, 9, 10, 13, 14, 25, 29, 30} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		randomTaskDifferential(t, seed)
+	})
+}
+
+// randomTaskDifferential checks the search against the oracle on
+// randomPairwiseTask(seed) at levels 0 and 1 — equal verdicts, no more
+// nodes than the oracle, verified maps — and returns the verdicts.
+func randomTaskDifferential(t *testing.T, seed int64) []bool {
+	t.Helper()
+	ctx := context.Background()
+	task := randomPairwiseTask(rand.New(rand.NewSource(seed)), seed)
+	var verdicts []bool
+	for b := 0; b <= 1; b++ {
+		sub := topology.SDSPow(task.Inputs, b)
+		exh, err := solver.SolveExhaustive(ctx, task, b, sub)
+		if err != nil {
+			t.Fatalf("seed %d b=%d exhaustive: %v", seed, b, err)
+		}
+		str, err := solver.SolveAtLevelOn(ctx, task, b, sub, solver.Options{})
+		if err != nil {
+			t.Fatalf("seed %d b=%d structured: %v", seed, b, err)
+		}
+		if str.Solvable != exh.Solvable {
+			t.Fatalf("seed %d b=%d: verdicts differ: structured %v, oracle %v", seed, b, str.Solvable, exh.Solvable)
+		}
+		if str.Nodes > exh.Nodes {
+			t.Errorf("seed %d b=%d: structured %d nodes > oracle %d", seed, b, str.Nodes, exh.Nodes)
+		}
+		if str.Solvable {
+			if err := solver.VerifyDecisionMap(task, str); err != nil {
+				t.Errorf("seed %d b=%d: VerifyDecisionMap: %v", seed, b, err)
+			}
+		}
+		verdicts = append(verdicts, str.Solvable)
+	}
+	return verdicts
 }
 
 // randomPairwiseTask wraps a random chromatic input complex in a task whose

@@ -5,7 +5,7 @@ package solver_test
 //	(a) the production path — the structured solver over the incremental
 //	    subdivision chain with Options.Restrict applied per level
 //	    (solver.SolveUpToCtx, what the engine and CLI run),
-//	(b) the exhaustive oracle — solver.EngineExhaustive over an explicitly
+//	(b) the exhaustive oracle — solver.SolveExhaustive over an explicitly
 //	    constructed topology.SDSRestrictedPow complex, and
 //	(c) the adversarial scheduler — a complex assembled from nothing but
 //	    sched.ExploreFiltered run enumeration: every model-allowed b-round
@@ -311,11 +311,11 @@ func TestModelThreeWayDifferential(t *testing.T) {
 						}
 					}
 
-					exh, err := solver.SolveAtLevelOn(ctx, task, b, explicit, solver.Options{Engine: solver.EngineExhaustive})
+					exh, err := solver.SolveExhaustive(ctx, task, b, explicit)
 					if err != nil {
 						t.Fatalf("exhaustive on restricted complex: %v", err)
 					}
-					run, err := solver.SolveAtLevelOn(ctx, task, b, runC, solver.Options{Engine: solver.EngineExhaustive})
+					run, err := solver.SolveExhaustive(ctx, task, b, runC)
 					if err != nil {
 						t.Fatalf("exhaustive on run-enumerated complex: %v", err)
 					}

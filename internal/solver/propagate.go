@@ -3,16 +3,15 @@ package solver
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"waitfree/internal/tasks"
 	"waitfree/internal/topology"
 )
 
-// Constraint propagation for the structured engine. The binary constraints
-// of the decision-map problem live on the 1-skeleton of the subdivision:
-// for an edge {u, v}, the pair of decisions (δ(u), δ(v)) must be a simplex
-// of the output complex and allowed for the edge's carrier. searchState
+// Constraint propagation for the search. The binary constraints of the
+// decision-map problem live on the 1-skeleton of the subdivision: for an
+// edge {u, v}, the pair of decisions (δ(u), δ(v)) must be a simplex of the
+// output complex and allowed for the edge's carrier. searchState
 // materializes those constraints once — a boolean support table per edge,
 // shared by every edge with the same carrier and endpoint domains — and
 // then uses them twice: an AC-3 arc-consistency pass before the search
@@ -21,8 +20,8 @@ import (
 // unassigned neighbors' domains the moment a vertex is assigned, so a dead
 // branch dies at its first emptied domain instead of after a full facet is
 // assigned). Higher-dimensional constraints (triangles and up) cannot be
-// tabulated this way without blowing memory; they are verified by the same
-// incremental checkItem schedule the exhaustive engine uses.
+// tabulated this way without blowing memory; they are verified by an
+// incremental checkItem schedule (decompose.go).
 
 // edgeRec is one 1-simplex {u, v} (u < v) with a flat support table:
 // ok[i*dv+j] reports whether (vals[u][i], vals[v][j]) is a legal decision
@@ -57,30 +56,21 @@ type trailEntry struct {
 	idx  int
 }
 
-// searchState is the structured engine's per-level state: fixed value
-// tables with active masks (so pruning is O(1) flag flips, original value
-// order is preserved, and undo is a trail walk), the edge support tables,
-// and adjacency restricted to vertices that survive collapse.
+// searchState is the search's per-level state: fixed value tables with
+// active masks (so pruning is O(1) flag flips, original value order is
+// preserved, and undo is a trail walk), the edge support tables, and the
+// adjacency over them.
 type searchState struct {
 	task *tasks.Task
-	sub  *topology.Complex
 
 	vals   [][]topology.Vertex // initial (post-domain-build) values per vertex
 	active [][]bool            // active[v][i]: vals[v][i] still in the domain
 	count  []int               // number of active values per vertex
 
-	faces     *faceIndex
-	carriers  *carrierTable
-	edges     []edgeRec
-	edgeFaces [][]topology.Vertex // edges[i] as the simplex {u, v}
-	edgeCarr  []int32             // carrier id of edges[i]
-	adj       [][]neighborRef     // built over remaining vertices by buildAdjacency
-
-	// Filled by buildSimplices, only once propagation has left every domain
-	// non-empty: every simplex of dimension ≥ 1 (edges first, then by
-	// dimension, each dimension in lexicographic order) with its carrier.
-	flat         [][]topology.Vertex
-	flatCarriers [][]topology.Vertex
+	faces    *faceIndex
+	carriers *carrierTable
+	edges    []edgeRec
+	adj      [][]neighborRef // built by buildAdjacency once propagation leaves every domain non-empty
 
 	assigned []bool
 	assign   []topology.Vertex
@@ -97,7 +87,6 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 	nv := sub.NumVertices()
 	st := &searchState{
 		task:     task,
-		sub:      sub,
 		vals:     domains,
 		active:   make([][]bool, nv),
 		count:    make([]int, nv),
@@ -114,12 +103,11 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 		st.count[v] = len(domains[v])
 	}
 
-	st.edgeFaces = st.faces.faces(2)
-	st.edges = make([]edgeRec, len(st.edgeFaces))
-	st.edgeCarr = make([]int32, len(st.edgeFaces))
+	edgeFaces := st.faces.faces(2)
+	st.edges = make([]edgeRec, len(edgeFaces))
 	tables := make(map[supportKey][]bool)
 	pair := make([]topology.Vertex, 2)
-	for i, s := range st.edgeFaces {
+	for i, s := range edgeFaces {
 		u, v := s[0], s[1]
 		cid := st.carriers.of(s)
 		du, dv := st.vals[u], st.vals[v]
@@ -136,27 +124,9 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 			}
 			tables[key] = ok
 		}
-		st.edgeCarr[i] = cid
 		st.edges[i] = edgeRec{u: int(u), v: int(v), dv: len(dv), ok: ok}
 	}
 	return st
-}
-
-// buildSimplices enumerates the simplices collapse, decomposition and
-// restore read — every simplex of dimension ≥ 1, edges first — with their
-// interned carriers. Only levels that propagation did not decide pay for it.
-func (st *searchState) buildSimplices() {
-	st.flat = slices.Clone(st.edgeFaces)
-	st.flatCarriers = make([][]topology.Vertex, len(st.edgeCarr))
-	for i, cid := range st.edgeCarr {
-		st.flatCarriers[i] = st.carriers.list[cid]
-	}
-	for k := 3; k <= st.faces.maxLen; k++ {
-		for _, s := range st.faces.faces(k) {
-			st.flat = append(st.flat, s)
-			st.flatCarriers = append(st.flatCarriers, st.carriers.list[st.carriers.of(s)])
-		}
-	}
 }
 
 // propagate runs AC-3 to a fixpoint: a vertex-based worklist — when v's
@@ -260,16 +230,11 @@ func (e *edgeRec) pairOK(iOwner, iNbr int, flip bool) bool {
 	return e.ok[iOwner*e.dv+iNbr]
 }
 
-// buildAdjacency wires up neighbor references over the remaining (non-
-// eliminated) vertex set. Edges with an eliminated endpoint are excluded —
-// their constraints are re-checked when the eliminated vertex is restored.
-func (st *searchState) buildAdjacency(remaining []bool) {
+// buildAdjacency wires up the neighbor references of every edge.
+func (st *searchState) buildAdjacency() {
 	st.adj = make([][]neighborRef, len(st.vals))
 	for i := range st.edges {
 		e := &st.edges[i]
-		if !remaining[e.u] || !remaining[e.v] {
-			continue
-		}
 		st.adj[e.u] = append(st.adj[e.u], neighborRef{nbr: e.v, edge: i, flip: false})
 		st.adj[e.v] = append(st.adj[e.v], neighborRef{nbr: e.u, edge: i, flip: true})
 	}
@@ -277,10 +242,8 @@ func (st *searchState) buildAdjacency(remaining []bool) {
 
 // forwardCheck prunes the domains of v's unassigned neighbors down to
 // values supported by the assignment vals[v][iv], recording every
-// deactivation on the caller's trail (per-component, so parallel component
-// searches never share undo state — they only ever touch their own
-// component's vertices). Returns the trail mark to undo to and whether all
-// neighbor domains stayed non-empty.
+// deactivation on the caller's trail. Returns the trail mark to undo to and
+// whether all neighbor domains stayed non-empty.
 func (st *searchState) forwardCheck(v, iv int, trail *[]trailEntry) (mark int, ok bool) {
 	mark = len(*trail)
 	for _, nr := range st.adj[v] {

@@ -6,13 +6,13 @@ import (
 	"waitfree/internal/topology"
 )
 
-// Stage-ordered precompute for the structured engine. AC-3 reads only the
-// 1-skeleton: the edges, their carriers and their support tables. Collapse
-// and decomposition read the dim ≥ 2 simplices, and only when propagation
-// leaves every domain non-empty. So the engine enumerates faces one
-// dimension at a time, straight from the facets (faceIndex), and interns
-// carriers (carrierTable) instead of allocating one per simplex. A level that
-// propagation decides — the whole consensus family — never builds a triangle.
+// Stage-ordered precompute for the search. AC-3 reads only the 1-skeleton:
+// the edges, their carriers and their support tables. The check schedule
+// reads the dim ≥ 2 simplices, and only when propagation leaves every
+// domain non-empty. So the solver enumerates faces one dimension at a time,
+// straight from the facets (faceIndex), and interns carriers (carrierTable)
+// instead of allocating one per simplex. A level that propagation decides —
+// the whole consensus family — never builds a triangle.
 
 // faceIndex is the vertex → incident-facet index of a complex: everything
 // face enumeration needs.

@@ -11,14 +11,13 @@
 // solvability checking is undecidable for three or more processes
 // [Gafni–Koutsoupias]; bounding b is what makes the checker terminate.
 //
-// Two search engines share the level: EngineStructured (the default)
-// prunes with structure — an AC-3 arc-consistency pass over the
-// 1-skeleton, dominated-vertex collapse preprocessing à la
-// Benavides–Rajsbaum, independent search per connected component fanned
-// out over the worker pool, and forward checking inside the backtracking —
-// while EngineExhaustive is the original plain backtracking search, kept
-// in-tree as the differential oracle (differential_test.go requires
-// identical verdicts and structured node counts ≤ exhaustive ones).
+// The level is decided by one search path: an AC-3 arc-consistency pass
+// over the 1-skeleton, a split of the constraint graph into connected
+// components, and a sequential forward-checking backtracking search per
+// component that stops at the first component without a map. The original
+// plain backtracking search is kept in oracle_test.go as the differential
+// oracle (differential_test.go requires identical verdicts and node counts
+// no larger than the oracle's).
 package solver
 
 import (
@@ -26,13 +25,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"waitfree/internal/obs"
 	"waitfree/internal/tasks"
@@ -57,70 +52,17 @@ var ErrCanceled = errors.New("solver: search canceled")
 // promises.
 const cancelCheckInterval = 4096
 
-// Order selects the vertex ordering strategy of the backtracking search.
-type Order int
-
-// Ordering strategies. OrderDFS is the default and is dramatically faster
-// on subdivisions of low-dimensional complexes: it assigns each constrained
-// chain consecutively so conflicts backtrack locally. OrderBFS is retained
-// as an ablation (see bench_test.go) — it interleaves independent regions
-// and can thrash across them.
-const (
-	OrderDFS Order = iota
-	OrderBFS
-)
-
-// EngineKind selects the search engine.
-type EngineKind int
-
-const (
-	// EngineStructured is the default: AC-3 arc consistency over the
-	// 1-skeleton, dominated-vertex collapse preprocessing, per-component
-	// decomposition with parallel fan-out, and forward checking inside the
-	// backtracking. Verdicts are identical to EngineExhaustive; node counts
-	// are typically far lower.
-	EngineStructured EngineKind = iota
-	// EngineExhaustive is the original plain backtracking search, kept as
-	// the differential oracle.
-	EngineExhaustive
-)
-
 // Options tunes the search.
 type Options struct {
-	// MaxNodes caps the number of assignment nodes explored per level.
-	// 0 means DefaultMaxNodes. Under EngineStructured each independent
-	// component is capped at MaxNodes and the level fails with ErrBudget
-	// if any component exceeds it (or the component total does).
+	// MaxNodes caps the number of assignment nodes explored per level,
+	// across all of its components: each component searches with the
+	// budget the earlier ones left. 0 means DefaultMaxNodes.
 	MaxNodes int64
 
-	// Order selects the vertex ordering of the exhaustive engine (default
-	// OrderDFS). The structured engine always orders by current domain
-	// size within each component.
-	Order Order
-
-	// Workers bounds the parallelism of the per-component search fan-out
-	// under EngineStructured and of EngineExhaustive's per-simplex carrier
-	// precompute: 0 means runtime.NumCPU(), 1 forces the sequential path.
-	// The subdivision between levels (SolveUpTo) is sequential. The structured
-	// engine's precompute — domains, edges, carriers, support tables — is
-	// sequential: memoized on interned carriers and domains, it calls
-	// task.Allowed once per distinct key, too few calls to fan out.
-	// Verdicts and node counts are identical at any Workers value: each
-	// component's search is sequential and deterministic, and the reported
-	// node count is assembled in component order. Workers > 1 requires
-	// task.Allowed to be safe for concurrent calls — true of every task in
-	// this repository, whose Allowed closures only read immutable tables.
+	// Workers is ignored.
+	//
+	// Deprecated: the search is sequential; leave Workers unset.
 	Workers int
-
-	// Engine selects the search engine (default EngineStructured).
-	Engine EngineKind
-
-	// NoCollapse disables the dominated-vertex collapse preprocessing of
-	// the structured engine (ablation knob; propagation and decomposition
-	// stay on). The solver also re-runs with collapse disabled internally
-	// if restoring eliminated vertices ever fails, so the knob never
-	// affects verdicts.
-	NoCollapse bool
 
 	// Restrict filters each subdivision level of SolveUpTo to the facets
 	// of an affine model (internal/model builds these from t-resilience /
@@ -137,26 +79,20 @@ type Options struct {
 // DefaultMaxNodes is the per-level search budget.
 const DefaultMaxNodes = 50_000_000
 
-// Stats carries the structured engine's pruning telemetry for one level.
-// All fields are deterministic for a given subdivision and task.
+// Stats carries the search's pruning telemetry for one level. All fields
+// are deterministic for a given subdivision and task.
 type Stats struct {
 	// PrunedValues counts candidate output vertices removed from per-vertex
-	// domains by the AC-3 pass (0 under EngineExhaustive).
+	// domains by the AC-3 pass.
 	PrunedValues int64
-	// CollapsedVertices counts vertices eliminated by the dominated-vertex
-	// collapse preprocessing.
-	CollapsedVertices int
-	// Components is the number of independent subproblems the remaining
-	// constraint graph decomposed into (0 when the search never ran, e.g.
-	// propagation already emptied a domain).
+	// Components is the number of independent subproblems the constraint
+	// graph decomposed into (0 when the search never ran, e.g. propagation
+	// already emptied a domain).
 	Components int
 	// ComponentNodes lists the assignment nodes explored per component, in
-	// deterministic component order.
+	// component order, up to and including the first component that found
+	// no map or ran out of budget.
 	ComponentNodes []int64
-	// CollapseFallback records that restoring eliminated vertices failed
-	// and the level was re-searched with collapse disabled (the re-search's
-	// nodes are included in Result.Nodes).
-	CollapseFallback bool
 }
 
 // Result reports the outcome of a solvability check.
@@ -171,7 +107,7 @@ type Result struct {
 	Subdivision *topology.Complex // SDS^Level(Inputs)
 
 	Nodes int64 // assignment nodes explored
-	Stats Stats // structured-engine pruning telemetry
+	Stats Stats // pruning telemetry
 }
 
 // SolveAtLevel decides whether the task has a decision map at subdivision
@@ -197,16 +133,14 @@ func SolveAtLevelOn(ctx context.Context, task *tasks.Task, b int, sub *topology.
 	}
 	res = &Result{Task: task, Level: b, Subdivision: sub}
 	// Tracing: one solver.search span per level, carrying the search's
-	// deterministic combinatorics — node counts, domain prunes, component
-	// split, and collapse counts are identical run-to-run, so the trace is
-	// a checkable witness, not a sample. Nil-safe no-op when ctx carries no
-	// trace.
+	// deterministic combinatorics — node counts, domain prunes and the
+	// component split are identical run-to-run, so the trace is a checkable
+	// witness, not a sample. Nil-safe no-op when ctx carries no trace.
 	ctx, span := obs.StartSpan(ctx, "solver.search")
 	span.SetInt("level", int64(b))
 	span.SetInt("vertices", int64(sub.NumVertices()))
 	span.SetInt("facets", int64(len(sub.Facets())))
 	span.SetStr("task", task.Name)
-	span.SetStr("engine", engineName(opts.Engine))
 	if opts.Model != "" {
 		span.SetStr("model", opts.Model)
 	}
@@ -215,7 +149,6 @@ func SolveAtLevelOn(ctx context.Context, task *tasks.Task, b int, sub *topology.
 		span.SetInt("solvable", boolInt(res.Solvable))
 		span.SetInt("pruned_domains", res.Stats.PrunedValues)
 		span.SetInt("components", int64(res.Stats.Components))
-		span.SetInt("collapsed_vertices", int64(res.Stats.CollapsedVertices))
 		if len(res.Stats.ComponentNodes) > 0 {
 			span.SetStr("component_nodes", int64List(res.Stats.ComponentNodes))
 		}
@@ -239,12 +172,7 @@ func SolveAtLevelOn(ctx context.Context, task *tasks.Task, b int, sub *topology.
 		return res, fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 
-	if opts.Engine == EngineExhaustive {
-		err = solveExhaustive(ctx, task, sub, domains, opts, maxNodes, res)
-	} else {
-		err = solveStructured(ctx, task, sub, domains, domIDs, opts, maxNodes, res)
-	}
-	if err != nil {
+	if err := searchLevel(ctx, task, sub, domains, domIDs, maxNodes, res); err != nil {
 		return res, fmt.Errorf("%w (level %d, %d nodes)", err, b, res.Nodes)
 	}
 	return res, nil
@@ -256,8 +184,8 @@ func SolveAtLevelOn(ctx context.Context, task *tasks.Task, b int, sub *topology.
 // distinct pair is computed once and its vertices share the slice (domains
 // are never written after this). ids[v] numbers v's domain by content:
 // vertices have equal ids exactly when their domains are equal, which is
-// what the structured engine keys its support tables on. Distinct pairs are
-// few and their distinct domains fewer, so a linear scan numbers them.
+// what the search keys its support tables on. Distinct pairs are few and
+// their distinct domains fewer, so a linear scan numbers them.
 func buildDomains(task *tasks.Task, sub *topology.Complex) (domains [][]topology.Vertex, ids []int32) {
 	domains = make([][]topology.Vertex, sub.NumVertices())
 	ids = make([]int32, len(domains))
@@ -289,103 +217,11 @@ func buildDomains(task *tasks.Task, sub *topology.Complex) (domains [][]topology
 	return domains, ids
 }
 
-// solveExhaustive is the original plain backtracking search, preserved as
-// the differential oracle: vertex order, check schedule, and node counts
-// are byte-for-byte those of the pre-structured solver.
-func solveExhaustive(ctx context.Context, task *tasks.Task, sub *topology.Complex, domains [][]topology.Vertex, opts Options, maxNodes int64, res *Result) error {
-	nv := sub.NumVertices()
-	order := searchOrder(sub, domains, opts.Order)
-	pos := make([]int, nv) // vertex → position in order
-	for p, v := range order {
-		pos[v] = p
-	}
-
-	// For each simplex, the position at which its last vertex is assigned;
-	// checks[p] lists simplices fully assigned exactly when position p is.
-	// Carriers are precomputed (in parallel — the dominant cost of this
-	// phase): they are looked up once per search node.
-	flat, carriers := flatSimplices(sub, opts.Workers)
-	checks := make([][]checkItem, nv)
-	for i, s := range flat {
-		last := 0
-		for _, v := range s {
-			if pos[v] > last {
-				last = pos[v]
-			}
-		}
-		checks[last] = append(checks[last], checkItem{simplex: s, carrier: carriers[i]})
-	}
-
-	assign := make([]topology.Vertex, nv)
-	var scratch []topology.Vertex // reused image buffer; see consistent
-	var nodes int64
-	var dfs func(p int) (bool, error)
-	dfs = func(p int) (bool, error) {
-		if p == nv {
-			return true, nil
-		}
-		v := order[p]
-		for _, w := range domains[v] {
-			nodes++
-			if nodes > maxNodes {
-				return false, ErrBudget
-			}
-			if nodes&(cancelCheckInterval-1) == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return false, fmt.Errorf("%w: %w", ErrCanceled, cerr)
-				}
-			}
-			assign[v] = w
-			if consistent(task, checks[p], assign, &scratch) {
-				ok, err := dfs(p + 1)
-				if ok || err != nil {
-					return ok, err
-				}
-			}
-		}
-		return false, nil
-	}
-	ok, err := dfs(0)
-	res.Nodes = nodes
-	if err != nil {
-		return err
-	}
-	res.Solvable = ok
-	if ok {
-		m := topology.NewSimplicialMap(sub, task.Outputs)
-		copy(m.Image, assign)
-		res.Map = m
-	}
-	return nil
-}
-
-// flatSimplices enumerates every simplex of sub with its carrier, carriers
-// computed on the worker pool (the dominant cost of precompute).
-func flatSimplices(sub *topology.Complex, workers int) ([][]topology.Vertex, [][]topology.Vertex) {
-	all := sub.AllSimplices()
-	var flat [][]topology.Vertex
-	for _, byDim := range all {
-		flat = append(flat, byDim...)
-	}
-	carriers := make([][]topology.Vertex, len(flat))
-	parallelRange(len(flat), workers, func(i int) {
-		carriers[i] = sub.CarrierOfSimplex(flat[i])
-	})
-	return flat, carriers
-}
-
 func boolInt(b bool) int64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-func engineName(e EngineKind) string {
-	if e == EngineExhaustive {
-		return "exhaustive"
-	}
-	return "structured"
 }
 
 // int64List renders per-component node counts as a compact span attribute.
@@ -461,85 +297,6 @@ func dedupe(vs []topology.Vertex) []topology.Vertex {
 	return out
 }
 
-// searchOrder returns a vertex ordering for the backtracking search over
-// the 1-skeleton, starting from the most constrained vertices. Depth-first
-// (the default) matters: it assigns each locally-constrained chain of the
-// subdivision consecutively, so a conflict backtracks within the chain
-// instead of thrashing across independent regions of the complex.
-// Breadth-first is kept for the ordering ablation.
-//
-// Adjacency lists are copied and sorted once up front (domain sizes are
-// fixed for the duration of the ordering, so per-visit re-sorting — what
-// the pre-PR-8 version did — produced the same order at O(deg log deg)
-// extra cost per visit; solver_test.go pins the emitted order against that
-// original formulation on the golden tasks).
-func searchOrder(sub *topology.Complex, domains [][]topology.Vertex, strategy Order) []topology.Vertex {
-	nv := sub.NumVertices()
-	adj := make([][]topology.Vertex, nv)
-	all := sub.AllSimplices()
-	if len(all) > 1 {
-		for _, e := range all[1] {
-			adj[e[0]] = append(adj[e[0]], e[1])
-			adj[e[1]] = append(adj[e[1]], e[0])
-		}
-	}
-	for v := range adj {
-		ns := adj[v]
-		sort.Slice(ns, func(i, j int) bool {
-			di, dj := len(domains[ns[i]]), len(domains[ns[j]])
-			if di != dj {
-				return di < dj
-			}
-			return ns[i] < ns[j]
-		})
-	}
-	visited := make([]bool, nv)
-	var order []topology.Vertex
-
-	var dfs func(v topology.Vertex)
-	dfs = func(v topology.Vertex) {
-		visited[v] = true
-		order = append(order, v)
-		for _, u := range adj[v] {
-			if !visited[u] {
-				dfs(u)
-			}
-		}
-	}
-	bfs := func(seed topology.Vertex) {
-		queue := []topology.Vertex{seed}
-		visited[seed] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, u := range adj[v] {
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-
-	// Seed repeatedly from the unvisited vertex with the smallest domain
-	// (handles disconnected input complexes).
-	for len(order) < nv {
-		seed := -1
-		for v := 0; v < nv; v++ {
-			if !visited[v] && (seed < 0 || len(domains[v]) < len(domains[seed])) {
-				seed = v
-			}
-		}
-		if strategy == OrderBFS {
-			bfs(topology.Vertex(seed))
-		} else {
-			dfs(topology.Vertex(seed))
-		}
-	}
-	return order
-}
-
 // SolveUpTo tries levels 0 … maxLevel and returns the first solvable result,
 // or the last (unsolvable) one. A budget error at any level aborts.
 func SolveUpTo(task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
@@ -595,40 +352,6 @@ func SolveUpToCtx(ctx context.Context, task *tasks.Task, maxLevel int, opts Opti
 		last = res
 	}
 	return last, nil
-}
-
-// parallelRange runs fn(i) for i in [0, n) on a worker pool of the given
-// size (0 = runtime.NumCPU(), 1 = inline). fn must only write state owned
-// by index i.
-func parallelRange(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // VerifyDecisionMap independently re-checks a claimed decision map against

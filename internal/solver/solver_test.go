@@ -1,9 +1,11 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"waitfree/internal/model"
 	"waitfree/internal/tasks"
 	"waitfree/internal/topology"
 )
@@ -236,6 +238,25 @@ func TestBudgetExceeded(t *testing.T) {
 	_, err := SolveAtLevel(tasks.SetConsensus(3, 2), 1, Options{MaxNodes: 3})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}
+
+// TestBudgetCoversTheLevel: MaxNodes bounds a level, not each of its
+// components. Consensus(4) under 2-set memory at b=2 splits into 48
+// components of 16–29 nodes each, 1,184 in all, so no single component
+// reaches a 100-node budget while the level overruns it twelvefold.
+func TestBudgetCoversTheLevel(t *testing.T) {
+	task := tasks.Consensus(4)
+	sub, err := topology.SDSRestrictedPow(task.Inputs, 2, model.KSet(2).Filter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SolveAtLevelOn(context.Background(), task, 2, sub, Options{MaxNodes: 100})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if res.Nodes > 101 {
+		t.Errorf("explored %d nodes under MaxNodes 100 (%d components)", res.Nodes, res.Stats.Components)
 	}
 }
 

@@ -12,20 +12,20 @@ import (
 )
 
 // statsLine renders every deterministic field of a solver.Result — verdict,
-// level, node count and the structured engine's pruning telemetry — as one
-// comparable line.
+// level, node count and the search's pruning telemetry — as one comparable
+// line.
 func statsLine(res *solver.Result) string {
 	s := res.Stats
-	return fmt.Sprintf("solvable=%v level=%d nodes=%d pruned=%d components=%d component_nodes=%v collapsed=%d fallback=%v",
-		res.Solvable, res.Level, res.Nodes, s.PrunedValues, s.Components, s.ComponentNodes, s.CollapsedVertices, s.CollapseFallback)
+	return fmt.Sprintf("solvable=%v level=%d nodes=%d pruned=%d components=%d component_nodes=%v",
+		res.Solvable, res.Level, res.Nodes, s.PrunedValues, s.Components, s.ComponentNodes)
 }
 
-// TestStructuredStatsGolden pins the structured engine's full Result on the
-// E6 verdict table, the 14-row model matrix, and consensus-4p at each level
-// b ≤ 2. Verdicts alone would let a precompute change silently alter the
-// pruning: PrunedValues depends on the order AC-3 revises edges, and the
-// component split and collapse counts on the exact simplex structure the
-// search sees. Any drift in any field fails here.
+// TestStructuredStatsGolden pins the search's full Result on the E6 verdict
+// table, the 14-row model matrix, and consensus-4p at each level b ≤ 2.
+// Verdicts alone would let a precompute change silently alter the pruning:
+// PrunedValues depends on the order AC-3 revises edges, and the component
+// split on the exact simplex structure the search sees. Any drift in any
+// field fails here.
 func TestStructuredStatsGolden(t *testing.T) {
 	ctx := context.Background()
 	upTo := []struct {
@@ -37,50 +37,50 @@ func TestStructuredStatsGolden(t *testing.T) {
 	}{
 		// E6 verdict table (wait-free).
 		{"e6/identity-3p", tasks.IdentityTask(3), model.WaitFree(), 0,
-			"solvable=true level=0 nodes=3 pruned=0 components=1 component_nodes=[3] collapsed=0 fallback=false"},
+			"solvable=true level=0 nodes=3 pruned=0 components=1 component_nodes=[3]"},
 		{"e6/set-consensus-3-3", tasks.SetConsensus(3, 3), model.WaitFree(), 0,
-			"solvable=true level=0 nodes=3 pruned=0 components=1 component_nodes=[3] collapsed=0 fallback=false"},
+			"solvable=true level=0 nodes=3 pruned=0 components=1 component_nodes=[3]"},
 		{"e6/renaming-2p-M3", tasks.Renaming(2, 3), model.WaitFree(), 0,
-			"solvable=true level=0 nodes=2 pruned=0 components=1 component_nodes=[2] collapsed=0 fallback=false"},
+			"solvable=true level=0 nodes=2 pruned=0 components=1 component_nodes=[2]"},
 		{"e6/approx-agreement-1/2", tasks.ApproxAgreement(2), model.WaitFree(), 2,
-			"solvable=true level=1 nodes=12 pruned=4 components=1 component_nodes=[12] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=12 pruned=4 components=1 component_nodes=[12]"},
 		{"e6/approx-agreement-1/4", tasks.ApproxAgreement(4), model.WaitFree(), 2,
-			"solvable=true level=2 nodes=36 pruned=24 components=1 component_nodes=[36] collapsed=0 fallback=false"},
+			"solvable=true level=2 nodes=36 pruned=24 components=1 component_nodes=[36]"},
 		{"e6/binary-consensus-2p", tasks.Consensus(2), model.WaitFree(), 3,
-			"solvable=false level=3 nodes=0 pruned=53 components=0 component_nodes=[] collapsed=0 fallback=false"},
+			"solvable=false level=3 nodes=0 pruned=53 components=0 component_nodes=[]"},
 		{"e6/binary-consensus-3p", tasks.Consensus(3), model.WaitFree(), 1,
-			"solvable=false level=1 nodes=0 pruned=23 components=0 component_nodes=[] collapsed=0 fallback=false"},
+			"solvable=false level=1 nodes=0 pruned=23 components=0 component_nodes=[]"},
 		{"e6/set-consensus-3-2", tasks.SetConsensus(3, 2), model.WaitFree(), 1,
-			"solvable=false level=1 nodes=1299 pruned=0 components=1 component_nodes=[1299] collapsed=0 fallback=false"},
+			"solvable=false level=1 nodes=1299 pruned=0 components=1 component_nodes=[1299]"},
 		// The model matrix (TestModelMatrix's 14 rows).
 		{"matrix/consensus-3p/wait-free", tasks.Consensus(3), model.WaitFree(), 2,
-			"solvable=false level=2 nodes=0 pruned=281 components=0 component_nodes=[] collapsed=0 fallback=false"},
+			"solvable=false level=2 nodes=0 pruned=281 components=0 component_nodes=[]"},
 		{"matrix/consensus-3p/1-resilient", tasks.Consensus(3), model.TResilient(1), 2,
-			"solvable=false level=2 nodes=0 pruned=31 components=0 component_nodes=[] collapsed=0 fallback=false"},
+			"solvable=false level=2 nodes=0 pruned=31 components=0 component_nodes=[]"},
 		{"matrix/consensus-3p/2-concurrency", tasks.Consensus(3), model.KConcurrency(2), 2,
-			"solvable=false level=2 nodes=0 pruned=266 components=0 component_nodes=[] collapsed=0 fallback=false"},
+			"solvable=false level=2 nodes=0 pruned=266 components=0 component_nodes=[]"},
 		{"matrix/set-consensus-3-2/wait-free", tasks.SetConsensus(3, 2), model.WaitFree(), 1,
-			"solvable=false level=1 nodes=1299 pruned=0 components=1 component_nodes=[1299] collapsed=0 fallback=false"},
+			"solvable=false level=1 nodes=1299 pruned=0 components=1 component_nodes=[1299]"},
 		{"matrix/set-consensus-3-2/1-resilient", tasks.SetConsensus(3, 2), model.TResilient(1), 2,
-			"solvable=true level=1 nodes=6 pruned=0 components=1 component_nodes=[6] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=6 pruned=0 components=1 component_nodes=[6]"},
 		{"matrix/set-consensus-3-2/2-concurrency", tasks.SetConsensus(3, 2), model.KConcurrency(2), 2,
-			"solvable=true level=1 nodes=15 pruned=0 components=1 component_nodes=[15] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=15 pruned=0 components=1 component_nodes=[15]"},
 		{"matrix/approx-1/2/wait-free", tasks.ApproxAgreement(2), model.WaitFree(), 2,
-			"solvable=true level=1 nodes=12 pruned=4 components=1 component_nodes=[12] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=12 pruned=4 components=1 component_nodes=[12]"},
 		{"matrix/approx-1/2/1-resilient", tasks.ApproxAgreement(2), model.TResilient(1), 2,
-			"solvable=true level=1 nodes=12 pruned=4 components=1 component_nodes=[12] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=12 pruned=4 components=1 component_nodes=[12]"},
 		{"matrix/approx-1/2/2-concurrency", tasks.ApproxAgreement(2), model.KConcurrency(2), 2,
-			"solvable=true level=1 nodes=12 pruned=4 components=1 component_nodes=[12] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=12 pruned=4 components=1 component_nodes=[12]"},
 		{"matrix/consensus-2p/0-resilient", tasks.Consensus(2), model.TResilient(0), 2,
-			"solvable=true level=1 nodes=8 pruned=0 components=4 component_nodes=[2 2 2 2] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=8 pruned=0 components=4 component_nodes=[2 2 2 2]"},
 		{"matrix/consensus-3p/0-resilient", tasks.Consensus(3), model.TResilient(0), 2,
-			"solvable=true level=1 nodes=24 pruned=0 components=8 component_nodes=[3 3 3 3 3 3 3 3] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=24 pruned=0 components=8 component_nodes=[3 3 3 3 3 3 3 3]"},
 		{"matrix/consensus-2p/1-resilient", tasks.Consensus(2), model.TResilient(1), 2,
-			"solvable=false level=2 nodes=0 pruned=17 components=0 component_nodes=[] collapsed=0 fallback=false"},
+			"solvable=false level=2 nodes=0 pruned=17 components=0 component_nodes=[]"},
 		{"matrix/consensus-2p/1-concurrency", tasks.Consensus(2), model.KConcurrency(1), 2,
-			"solvable=true level=1 nodes=12 pruned=4 components=4 component_nodes=[3 3 3 3] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=12 pruned=4 components=4 component_nodes=[3 3 3 3]"},
 		{"matrix/consensus-3p/1-set", tasks.Consensus(3), model.KSet(1), 2,
-			"solvable=true level=1 nodes=24 pruned=0 components=8 component_nodes=[3 3 3 3 3 3 3 3] collapsed=0 fallback=false"},
+			"solvable=true level=1 nodes=24 pruned=0 components=8 component_nodes=[3 3 3 3 3 3 3 3]"},
 	}
 	for _, tc := range upTo {
 		opts := solver.Options{Restrict: tc.spec.Filter()}
@@ -100,9 +100,9 @@ func TestStructuredStatsGolden(t *testing.T) {
 	// by propagation alone.
 	task := tasks.Consensus(4)
 	wantC4 := []string{
-		"solvable=false level=0 nodes=0 pruned=1 components=0 component_nodes=[] collapsed=0 fallback=false",
-		"solvable=false level=1 nodes=0 pruned=127 components=0 component_nodes=[] collapsed=0 fallback=false",
-		"solvable=false level=2 nodes=0 pruned=3920 components=0 component_nodes=[] collapsed=0 fallback=false",
+		"solvable=false level=0 nodes=0 pruned=1 components=0 component_nodes=[]",
+		"solvable=false level=1 nodes=0 pruned=127 components=0 component_nodes=[]",
+		"solvable=false level=2 nodes=0 pruned=3920 components=0 component_nodes=[]",
 	}
 	sub := task.Inputs
 	for b := range wantC4 {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -92,126 +91,9 @@ func TestConsistentAllocFree(t *testing.T) {
 	}
 }
 
-// TestSearchOrderMatchesLegacyFormulation pins the satellite-3 refactor: the
-// once-up-front adjacency sort must emit exactly the order the original
-// per-visit copy-and-sort closure did. The reference below IS that original
-// formulation, kept verbatim; both are run on the golden tasks under both
-// strategies.
-func TestSearchOrderMatchesLegacyFormulation(t *testing.T) {
-	cases := []struct {
-		name string
-		task *tasks.Task
-		b    int
-	}{
-		{"consensus-2p/b1", tasks.Consensus(2), 1},
-		{"consensus-2p/b2", tasks.Consensus(2), 2},
-		{"consensus-3p/b1", tasks.Consensus(3), 1},
-		{"set-consensus-3-2/b1", tasks.SetConsensus(3, 2), 1},
-		{"approx-1/2/b1", tasks.ApproxAgreement(2), 1},
-		{"renaming-2p-M3/b0", tasks.Renaming(2, 3), 0},
-	}
-	for _, tc := range cases {
-		for _, strategy := range []Order{OrderDFS, OrderBFS} {
-			sub := topology.SDSPow(tc.task.Inputs, tc.b)
-			domains := buildDomainsForTest(tc.task, sub)
-			got := searchOrder(sub, domains, strategy)
-			want := legacySearchOrder(sub, domains, strategy)
-			if len(got) != len(want) {
-				t.Fatalf("%s strategy=%d: order lengths differ: %d vs %d", tc.name, strategy, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s strategy=%d: order diverges at position %d: got %d, legacy %d",
-						tc.name, strategy, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func buildDomainsForTest(task *tasks.Task, sub *topology.Complex) [][]topology.Vertex {
-	nv := sub.NumVertices()
-	domains := make([][]topology.Vertex, nv)
-	for v := 0; v < nv; v++ {
-		carrier := sub.Carrier(topology.Vertex(v))
-		for _, w := range task.Outputs.VerticesOfColor(sub.Color(topology.Vertex(v))) {
-			if task.Allowed(carrier, []topology.Vertex{w}) {
-				domains[v] = append(domains[v], w)
-			}
-		}
-	}
-	return domains
-}
-
-// legacySearchOrder is the pre-PR-8 searchOrder, verbatim: the neighbors
-// closure re-copies and re-sorts the adjacency list on every visit.
-func legacySearchOrder(sub *topology.Complex, domains [][]topology.Vertex, strategy Order) []topology.Vertex {
-	nv := sub.NumVertices()
-	adj := make([][]topology.Vertex, nv)
-	all := sub.AllSimplices()
-	if len(all) > 1 {
-		for _, e := range all[1] {
-			adj[e[0]] = append(adj[e[0]], e[1])
-			adj[e[1]] = append(adj[e[1]], e[0])
-		}
-	}
-	visited := make([]bool, nv)
-	var order []topology.Vertex
-	neighbors := func(v topology.Vertex) []topology.Vertex {
-		ns := append([]topology.Vertex(nil), adj[v]...)
-		sort.Slice(ns, func(i, j int) bool {
-			di, dj := len(domains[ns[i]]), len(domains[ns[j]])
-			if di != dj {
-				return di < dj
-			}
-			return ns[i] < ns[j]
-		})
-		return ns
-	}
-	var dfs func(v topology.Vertex)
-	dfs = func(v topology.Vertex) {
-		visited[v] = true
-		order = append(order, v)
-		for _, u := range neighbors(v) {
-			if !visited[u] {
-				dfs(u)
-			}
-		}
-	}
-	bfs := func(seed topology.Vertex) {
-		queue := []topology.Vertex{seed}
-		visited[seed] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, u := range neighbors(v) {
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	for len(order) < nv {
-		seed := -1
-		for v := 0; v < nv; v++ {
-			if !visited[v] && (seed < 0 || len(domains[v]) < len(domains[seed])) {
-				seed = v
-			}
-		}
-		if strategy == OrderBFS {
-			bfs(topology.Vertex(seed))
-		} else {
-			dfs(topology.Vertex(seed))
-		}
-	}
-	return order
-}
-
 // TestStructuredNodesDropTenfold pins the PR's acceptance target: on
-// unsolvable E6 entries at their deciding levels, the structured engine's
-// node count is at least 10× below the exhaustive oracle's. For the whole
+// unsolvable E6 entries at their deciding levels, the search's node count is
+// at least 10× below the exhaustive oracle's. For the whole
 // consensus family the AC-3 pass alone empties a domain — the verdict costs
 // ZERO search nodes where the oracle backtracked through dozens.
 func TestStructuredNodesDropTenfold(t *testing.T) {
@@ -227,7 +109,7 @@ func TestStructuredNodesDropTenfold(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sub := topology.SDSPow(tc.task.Inputs, tc.b)
-			exh, err := SolveAtLevelOn(ctx, tc.task, tc.b, sub, Options{Engine: EngineExhaustive})
+			exh, err := solveExhaustive(ctx, tc.task, tc.b, sub)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,108 +127,6 @@ func TestStructuredNodesDropTenfold(t *testing.T) {
 				t.Errorf("structured search reported no pruned domain values")
 			}
 		})
-	}
-}
-
-// TestCollapseFiresAndRestores exercises the collapse layer end to end on a
-// task built to be eliminable: a single input edge mapped into a complete
-// two-value output complex under an all-permissive Δ. Both endpoint domains
-// are slack (every value universal), so the dominated endpoint collapses,
-// the search runs on one vertex, and restore extends the map back — which
-// VerifyDecisionMap then re-validates. The NoCollapse ablation and the
-// exhaustive oracle must agree.
-func TestCollapseFiresAndRestores(t *testing.T) {
-	in := topology.NewComplex()
-	a := in.MustAddVertex("a", 0)
-	b := in.MustAddVertex("b", 1)
-	in.MustAddSimplex(a, b)
-	inputs := in.Seal()
-
-	out := topology.NewComplex()
-	var outV []topology.Vertex
-	for col := 0; col < 2; col++ {
-		for val := 0; val < 2; val++ {
-			outV = append(outV, out.MustAddVertex(fmt.Sprintf("o%d_%d", col, val), col))
-		}
-	}
-	for _, v0 := range outV[:2] {
-		for _, v1 := range outV[2:] {
-			out.MustAddSimplex(v0, v1)
-		}
-	}
-	outputs := out.Seal()
-
-	task := &tasks.Task{
-		Name:    "slack-edge",
-		Procs:   2,
-		Inputs:  inputs,
-		Outputs: outputs,
-		Allowed: func(in, out []topology.Vertex) bool { return true },
-	}
-
-	ctx := context.Background()
-	res, err := SolveAtLevelOn(ctx, task, 0, inputs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solvable {
-		t.Fatal("slack task reported unsolvable")
-	}
-	if res.Stats.CollapsedVertices == 0 {
-		t.Fatal("collapse did not fire on a fully slack task")
-	}
-	if res.Stats.CollapseFallback {
-		t.Error("restore fell back on a task whose every value is universal")
-	}
-	if err := VerifyDecisionMap(task, res); err != nil {
-		t.Errorf("restored map fails verification: %v", err)
-	}
-
-	for _, opts := range []Options{{NoCollapse: true}, {Engine: EngineExhaustive}} {
-		alt, err := SolveAtLevelOn(ctx, task, 0, inputs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alt.Solvable != res.Solvable {
-			t.Errorf("verdict disagreement with opts %+v", opts)
-		}
-	}
-}
-
-// TestStructuredDeterministicAcrossWorkers pins the determinism contract in
-// Options.Workers' doc: verdicts, node counts, and per-component node
-// counts are identical at any parallelism, because each component's search
-// is sequential and the totals are assembled in component order.
-func TestStructuredDeterministicAcrossWorkers(t *testing.T) {
-	cases := []struct {
-		task *tasks.Task
-		b    int
-	}{
-		{tasks.SetConsensus(3, 2), 1},
-		{tasks.ApproxAgreement(4), 2},
-		{tasks.Consensus(3), 1},
-	}
-	ctx := context.Background()
-	for _, tc := range cases {
-		sub := topology.SDSPow(tc.task.Inputs, tc.b)
-		base, err := SolveAtLevelOn(ctx, tc.task, tc.b, sub, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
-			got, err := SolveAtLevelOn(ctx, tc.task, tc.b, sub, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Solvable != base.Solvable || got.Nodes != base.Nodes {
-				t.Errorf("%s/b=%d workers=%d: (%v, %d nodes) differs from workers=1 (%v, %d nodes)",
-					tc.task.Name, tc.b, workers, got.Solvable, got.Nodes, base.Solvable, base.Nodes)
-			}
-			if fmt.Sprint(got.Stats.ComponentNodes) != fmt.Sprint(base.Stats.ComponentNodes) {
-				t.Errorf("%s/b=%d workers=%d: component nodes %v differ from %v",
-					tc.task.Name, tc.b, workers, got.Stats.ComponentNodes, base.Stats.ComponentNodes)
-			}
-		}
 	}
 }
 

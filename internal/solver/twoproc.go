@@ -22,7 +22,7 @@ type TwoProcResult struct {
 // DecideTwoProcess decides wait-free solvability of a two-process task
 // EXACTLY — no level bound. In contrast with three or more processes
 // (undecidable, Gafni–Koutsoupias), for n+1 = 2 the characterization
-// collapses to graph connectivity:
+// reduces to graph connectivity:
 //
 // A decision map on SDS^b of an input edge e = {u0, u1} is a walk in the
 // output graph H_e (vertices: outputs allowed for carrier e; edges: output

@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -59,5 +62,42 @@ func BenchmarkEngineSolveConcurrent(b *testing.B) {
 			}(c)
 		}
 		wg.Wait()
+	}
+}
+
+// BenchmarkCacheSpillChurn measures one eviction and its spill: a full
+// 512-entry cache whose spill directory already holds 4,096 replay-sized
+// files, and each op puts a new replay. A spill that listed the directory
+// would allocate per file, so allocs/op stays flat only while spills do not.
+func BenchmarkCacheSpillChurn(b *testing.B) {
+	dir := b.TempDir()
+	resp, err := RunAdversary(AdversaryRequest{Algo: "commitadopt", Adversary: "random", Seed: 1, Procs: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := gobEncode(resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sealed := sealSpill(data)
+	for i := 0; i < 4096; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("adv-fill%04d.gob", i)), sealed, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c := New(Options{SpillDir: dir}).cache
+	key := func(i int) string {
+		return AdversaryRequest{Algo: "commitadopt", Adversary: "random", Seed: int64(i), Procs: 3}.Key()
+	}
+	for i := 0; i < DefaultCacheSize; i++ {
+		c.Put(key(i), resp)
+	}
+	keys := make([]string, b.N)
+	for i := range keys {
+		keys[i] = key(DefaultCacheSize + i)
+	}
+	b.ResetTimer()
+	for _, k := range keys {
+		c.Put(k, resp)
 	}
 }

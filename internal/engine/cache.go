@@ -8,10 +8,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -56,20 +56,29 @@ type cacheCodec struct {
 // and a spill *write* failure keeps the evicted entry in the memory tier —
 // so a full or faulty disk degrades cache capacity, never correctness, and
 // never a query.
+//
+// An answer stays visible while it moves between tiers: an evicted entry is
+// served from spilling until its spill lands or fails, and a rehydrated one
+// is Put back before its file is removed, so a lookup in either window hits
+// instead of recomputing.
 type Cache struct {
-	mu      sync.Mutex
-	max     int
-	queue   evictQueue // min-heap by (prio, seq): the next entry to evict first
-	items   map[string]*cacheEntry
-	floor   int64  // priority of the last evicted entry; never decreases
-	clock   uint64 // touch counter, for seq
-	spill   string
-	spillMu sync.Mutex // serializes spill writes and budget sweeps
-	budget  int64      // spill-directory byte budget; ≤ 0 = DefaultSpillMaxBytes
-	over    int        // entries kept past max because their spill failed (≤ spillOverflowMax)
-	fs      faultfs.FS // the spill tier's filesystem; faultfs.OS in production
-	codecs  map[string]cacheCodec
-	metrics *Metrics
+	mu       sync.Mutex
+	max      int
+	queue    evictQueue // min-heap by (prio, seq): the next entry to evict first
+	items    map[string]*cacheEntry
+	spilling map[string]*cacheEntry // evicted, spill not yet landed or failed
+	floor    int64                  // priority of the last evicted entry; never decreases
+	clock    uint64                 // touch counter, for seq
+	spill    string
+	// spillMu serializes every change to the directory's .gob files — spill
+	// writes, removals, listings — and spillBytes with them.
+	spillMu    sync.Mutex
+	spillBytes int64      // ≥ the directory's .gob bytes, exact right after a listing (see sweepSpillLocked)
+	budget     int64      // spill-directory byte budget; ≤ 0 = DefaultSpillMaxBytes
+	over       int        // entries kept past max because their spill failed (≤ spillOverflowMax)
+	fs         faultfs.FS // the spill tier's filesystem; faultfs.OS in production
+	codecs     map[string]cacheCodec
+	metrics    *Metrics
 }
 
 // DefaultSpillMaxBytes bounds the spill directory when the caller does not
@@ -128,8 +137,10 @@ func (c *Cache) touch(ent *cacheEntry) {
 // spillMaxBytes bounds the directory's total size (≤ 0 means
 // DefaultSpillMaxBytes). fs is the filesystem the spill tier talks to
 // (nil = the real one); tests and the chaos soak pass a faultfs.Faulty.
-// When the disk tier is enabled, construction sweeps partially written
-// *.tmp files left behind by a crash between write and rename.
+// When the disk tier is enabled, construction lists the directory once: it
+// sweeps partially written *.tmp files left behind by a crash between write
+// and rename, adopts the .gob files as the byte count, and trims them to the
+// budget if they exceed it.
 func NewCache(max int, spillDir string, spillMaxBytes int64, fs faultfs.FS, m *Metrics) *Cache {
 	if max <= 0 {
 		max = DefaultCacheSize
@@ -144,36 +155,25 @@ func NewCache(max int, spillDir string, spillMaxBytes int64, fs faultfs.FS, m *M
 		m = NewMetrics()
 	}
 	c := &Cache{
-		max:     max,
-		items:   make(map[string]*cacheEntry),
-		spill:   spillDir,
-		budget:  spillMaxBytes,
-		fs:      fs,
-		codecs:  make(map[string]cacheCodec),
-		metrics: m,
+		max:      max,
+		items:    make(map[string]*cacheEntry),
+		spilling: make(map[string]*cacheEntry),
+		spill:    spillDir,
+		budget:   spillMaxBytes,
+		fs:       fs,
+		codecs:   make(map[string]cacheCodec),
+		metrics:  m,
 	}
 	if c.spill != "" {
-		c.sweepTmp()
+		c.spillMu.Lock()
+		if err := c.sweepSpillLocked(); err != nil && !os.IsNotExist(err) {
+			// The directory's contents are unknown, so the count is
+			// unbounded until the first spill lists it.
+			c.setSpillBytesLocked(spillBytesUnknown)
+		}
+		c.spillMu.Unlock()
 	}
 	return c
-}
-
-// sweepTmp removes *.tmp files left in the spill directory by a crash
-// between WriteFile and Rename. A missing directory (or an injected ReadDir
-// fault) is fine — the sweep is best-effort like everything else on disk.
-func (c *Cache) sweepTmp() {
-	entries, err := c.fs.ReadDir(c.spill)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".tmp") {
-			continue
-		}
-		if c.fs.Remove(filepath.Join(c.spill, e.Name())) == nil {
-			c.metrics.CacheSpillTmpSwept.Add(1)
-		}
-	}
 }
 
 // registerCodec installs the spill codec for a key-kind prefix.
@@ -267,6 +267,11 @@ func (c *Cache) GetTier(key string) (any, string, bool) {
 		c.mu.Unlock()
 		return v, TierMemory, true
 	}
+	if ent, ok := c.spilling[key]; ok {
+		v := ent.val
+		c.mu.Unlock()
+		return v, TierMemory, true
+	}
 	c.mu.Unlock()
 	if c.spill == "" {
 		return nil, TierMiss, false
@@ -275,6 +280,7 @@ func (c *Cache) GetTier(key string) (any, string, bool) {
 	if !ok {
 		return nil, TierMiss, false
 	}
+	listings := c.metrics.CacheSpillListings.Load()
 	data, err := c.fs.ReadFile(c.spillPath(key))
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -284,30 +290,61 @@ func (c *Cache) GetTier(key string) (any, string, bool) {
 	}
 	payload, err := openSpill(data)
 	if err != nil {
-		c.quarantine(key)
+		c.quarantine(key, len(data), listings)
 		return nil, TierMiss, false
 	}
 	v, err := codec.decode(payload)
 	if err != nil {
-		c.quarantine(key)
+		c.quarantine(key, len(data), listings)
 		return nil, TierMiss, false
 	}
 	c.metrics.CacheDiskHits.Add(1)
 	// The entry is live in memory again; drop the gob so evict/rehydrate
 	// cycles do not accrete one file per generation. Re-eviction re-spills.
-	if c.fs.Remove(c.spillPath(key)) == nil {
+	// Put comes first, so the answer is in a tier throughout.
+	c.Put(key, v)
+	if c.removeSpill(key, len(data), listings, true) {
 		c.metrics.CacheSpillRemoved.Add(1)
 	}
-	c.Put(key, v)
 	return v, TierDisk, true
 }
 
 // quarantine removes a spill file that failed its checksum or decode and
 // counts it. The removal itself is best-effort: if it fails, the next read
 // re-quarantines.
-func (c *Cache) quarantine(key string) {
+func (c *Cache) quarantine(key string, n int, listings int64) {
 	c.metrics.CacheSpillCorrupt.Add(1)
-	c.fs.Remove(c.spillPath(key))
+	c.removeSpill(key, n, listings, false)
+}
+
+// removeSpill removes key's spill file, from which n bytes were read while
+// the listing count stood at listings, and takes n off the byte count. If
+// the directory was listed since the read, the listing already set the
+// count, which may not hold n any more; it is left as it is, an
+// over-estimate. With ifLive, the file goes only while key is still in
+// memory: once a rehydrated entry has been evicted again, the file at its
+// path is the new spill and must stay.
+func (c *Cache) removeSpill(key string, n int, listings int64, ifLive bool) bool {
+	c.spillMu.Lock()
+	defer c.spillMu.Unlock()
+	if ifLive {
+		c.mu.Lock()
+		_, live := c.items[key]
+		if !live {
+			_, live = c.spilling[key]
+		}
+		c.mu.Unlock()
+		if !live {
+			return false
+		}
+	}
+	if c.fs.Remove(c.spillPath(key)) != nil {
+		return false
+	}
+	if c.metrics.CacheSpillListings.Load() == listings {
+		c.setSpillBytesLocked(c.spillBytes - int64(n))
+	}
+	return true
 }
 
 // Put stores a value at cost 0: see PutCost.
@@ -336,7 +373,10 @@ func (c *Cache) PutCost(key string, val any, cost time.Duration) {
 		c.floor = ent.prio
 		delete(c.items, ent.key)
 		c.metrics.CacheEvictions.Add(1)
-		evicted = append(evicted, ent)
+		if c.spill != "" {
+			c.spilling[ent.key] = ent
+			evicted = append(evicted, ent)
+		}
 	}
 	c.mu.Unlock()
 	for _, ent := range evicted {
@@ -344,46 +384,66 @@ func (c *Cache) PutCost(key string, val any, cost time.Duration) {
 	}
 }
 
+// spillEntry writes an evicted entry to the disk tier. Until it returns, the
+// entry is served from c.spilling; it leaves there under the same lock that
+// records the outcome, so it is in one tier or the other throughout.
 func (c *Cache) spillEntry(ent *cacheEntry) {
-	if c.spill == "" {
-		return
+	landed, err := c.writeSpill(ent)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.spilling[ent.key] == ent {
+		delete(c.spilling, ent.key)
 	}
+	switch {
+	case landed:
+		// A successful spill signals the disk recovered: release one unit
+		// of failure overflow, so the next eviction drains a previously
+		// retained entry to disk and the memory tier shrinks back to its
+		// nominal bound.
+		if c.over > 0 {
+			c.over--
+		}
+	case err != nil:
+		c.spillFailedLocked(ent)
+	}
+}
+
+// writeSpill encodes ent and writes it to its spill path, temp file then
+// rename, and adds the sealed length to the byte count. It reports whether
+// the file landed; a value with no codec, or one its codec cannot encode, is
+// dropped with a nil error.
+func (c *Cache) writeSpill(ent *cacheEntry) (bool, error) {
 	codec, ok := c.codecs[kindOf(ent.key)]
 	if !ok {
-		return
+		return false, nil
 	}
 	data, err := codec.encode(ent.val)
 	if err != nil {
-		return
+		return false, nil
 	}
 	sealed := sealSpill(data)
 	if err := c.fs.MkdirAll(c.spill, 0o755); err != nil {
-		c.spillFailed(ent)
-		return
+		return false, err
 	}
 	tmp := c.spillPath(ent.key) + ".tmp"
 	c.spillMu.Lock()
 	defer c.spillMu.Unlock()
 	if err := c.fs.WriteFile(tmp, sealed, 0o644); err != nil {
 		c.fs.Remove(tmp)
-		c.spillFailed(ent)
-		return
+		return false, err
 	}
 	if err := c.fs.Rename(tmp, c.spillPath(ent.key)); err != nil {
 		c.fs.Remove(tmp)
-		c.spillFailed(ent)
-		return
+		return false, err
 	}
 	c.metrics.CacheSpills.Add(1)
-	// A successful spill signals the disk recovered: release one unit of
-	// failure overflow, so the next eviction drains a previously retained
-	// entry to disk and the memory tier shrinks back to its nominal bound.
-	c.mu.Lock()
-	if c.over > 0 {
-		c.over--
+	// The full sealed length, even if the write tore: the count may only
+	// over-estimate.
+	c.setSpillBytesLocked(c.spillBytes + int64(len(sealed)))
+	if c.spillBytes > c.budget {
+		c.sweepSpillLocked()
 	}
-	c.mu.Unlock()
-	c.sweepSpillLocked()
+	return true, nil
 }
 
 // spillOverflowMax bounds how many evicted-but-unspillable entries the
@@ -392,32 +452,49 @@ func (c *Cache) spillEntry(ent *cacheEntry) {
 // constant amount of memory and one failed spill attempt per eviction.
 const spillOverflowMax = 8
 
-// spillFailed is the best-effort degradation path: a spill write that cannot
-// land on disk (full disk, read-only dir, injected fault) is counted and the
-// evicted entry is re-inserted at the cold end of the memory tier (at the
-// floor, older than any touch), so the value stays servable. At most
+// spillFailedLocked is the best-effort degradation path: a spill write that
+// cannot land on disk (full disk, read-only dir, injected fault) is counted
+// and the evicted entry is re-inserted at the cold end of the memory tier (at
+// the floor, older than any touch), so the value stays servable. At most
 // spillOverflowMax entries are retained this way; past that, the coldest
 // entries are dropped and recomputed on demand — a full disk degrades cache
-// capacity, never a query.
-func (c *Cache) spillFailed(ent *cacheEntry) {
+// capacity, never a query. Caller holds mu.
+func (c *Cache) spillFailedLocked(ent *cacheEntry) {
 	c.metrics.CacheSpillWriteErrors.Add(1)
-	c.mu.Lock()
 	if _, ok := c.items[ent.key]; !ok && c.over < spillOverflowMax {
 		ent.prio, ent.seq = c.floor, 0
 		heap.Push(&c.queue, ent)
 		c.items[ent.key] = ent
 		c.over++
 	}
-	c.mu.Unlock()
 }
 
-// sweepSpillLocked enforces the spill directory's byte budget by deleting
-// the oldest gob files (by modification time — a proxy for least recently
-// spilled) until the directory fits. Caller holds spillMu.
-func (c *Cache) sweepSpillLocked() {
+// spillBytesUnknown is the byte count when the construction listing failed:
+// no bound is known, so the first spill lists. Half of MaxInt64, so that
+// adding spills to it cannot overflow.
+const spillBytesUnknown = math.MaxInt64 / 2
+
+// setSpillBytesLocked sets the byte count and its gauge. Caller holds
+// spillMu.
+func (c *Cache) setSpillBytesLocked(n int64) {
+	c.spillBytes = n
+	c.metrics.CacheSpillBytes.Store(n)
+}
+
+// sweepSpillLocked lists the spill directory. It runs at construction and
+// afterwards only when a spill takes the byte count past the budget, so a
+// directory at its budget is listed once per budget/8 bytes spilled, not on
+// every spill. It removes *.tmp files (none is being written while spillMu
+// is held, so each is left over from a crash or a failed write), resets the
+// count to the .gob total, and if that exceeds the budget deletes the oldest
+// files (by modification time — a proxy for least recently spilled) down to
+// 7/8 of it. A failed listing leaves the count as it was, so while it is over
+// the budget the next spill lists again. Caller holds spillMu.
+func (c *Cache) sweepSpillLocked() error {
+	c.metrics.CacheSpillListings.Add(1)
 	entries, err := c.fs.ReadDir(c.spill)
 	if err != nil {
-		return
+		return err
 	}
 	type spillFile struct {
 		name  string
@@ -427,29 +504,42 @@ func (c *Cache) sweepSpillLocked() {
 	var files []spillFile
 	var total int64
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".gob") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, spillFile{e.Name(), info.Size(), info.ModTime().UnixNano()})
-		total += info.Size()
-	}
-	if total <= c.budget {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= c.budget {
-			return
-		}
-		if c.fs.Remove(filepath.Join(c.spill, f.name)) == nil {
-			total -= f.size
-			c.metrics.CacheSpillRemoved.Add(1)
+		name := filepath.Join(c.spill, e.Name())
+		switch {
+		case e.IsDir(): // not the cache's
+		case strings.HasSuffix(name, ".tmp"):
+			if c.fs.Remove(name) == nil {
+				c.metrics.CacheSpillTmpSwept.Add(1)
+			}
+		case strings.HasSuffix(name, ".gob"):
+			info, err := e.Info()
+			if os.IsNotExist(err) {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			files = append(files, spillFile{name, info.Size(), info.ModTime().UnixNano()})
+			total += info.Size()
 		}
 	}
+	if total > c.budget {
+		slices.SortFunc(files, func(a, b spillFile) int {
+			return cmp.Or(cmp.Compare(a.mtime, b.mtime), cmp.Compare(a.name, b.name))
+		})
+		low := c.budget - c.budget/8
+		for _, f := range files {
+			if total <= low {
+				break
+			}
+			if c.fs.Remove(f.name) == nil {
+				total -= f.size
+				c.metrics.CacheSpillRemoved.Add(1)
+			}
+		}
+	}
+	c.setSpillBytesLocked(total)
+	return nil
 }
 
 // Len returns the number of in-memory entries.

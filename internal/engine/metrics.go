@@ -122,12 +122,19 @@ type Metrics struct {
 	CacheDiskHits  atomic.Int64
 	// Spill files removed by the byte-budget sweep or on rehydrate.
 	CacheSpillRemoved atomic.Int64
+	// The spill directory as the cache tracks it without listing it:
+	// CacheSpillBytes is an upper bound on its .gob bytes, exact right after
+	// a listing; CacheSpillListings counts listings since start, the one at
+	// construction included.
+	CacheSpillBytes    atomic.Int64
+	CacheSpillListings atomic.Int64
 	// Spill-tier failure taxonomy (all best-effort paths — none of these
 	// ever fails a query):
 	//   WriteErrors — evictions whose spill could not land on disk;
 	//   ReadErrors  — spill files that exist but could not be read;
 	//   Corrupt     — files quarantined for checksum/decode failure;
-	//   TmpSwept    — partial *.tmp files swept at startup.
+	//   TmpSwept    — partial *.tmp files a listing swept (at startup, or
+	//                 left by a failed write).
 	CacheSpillWriteErrors atomic.Int64
 	CacheSpillReadErrors  atomic.Int64
 	CacheSpillCorrupt     atomic.Int64
@@ -236,6 +243,8 @@ func (m *Metrics) Snapshot() map[string]any {
 		"cache_spills":             m.CacheSpills.Load(),
 		"cache_disk_hits":          m.CacheDiskHits.Load(),
 		"cache_spill_removed":      m.CacheSpillRemoved.Load(),
+		"cache_spill_bytes":        m.CacheSpillBytes.Load(),
+		"cache_spill_listings":     m.CacheSpillListings.Load(),
 		"cache_spill_write_errors": m.CacheSpillWriteErrors.Load(),
 		"cache_spill_read_errors":  m.CacheSpillReadErrors.Load(),
 		"cache_spill_corrupt":      m.CacheSpillCorrupt.Load(),

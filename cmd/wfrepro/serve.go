@@ -39,7 +39,7 @@ func cmdServe(args []string) error {
 	peers := fs.String("peers", "", "comma-separated seed peer list (incl. or excl. this node) — enables cluster mode; gossip discovers the rest")
 	advertise := fs.String("advertise", "", "this node's address as it appears in -peers (default: -addr)")
 	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per peer on the hash ring")
-	gossipEvery := fs.Duration("gossip-interval", 0, "membership gossip cadence (0 = default)")
+	gossipEvery := fs.Duration("gossip-interval", 0, "liveness protocol period: one membership exchange with the next peer per period (0 = default 1s)")
 	netfaultSeed := fs.Int64("netfaultseed", 0, "DEV ONLY: inject deterministic network faults into cluster traffic with this seed (0 = off)")
 	netfaultRate := fs.Float64("netfaultrate", -1, "DEV ONLY: per-op fault probability for -netfaultseed (negative = default 0.1, 0 = partitions only)")
 	netPartition := fs.String("netpartition", "", "DEV ONLY: standing partition spec, e.g. 'a:1|b:1,c:1' or 'a:1->b:1' (arms the adversary even without -netfaultseed)")

@@ -116,15 +116,22 @@ type simulator struct {
 	steps []int      // next step to execute per simulated process (-1 = decided)
 	vals  [][]string // known written values per simulated process
 	decs  []int      // known decisions per simulated process (-1 = none)
+	// proposed marks the simulated processes whose current step's agreement
+	// this simulator has proposed to but not yet resolved. Safe agreement is
+	// single-shot per proposer: proposing again after a blocked resolution
+	// would replace, or abort, a commit that another simulator may already
+	// have resolved to.
+	proposed []bool
 }
 
 func (s *Simulation) newSimulator(i int) *simulator {
 	st := &simulator{
-		id:    i,
-		sim:   s,
-		steps: make([]int, s.mProc),
-		vals:  make([][]string, s.mProc),
-		decs:  make([]int, s.mProc),
+		id:       i,
+		sim:      s,
+		steps:    make([]int, s.mProc),
+		vals:     make([][]string, s.mProc),
+		decs:     make([]int, s.mProc),
+		proposed: make([]bool, s.mProc),
 	}
 	for p := range st.steps {
 		st.steps[p] = 0 // step 0: the input agreement
@@ -174,9 +181,9 @@ func (st *simulator) scanBoard() ([]Cell, []int) {
 }
 
 // tryAdvance attempts to execute one step of simulated process p: propose a
-// snapshot for p's current step and, if the agreement resolves, replay the
-// code. It returns false when the agreement is blocked (p is abandoned until
-// a later pass).
+// snapshot for p's current step (once) and, if the agreement resolves, replay
+// the code. It returns false when the agreement is blocked (p is abandoned
+// until a later pass, which only retries the resolution).
 func (st *simulator) tryAdvance(p int) bool {
 	step := st.steps[p]
 
@@ -184,11 +191,15 @@ func (st *simulator) tryAdvance(p int) bool {
 		// Agree on p's input from the simulators' own proposals, then
 		// perform p's first simulated write.
 		sa := st.sim.sa(p, 0)
-		sa.Propose(st.id, st.sim.code.ProposeInput(st.id))
+		if !st.proposed[p] {
+			sa.Propose(st.id, st.sim.code.ProposeInput(st.id))
+			st.proposed[p] = true
+		}
 		agreed, ok := sa.TryResolve()
 		if !ok {
 			return false
 		}
+		st.proposed[p] = false
 		st.vals[p] = []string{agreed}
 		st.steps[p] = 1
 		st.publish()
@@ -196,13 +207,17 @@ func (st *simulator) tryAdvance(p int) bool {
 	}
 
 	st.publish()
-	cells, _ := st.scanBoard()
 	sa := st.sim.sa(p, step)
-	sa.Propose(st.id, encodeCells(cells))
+	if !st.proposed[p] {
+		cells, _ := st.scanBoard()
+		sa.Propose(st.id, encodeCells(cells))
+		st.proposed[p] = true
+	}
 	agreed, ok := sa.TryResolve()
 	if !ok {
 		return false
 	}
+	st.proposed[p] = false
 	st.sim.recordAgreed(p, step, agreed)
 	view := decodeCells(agreed)
 

@@ -272,3 +272,39 @@ func validateBG(t *testing.T, inputs []int, res *Result, k int, crashed map[int]
 		t.Fatalf("simulators adopted %d distinct values, bound %d", len(distinct), k)
 	}
 }
+
+// TestSimulatorProposesOncePerAgreement replays the interleaving that let
+// two simulators agree on different snapshots: simulator 0 commits a
+// snapshot while simulator 1 sits in its unsafe window, the window closes
+// and the agreement resolves, the board changes, and simulator 0 retries.
+// The retry must only resolve; proposing its newer snapshot again would
+// commit a second value after the first was already agreed.
+func TestSimulatorProposesOncePerAgreement(t *testing.T) {
+	s := NewSimulation(2, 2, &FullInfoCode{K: 2})
+	a := s.newSimulator(0)
+	if !a.tryAdvance(0) { // input agreement for process 0: a alone, resolves
+		t.Fatal("a solo input agreement must resolve")
+	}
+	sa := s.sa(0, 1)
+	sa.announce(1, "stalled")
+	if a.tryAdvance(0) {
+		t.Fatal("step 1 resolved while simulator 1 is inside its unsafe window")
+	}
+	sa.settle(1, "stalled") // sees a's commit and aborts
+	agreed, ok := sa.TryResolve()
+	if !ok {
+		t.Fatal("step 1 must resolve once the window closes")
+	}
+	if !a.tryAdvance(1) { // changes the board a would scan next
+		t.Fatal("a solo input agreement must resolve")
+	}
+	if !a.tryAdvance(0) {
+		t.Fatal("a's retry must resolve the agreed step")
+	}
+	if got, _ := sa.TryResolve(); got != agreed {
+		t.Fatalf("the agreement changed after it resolved:\n was %q\n now %q", agreed, got)
+	}
+	if got := s.audit[[2]int{0, 1}]; got != agreed {
+		t.Fatalf("a replayed step 1 from %q, but the agreement resolved to %q", got, agreed)
+	}
+}

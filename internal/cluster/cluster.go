@@ -45,9 +45,9 @@ const (
 	// GossipPath exchanges membership views: POST a GossipMsg, receive the
 	// responder's view back. One round trip merges both directions.
 	GossipPath = "/v1/peer/gossip"
-	// ProbePath asks a node to probe a third node on the caller's behalf
-	// (?target=addr) — the indirect-probe leg that keeps an asymmetric
-	// partition from condemning a reachable peer.
+	// ProbePath asks a node to exchange views with a third node on the
+	// caller's behalf (?target=addr) — the indirect-probe leg that keeps an
+	// asymmetric partition from condemning a reachable peer.
 	ProbePath = "/v1/peer/probe"
 	// KeysPath lists the responder's finished cache keys, for the
 	// anti-entropy pass that restores warmth after an ownership change.
@@ -58,14 +58,15 @@ const (
 type PeerState string
 
 const (
-	// PeerUp: the last interaction (probe, gossip, fill) succeeded.
+	// PeerUp: the last interaction (exchange, forward, fill) succeeded.
 	PeerUp PeerState = "up"
 	// PeerSuspect: exactly one consecutive failure — still routed to, so a
-	// single dropped probe costs nothing.
+	// single dropped exchange costs nothing.
 	PeerSuspect PeerState = "suspect"
-	// PeerDown: two or more consecutive failures (the second confirmed by
-	// indirect probes when available) — excluded from the ring and from
-	// fills until an interaction succeeds; probes back off with jitter.
+	// PeerDown: two or more consecutive failures (when the liveness loop
+	// sees the second, only after indirect probes also failed) — excluded
+	// from the ring and from fills until an interaction succeeds. The loop
+	// keeps visiting down members, so a healed node is found within a pass.
 	PeerDown PeerState = "down"
 	// PeerLeft: the member announced a graceful leave at its current
 	// incarnation. Terminal for that incarnation — rejoining nodes come
@@ -92,22 +93,22 @@ func stateRank(s PeerState) int {
 }
 
 // eligible reports whether a state keeps a member on the ring. Suspects stay:
-// one dropped probe must not remap 1/N of the keyspace.
+// one failed exchange must not remap 1/N of the keyspace.
 func eligible(s PeerState) bool { return s == PeerUp || s == PeerSuspect }
 
-// Defaults: probing fast enough that a killed node stops receiving forwards
-// within a couple of seconds, gossip fast enough that membership converges in
-// a few rounds, and a handoff window long enough to cover the gossip+probe
-// convergence during which two ring views coexist.
+// Defaults: a protocol period short enough that a killed node is down within
+// a few seconds and membership converges in a few passes, and a handoff
+// window long enough to cover that convergence, during which two ring views
+// coexist.
 const (
-	DefaultProbeInterval    = 2 * time.Second
-	DefaultProbeTimeout     = 1 * time.Second
-	DefaultMaxProbeInterval = 30 * time.Second
-	DefaultGossipInterval   = 1 * time.Second
-	DefaultHandoffWindow    = 30 * time.Second
-	DefaultIndirectProbes   = 2
-	// GossipFanout is how many random live peers each gossip round contacts.
-	GossipFanout = 2
+	DefaultProbeTimeout   = 1 * time.Second
+	DefaultGossipInterval = 1 * time.Second
+	// HandoffWindow is how long the previous ring stays a fetch fallback
+	// after an epoch change.
+	HandoffWindow = 30 * time.Second
+	// IndirectProbes is how many up peers are asked to reach a suspect before
+	// a failed exchange may mark it down.
+	IndirectProbes = 2
 	// DefaultFetchLimit bounds a peer artifact body when no cost-based limit
 	// is installed. Artifacts are small DTO encodings; 8 MiB is generous.
 	DefaultFetchLimit = 8 << 20
@@ -135,20 +136,11 @@ type Options struct {
 	Peers []string
 	// VNodes is the virtual-node count per physical node; 0 = DefaultVNodes.
 	VNodes int
-	// ProbeInterval is the health-probe cadence for up peers; 0 = default.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request; 0 = default.
+	// ProbeTimeout bounds one exchange or indirect-probe request; 0 = default.
 	ProbeTimeout time.Duration
-	// MaxProbeInterval caps the probe backoff for down peers; 0 = default.
-	MaxProbeInterval time.Duration
-	// GossipInterval is the membership-exchange cadence; 0 = default.
+	// GossipInterval is the liveness loop's protocol period: one exchange
+	// per period; 0 = default.
 	GossipInterval time.Duration
-	// HandoffWindow is how long the previous ring stays a fetch fallback
-	// after an epoch change; 0 = default.
-	HandoffWindow time.Duration
-	// IndirectProbes is how many live peers are asked to confirm a suspect
-	// before it is marked down; 0 = default, negative = disabled.
-	IndirectProbes int
 	// Incarnation overrides this node's starting incarnation (tests).
 	// 0 = wall-clock UnixNano, so a restarted node outbids its old records.
 	Incarnation int64
@@ -157,7 +149,7 @@ type Options struct {
 	FetchLimit func(key string) int64
 	// Admitter enables the anti-entropy pass; nil disables it.
 	Admitter Admitter
-	// Client is the HTTP client for probes, gossip, fills, and forwards;
+	// Client is the HTTP client for exchanges, probes, fills, and forwards;
 	// nil = a dedicated client with a 30s overall timeout.
 	Client *http.Client
 	// Metrics receives the cluster counters; nil = a private set.
@@ -172,33 +164,29 @@ type member struct {
 	incarnation int64
 	state       PeerState
 	fails       int
-	nextProbe   time.Time
 	transition  time.Time // last state change, for healthz age reporting
 }
 
 // Cluster is this node's view of the shard ring: membership (converging by
-// gossip and probing) and placement (rebuilt per membership epoch, with the
-// previous ring kept as a bounded-window fetch fallback so ownership
+// the SWIM liveness loop) and placement (rebuilt per membership epoch, with
+// the previous ring kept as a bounded-window fetch fallback so ownership
 // transitions don't cold-start). All methods are safe for concurrent use.
 type Cluster struct {
 	self    string
 	client  *http.Client
 	metrics *engine.Metrics
 
-	probeInterval    time.Duration
-	probeTimeout     time.Duration
-	maxProbeInterval time.Duration
-	gossipInterval   time.Duration
-	handoffWindow    time.Duration
-	indirectProbes   int
-	vnodes           int
-	fetchLimit       func(key string) int64
-	admit            Admitter
-	now              func() time.Time // injectable clock for tests
+	probeTimeout   time.Duration
+	gossipInterval time.Duration
+	vnodes         int
+	fetchLimit     func(key string) int64
+	admit          Admitter
+	now            func() time.Time // injectable clock for tests
 
 	mu        sync.Mutex
 	rng       *rand.Rand // lazily seeded from the injectable clock
 	members   map[string]*member
+	pass      []string // the rest of the liveness loop's current round-robin pass
 	epoch     uint64
 	ring      *Ring
 	prevRing  *Ring     // ring before the last epoch change, or nil
@@ -221,27 +209,23 @@ func NormalizeAddr(addr string) string {
 
 // New builds a cluster node. The initial ring covers the normalized union of
 // Peers and Self; seed peers start optimistically "up" at incarnation 0 and
-// converge to their real incarnation and state by gossip and probing.
+// converge to their real incarnation and state through the liveness loop.
 func New(o Options) (*Cluster, error) {
 	self := NormalizeAddr(o.Self)
 	if self == "" {
 		return nil, fmt.Errorf("cluster: Self (advertise address) is required")
 	}
 	c := &Cluster{
-		self:             self,
-		client:           o.Client,
-		metrics:          o.Metrics,
-		probeInterval:    o.ProbeInterval,
-		probeTimeout:     o.ProbeTimeout,
-		maxProbeInterval: o.MaxProbeInterval,
-		gossipInterval:   o.GossipInterval,
-		handoffWindow:    o.HandoffWindow,
-		indirectProbes:   o.IndirectProbes,
-		vnodes:           o.VNodes,
-		fetchLimit:       o.FetchLimit,
-		admit:            o.Admitter,
-		now:              time.Now,
-		members:          make(map[string]*member),
+		self:           self,
+		client:         o.Client,
+		metrics:        o.Metrics,
+		probeTimeout:   o.ProbeTimeout,
+		gossipInterval: o.GossipInterval,
+		vnodes:         o.VNodes,
+		fetchLimit:     o.FetchLimit,
+		admit:          o.Admitter,
+		now:            time.Now,
+		members:        make(map[string]*member),
 	}
 	if c.client == nil {
 		c.client = &http.Client{Timeout: 30 * time.Second}
@@ -249,25 +233,11 @@ func New(o Options) (*Cluster, error) {
 	if c.metrics == nil {
 		c.metrics = engine.NewMetrics()
 	}
-	if c.probeInterval <= 0 {
-		c.probeInterval = DefaultProbeInterval
-	}
 	if c.probeTimeout <= 0 {
 		c.probeTimeout = DefaultProbeTimeout
 	}
-	if c.maxProbeInterval <= 0 {
-		c.maxProbeInterval = DefaultMaxProbeInterval
-	}
 	if c.gossipInterval <= 0 {
 		c.gossipInterval = DefaultGossipInterval
-	}
-	if c.handoffWindow <= 0 {
-		c.handoffWindow = DefaultHandoffWindow
-	}
-	if c.indirectProbes == 0 {
-		c.indirectProbes = DefaultIndirectProbes
-	} else if c.indirectProbes < 0 {
-		c.indirectProbes = 0
 	}
 	if c.vnodes <= 0 {
 		c.vnodes = DefaultVNodes
@@ -295,7 +265,7 @@ func New(o Options) (*Cluster, error) {
 func (c *Cluster) Self() string { return c.self }
 
 // Client returns the HTTP client used for cluster traffic (forwards share it
-// with probes and fills so connection pools are reused).
+// with exchanges and fills so connection pools are reused).
 func (c *Cluster) Client() *http.Client { return c.client }
 
 // Metrics returns the counter set receiving the cluster metrics.
@@ -333,8 +303,8 @@ func membersHash(nodes []string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// rngLocked lazily seeds the jitter source from the injectable clock, so
-// tests that pin c.now get a reproducible jitter stream. Callers hold c.mu.
+// rngLocked lazily seeds the shuffle source from the injectable clock, so
+// tests that pin c.now get a reproducible shuffle stream. Callers hold c.mu.
 func (c *Cluster) rngLocked() *rand.Rand {
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(c.now().UnixNano()))
@@ -367,7 +337,7 @@ func (c *Cluster) rebuildRingLocked() {
 			return
 		}
 		c.prevRing = c.ring
-		c.prevUntil = c.now().Add(c.handoffWindow)
+		c.prevUntil = c.now().Add(HandoffWindow)
 	}
 	c.ring = ring
 	c.epoch++
@@ -425,12 +395,11 @@ func (c *Cluster) setStateLocked(m *member, s PeerState) {
 	}
 }
 
-// MarkFailure records a failed interaction with node (probe, gossip, forward,
-// or fill transport error): one failure makes it suspect, two make it down.
+// MarkFailure records a failed interaction with node (exchange, forward, or
+// fill transport error): one failure makes it suspect, two make it down.
 // Passive marking is what lets a killed owner stop receiving forwards after
-// a single failed request instead of a full probe cycle.
+// two failed requests instead of a full pass of the liveness loop.
 func (c *Cluster) MarkFailure(node string) {
-	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := c.members[node]
@@ -447,30 +416,13 @@ func (c *Cluster) MarkFailure(node string) {
 		}
 		c.setStateLocked(m, PeerDown)
 	}
-	// Exponential probe backoff with full jitter: the deterministic schedule
-	// is 1×, 2×, 4×, … the probe interval, capped; the actual delay is drawn
-	// uniformly from [interval, schedule] so N nodes that condemned a peer in
-	// the same instant don't re-probe it in lockstep and thunder it the
-	// moment it heals.
-	backoff := c.probeInterval
-	for i := 1; i < m.fails && backoff < c.maxProbeInterval; i++ {
-		backoff *= 2
-	}
-	if backoff > c.maxProbeInterval {
-		backoff = c.maxProbeInterval
-	}
-	if span := int64(backoff - c.probeInterval); span > 0 {
-		backoff = c.probeInterval + time.Duration(c.rngLocked().Int63n(span+1))
-	}
-	m.nextProbe = now.Add(backoff)
 }
 
 // MarkSuccess records a successful interaction with node, recovering it to
-// up and resetting the probe backoff. Departed members stay left — a node
-// that said goodbye at incarnation i only returns with incarnation > i,
-// which arrives by gossip, not by answering a stray probe.
+// up. Departed members stay left — a node that said goodbye at incarnation i
+// only returns with incarnation > i, which arrives by gossip, not by
+// answering a stray exchange.
 func (c *Cluster) MarkSuccess(node string) {
-	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := c.members[node]
@@ -479,30 +431,14 @@ func (c *Cluster) MarkSuccess(node string) {
 	}
 	m.fails = 0
 	c.setStateLocked(m, PeerUp)
-	m.nextProbe = now.Add(c.probeInterval)
 }
 
-// Start launches the background loops: the health prober, the gossip
-// exchanger (whose first round is the join announcement), and the
-// anti-entropy warmer. All stop when ctx is done.
+// Start launches the two background loops, both stopped by ctx: the liveness
+// loop, which runs one SWIM protocol period per GossipInterval (the first is
+// the join announcement), and the anti-entropy warmer.
 func (c *Cluster) Start(ctx context.Context) {
 	go func() {
-		c.probeAll(ctx)
-		// Tick at a quarter of the probe interval: due times are per-peer
-		// (backoff), the ticker only decides how often we look.
-		t := time.NewTicker(c.probeInterval / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				c.probeAll(ctx)
-			}
-		}
-	}()
-	go func() {
-		c.gossipOnce(ctx) // join: announce ourselves through any live seed
+		c.protocolPeriod(ctx)
 		t := time.NewTicker(c.gossipInterval)
 		defer t.Stop()
 		for {
@@ -510,78 +446,59 @@ func (c *Cluster) Start(ctx context.Context) {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				c.gossipOnce(ctx)
+				c.protocolPeriod(ctx)
 			}
 		}
 	}()
 	go c.antiEntropyLoop(ctx)
 }
 
-// probeAll probes every peer whose nextProbe time has arrived.
-func (c *Cluster) probeAll(ctx context.Context) {
-	now := c.now()
-	c.mu.Lock()
-	due := make([]string, 0, len(c.members))
-	for n, m := range c.members {
-		if n == c.self || m.state == PeerLeft {
-			continue
-		}
-		if !m.nextProbe.After(now) {
-			due = append(due, n)
-		}
-	}
-	c.mu.Unlock()
-	for _, n := range due {
-		if ctx.Err() != nil {
-			return
-		}
-		c.probe(ctx, n)
-	}
-}
-
-// probe checks one peer directly and, before letting a failure condemn a
-// suspect to down, asks up to indirectProbes live peers to try on our
-// behalf — so an asymmetric partition between us and the target doesn't
-// remap its keyspace while everyone else can still reach it.
-func (c *Cluster) probe(ctx context.Context, node string) {
-	if err := c.DirectProbe(ctx, node); err == nil {
-		c.MarkSuccess(node)
+// protocolPeriod exchanges views with the next member of the round-robin.
+// A failed exchange with a member that is already suspect asks up to
+// IndirectProbes up peers to reach it first, so an asymmetric link between
+// us and the target doesn't remap its keyspace while others still reach it.
+func (c *Cluster) protocolPeriod(ctx context.Context) {
+	target := c.nextTarget()
+	if target == "" {
 		return
 	}
-	if c.State(node) == PeerSuspect && c.indirectProbes > 0 {
-		if c.indirectProbe(ctx, node) {
-			c.metrics.Inc("cluster_probe_indirect_ok")
-			c.MarkSuccess(node)
-			return
+	if err := c.Exchange(ctx, target); err == nil || ctx.Err() != nil {
+		return // alive, or we are stopping: no verdict either way
+	}
+	if c.State(target) == PeerSuspect && c.indirectProbe(ctx, target) {
+		c.metrics.Inc("cluster_probe_indirect_ok")
+		c.MarkSuccess(target)
+		return
+	}
+	c.MarkFailure(target)
+}
+
+// nextTarget pops the next member of a shuffled round-robin over every member
+// except self and left ones, reshuffled each pass. Down members stay in it,
+// so a healed node is found within one pass; a member that joins mid-pass
+// enters the next one. "" means there is nobody to contact.
+func (c *Cluster) nextTarget() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		if len(c.pass) == 0 {
+			c.pass = c.pickPeersLocked(0, func(m *member) bool { return m.state != PeerLeft })
+			if len(c.pass) == 0 {
+				return ""
+			}
+		}
+		next := c.pass[0]
+		c.pass = c.pass[1:]
+		if c.members[next].state != PeerLeft {
+			return next
 		}
 	}
-	c.MarkFailure(node)
 }
 
-// DirectProbe GETs a node's /healthz within the probe timeout. Any 2xx-5xx
-// response counts as alive — a degraded peer still serves its cache, which
-// is all a fill needs; only a transport-level failure (refused, timeout)
-// reports an error. Exported for the serving layer's indirect-probe relay.
-func (c *Cluster) DirectProbe(ctx context.Context, node string) error {
-	pctx, cancel := context.WithTimeout(ctx, c.probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, node+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return nil
-}
-
-// indirectProbe asks up to indirectProbes live peers to probe node; true if
-// any of them reaches it.
+// indirectProbe asks up to IndirectProbes up peers to exchange with node on
+// our behalf; true if any of them reaches it.
 func (c *Cluster) indirectProbe(ctx context.Context, node string) bool {
-	helpers := c.pickPeers(c.indirectProbes, func(m *member) bool {
+	helpers := c.pickPeers(IndirectProbes, func(m *member) bool {
 		return m.state == PeerUp && m.addr != node
 	})
 	for _, h := range helpers {
@@ -609,11 +526,17 @@ func (c *Cluster) indirectProbe(ctx context.Context, node string) bool {
 	return false
 }
 
-// pickPeers returns up to n random members (never self) passing keep. The
-// shuffle draws from the clock-seeded rng so tests stay reproducible.
+// pickPeers returns up to n random members (never self) passing keep; n <= 0
+// means all of them. The shuffle draws from the clock-seeded rng so tests
+// stay reproducible.
 func (c *Cluster) pickPeers(n int, keep func(*member) bool) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.pickPeersLocked(n, keep)
+}
+
+// pickPeersLocked is pickPeers for callers that hold c.mu.
+func (c *Cluster) pickPeersLocked(n int, keep func(*member) bool) []string {
 	cands := make([]string, 0, len(c.members))
 	for a, m := range c.members {
 		if a != c.self && keep(m) {
@@ -622,7 +545,7 @@ func (c *Cluster) pickPeers(n int, keep func(*member) bool) []string {
 	}
 	sort.Strings(cands) // map order must not leak into the draw
 	c.rngLocked().Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > n {
+	if n > 0 && len(cands) > n {
 		cands = cands[:n]
 	}
 	return cands

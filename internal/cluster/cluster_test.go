@@ -4,11 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,8 +156,7 @@ func TestFetchDownOwnerFailsFast(t *testing.T) {
 }
 
 // TestPeerStateTransitions walks the health state machine: up → suspect on
-// one failure, → down on the second (counted once), → up again on success
-// with the backoff reset.
+// one failure, → down on the second (counted once), → up again on success.
 func TestPeerStateTransitions(t *testing.T) {
 	m := engine.NewMetrics()
 	c, err := New(Options{
@@ -208,78 +210,10 @@ func TestPeerStateTransitions(t *testing.T) {
 	}
 }
 
-// TestProbeBackoff pins the jittered backoff through the injectable clock:
-// after k consecutive failures the next-probe delay is drawn with full
-// jitter from [interval, min(2^(k-1)·interval, cap)] — several nodes that
-// condemned a peer in the same instant must not re-probe it in lockstep —
-// and the draw stream is a pure function of the injected clock, so a seeded
-// run replays exactly.
-func TestProbeBackoff(t *testing.T) {
-	const peer = "http://b:1"
-	mk := func(clock time.Time) *Cluster {
-		c, err := New(Options{
-			Self:             "http://a:1",
-			Peers:            []string{peer},
-			ProbeInterval:    time.Second,
-			MaxProbeInterval: 4 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.now = func() time.Time { return clock }
-		return c
-	}
-	backoffs := func(c *Cluster, n int) []time.Duration {
-		out := make([]time.Duration, n)
-		for i := range out {
-			c.MarkFailure(peer)
-			c.mu.Lock()
-			out[i] = c.members[peer].nextProbe.Sub(c.now())
-			c.mu.Unlock()
-		}
-		return out
-	}
-
-	base := time.Unix(1000, 0)
-	got := backoffs(mk(base), 6)
-	for i, ceil := range []time.Duration{
-		time.Second,     // 1 fail: 1× — no jitter span yet
-		2 * time.Second, // 2 fails: jitter over [1×, 2×]
-		4 * time.Second, // 3 fails: [1×, 4×] = cap
-		4 * time.Second, // 4+ fails: capped schedule, jitter stays
-		4 * time.Second,
-		4 * time.Second,
-	} {
-		if got[i] < time.Second || got[i] > ceil {
-			t.Fatalf("after %d failures, backoff = %s, want within [1s, %s]", i+1, got[i], ceil)
-		}
-	}
-
-	// Reproducibility: the jitter rng is seeded from the injected clock.
-	again := backoffs(mk(base), 6)
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("same injected clock must replay the same jitter: draw %d = %s vs %s", i, got[i], again[i])
-		}
-	}
-
-	// A different clock seeds a different stream (jitter actually jitters).
-	other := backoffs(mk(time.Unix(2000, 0)), 6)
-	same := true
-	for i := range got {
-		if got[i] != other[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different clock seeds drew identical jitter streams")
-	}
-}
-
-// TestProberConvergesOnDeadPeer runs the real prober against a port with
-// nothing listening: the peer must converge to down within a few probe
-// intervals, and a live listener appearing later must bring it back up.
+// TestProberConvergesOnDeadPeer runs the real liveness loop against a port
+// with nothing listening: the peer must converge to down within a few
+// protocol periods, and a live listener appearing later must bring it back up
+// (down members stay in the round-robin).
 func TestProberConvergesOnDeadPeer(t *testing.T) {
 	// Reserve an address, then free it so nothing is listening.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -291,11 +225,11 @@ func TestProberConvergesOnDeadPeer(t *testing.T) {
 
 	m := engine.NewMetrics()
 	c, err := New(Options{
-		Self:          "http://self.invalid:1",
-		Peers:         []string{addr},
-		ProbeInterval: 20 * time.Millisecond,
-		ProbeTimeout:  100 * time.Millisecond,
-		Metrics:       m,
+		Self:           "http://self.invalid:1",
+		Peers:          []string{addr},
+		GossipInterval: 20 * time.Millisecond,
+		ProbeTimeout:   100 * time.Millisecond,
+		Metrics:        m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +242,7 @@ func TestProberConvergesOnDeadPeer(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for c.State(peer) != PeerDown {
 		if time.Now().After(deadline) {
-			t.Fatalf("prober never marked the dead peer down (state=%s)", c.State(peer))
+			t.Fatalf("liveness loop never marked the dead peer down (state=%s)", c.State(peer))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -316,7 +250,7 @@ func TestProberConvergesOnDeadPeer(t *testing.T) {
 		t.Fatal("down transition not counted")
 	}
 
-	// Resurrect the address; the prober must recover the peer. Binding the
+	// Resurrect the address; the loop must recover the peer. Binding the
 	// same port can race with the OS briefly, so retry.
 	var ln2 net.Listener
 	for i := 0; i < 50; i++ {
@@ -336,9 +270,174 @@ func TestProberConvergesOnDeadPeer(t *testing.T) {
 
 	for c.State(peer) != PeerUp {
 		if time.Now().After(deadline) {
-			t.Fatalf("prober never recovered the healed peer (state=%s)", c.State(peer))
+			t.Fatalf("liveness loop never recovered the healed peer (state=%s)", c.State(peer))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// freeAddr reserves a local port and frees it, so nothing listens there and a
+// dial fails at once.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return NormalizeAddr(addr)
+}
+
+// TestLoopProbesIndirectlyBeforeDown pins when the liveness loop may condemn
+// a peer: a first failed exchange only makes it suspect; a failure while it
+// is suspect asks an up helper first, and a helper that reaches it keeps it
+// up. Only a failure the helper confirms marks it down.
+func TestLoopProbesIndirectlyBeforeDown(t *testing.T) {
+	target := freeAddr(t)
+	var reach atomic.Bool
+	reach.Store(true)
+	helper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == GossipPath:
+			w.Write([]byte(`{}`)) // alive but mute
+		case r.URL.Path == ProbePath && r.URL.Query().Get("target") == target && reach.Load():
+			w.WriteHeader(http.StatusNoContent)
+		case r.URL.Path == ProbePath:
+			w.WriteHeader(http.StatusBadGateway)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer helper.Close()
+
+	m := engine.NewMetrics()
+	c, err := New(Options{Self: "http://self.invalid:1", Peers: []string{helper.URL, target}, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pass := func() { // two members, so one pass is two periods
+		c.protocolPeriod(ctx)
+		c.protocolPeriod(ctx)
+	}
+
+	pass()
+	if st := c.State(target); st != PeerSuspect {
+		t.Fatalf("after one failed exchange the target is %s, want suspect", st)
+	}
+	pass()
+	if st := c.State(target); st != PeerUp {
+		t.Fatalf("a helper reached the target, yet it is %s, want up", st)
+	}
+	if got := m.Counter("cluster_probe_indirect_ok"); got != 1 {
+		t.Fatalf("cluster_probe_indirect_ok = %d, want 1", got)
+	}
+
+	reach.Store(false)
+	pass()
+	pass()
+	if st := c.State(target); st != PeerDown {
+		t.Fatalf("the helper failed too, yet the target is %s, want down", st)
+	}
+	if got := m.Counter("cluster_peer_down_total"); got != 1 {
+		t.Fatalf("cluster_peer_down_total = %d, want 1", got)
+	}
+}
+
+// recordingTransport records the method, path and destination of every
+// request a node sends, then sends it.
+type recordingTransport struct {
+	inner *http.Transport
+	mu    sync.Mutex
+	sent  []string // "METHOD http://host/path"
+}
+
+func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rt.mu.Lock()
+	rt.sent = append(rt.sent, r.Method+" http://"+r.URL.Host+r.URL.Path)
+	rt.mu.Unlock()
+	return rt.inner.RoundTrip(r)
+}
+
+func (rt *recordingTransport) count() int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return len(rt.sent)
+}
+
+// TestLivenessLoopShape drives 20 protocol periods on an idle 3-node cluster
+// whose views also hold a down member and a left one. Every period each node
+// sends exactly one request, a gossip exchange, and never a /healthz probe;
+// every pass of the round-robin contacts each member that has not left, the
+// down one included, exactly once.
+func TestLivenessLoopShape(t *testing.T) {
+	down := freeAddr(t)
+	const left = "http://left.invalid:1"
+	const size, periods = 3, 20
+
+	nodes := make([]*Cluster, size)
+	urls := make([]string, size)
+	for i := range urls {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var msg GossipMsg
+			if r.URL.Path != GossipPath || json.NewDecoder(r.Body).Decode(&msg) != nil {
+				http.NotFound(w, r)
+				return
+			}
+			json.NewEncoder(w).Encode(nodes[i].HandleGossip(msg))
+		}))
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	rts := make([]*recordingTransport, size)
+	for i := range nodes {
+		rts[i] = &recordingTransport{inner: &http.Transport{}}
+		defer rts[i].inner.CloseIdleConnections()
+		nodes[i] = mustNew(t, Options{Self: urls[i], Peers: urls, Incarnation: 1,
+			Client: &http.Client{Transport: rts[i]}})
+		nodes[i].Merge([]Member{
+			{Addr: down, Incarnation: 1, State: PeerDown},
+			{Addr: left, Incarnation: 1, State: PeerLeft},
+		})
+	}
+
+	ctx := context.Background()
+	for p := 0; p < periods; p++ {
+		for i, n := range nodes {
+			before := rts[i].count()
+			n.protocolPeriod(ctx)
+			if sent := rts[i].count() - before; sent != 1 {
+				t.Fatalf("period %d: node %d sent %d requests, want exactly one exchange", p, i, sent)
+			}
+		}
+	}
+	for i := range nodes {
+		// Everyone but self and the left member: a pass is 3 periods.
+		want := map[string]bool{"POST " + down + GossipPath: true}
+		for j, u := range urls {
+			if j != i {
+				want["POST "+u+GossipPath] = true
+			}
+		}
+		sent := rts[i].sent
+		for p, req := range sent {
+			if !want[req] {
+				t.Fatalf("node %d, period %d sent %q; want only exchanges with %v", i, p, req, want)
+			}
+		}
+		for start := 0; start+len(want) <= len(sent); start += len(want) {
+			seen := make(map[string]bool)
+			for _, req := range sent[start : start+len(want)] {
+				if seen[req] {
+					t.Fatalf("node %d, pass from period %d: %v contacts a member twice", i, start, sent[start:start+len(want)])
+				}
+				seen[req] = true
+			}
+		}
+		if st := nodes[i].State(down); st != PeerDown {
+			t.Fatalf("node %d: unreachable member is %s, want down", i, st)
+		}
 	}
 }
 

@@ -96,8 +96,7 @@ func (c *Cluster) Merge(remote []Member) {
 		}
 		m := c.members[addr]
 		if m == nil {
-			m = &member{addr: addr, incarnation: r.Incarnation, state: r.State, transition: now,
-				nextProbe: now.Add(c.probeInterval)}
+			m = &member{addr: addr, incarnation: r.Incarnation, state: r.State, transition: now}
 			m.fails = failsFor(r.State)
 			c.members[addr] = m
 			if eligible(r.State) {
@@ -144,49 +143,38 @@ func (c *Cluster) HandleGossip(msg GossipMsg) GossipMsg {
 	return c.gossipMsgLocked()
 }
 
-// gossipOnce runs one client round: push our view to GossipFanout random
-// live peers and merge each response. The first round after Start doubles
-// as the join announcement — any one live seed is enough to learn the rest
-// of the cluster and be learned by it.
-func (c *Cluster) gossipOnce(ctx context.Context) {
-	targets := c.pickPeers(GossipFanout, func(m *member) bool { return eligible(m.state) })
-	for _, t := range targets {
-		if ctx.Err() != nil {
-			return
-		}
-		c.gossipWith(ctx, t)
-	}
-}
-
-// gossipWith runs one exchange with one peer. Transport failures feed the
-// same passive marking as probes and fills; any response proves liveness.
-func (c *Cluster) gossipWith(ctx context.Context, peer string) {
+// Exchange runs one push-pull round with peer: POST our view, merge the
+// reply. It is the liveness loop's probe, the indirect-probe relay's, and
+// Leave's announcement. Any HTTP response proves peer alive and marks it so;
+// a transport failure is returned unmarked, because whether it condemns the
+// peer is the caller's verdict (the loop asks helpers first).
+func (c *Cluster) Exchange(ctx context.Context, peer string) error {
 	c.mu.Lock()
 	msg := c.gossipMsgLocked()
 	c.mu.Unlock()
 	body, err := json.Marshal(msg)
 	if err != nil {
-		return
+		return err
 	}
 	pctx, cancel := context.WithTimeout(ctx, c.probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodPost, peer+GossipPath, bytes.NewReader(body))
 	if err != nil {
-		return
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		c.MarkFailure(peer)
-		return
+		return err
 	}
 	defer resp.Body.Close()
 	c.MarkSuccess(peer)
 	var reply GossipMsg
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&reply); err != nil {
-		return // a non-gossip 200 (old node, test stub) is alive but mute
+		return nil // a non-gossip 200 (old node, test stub) is alive but mute
 	}
 	c.Merge(reply.Members)
+	return nil
 }
 
 // Leave announces a graceful departure: the self record jumps to a higher
@@ -198,29 +186,13 @@ func (c *Cluster) Leave(ctx context.Context) {
 	me := c.members[c.self]
 	me.incarnation++
 	c.setStateLocked(me, PeerLeft)
-	msg := c.gossipMsgLocked()
 	c.mu.Unlock()
 	c.metrics.Inc("cluster_leave_total")
-	body, err := json.Marshal(msg)
-	if err != nil {
-		return
-	}
 	for _, peer := range c.pickPeers(3, func(m *member) bool { return eligible(m.state) }) {
 		if ctx.Err() != nil {
 			return
 		}
-		pctx, cancel := context.WithTimeout(ctx, c.probeTimeout)
-		req, err := http.NewRequestWithContext(pctx, http.MethodPost, peer+GossipPath, bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if resp, err := c.client.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		cancel()
+		_ = c.Exchange(ctx, peer) // best effort: a peer we miss hears it by gossip
 	}
 }
 
@@ -257,11 +229,11 @@ func (c *Cluster) antiEntropyLoop(ctx context.Context) {
 	}
 }
 
-// antiEntropy runs one warmth pass. Best-effort throughout: a peer that
-// errors is skipped without marking (the prober owns liveness verdicts; a
-// half-warm pass must not condemn anyone).
+// antiEntropy runs one warmth pass. Best-effort throughout: a peer whose key
+// list errors is skipped without marking (the liveness loop owns liveness
+// verdicts; a half-warm pass must not condemn anyone).
 func (c *Cluster) antiEntropy(ctx context.Context) {
-	for _, peer := range c.pickPeers(len(c.members), func(m *member) bool { return m.state == PeerUp }) {
+	for _, peer := range c.pickPeers(0, func(m *member) bool { return m.state == PeerUp }) {
 		if ctx.Err() != nil {
 			return
 		}

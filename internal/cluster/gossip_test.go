@@ -141,7 +141,9 @@ func TestGossipExchangeConverges(t *testing.T) {
 	if b.MembersHash() == a.MembersHash() {
 		t.Fatal("views must differ before the exchange")
 	}
-	a.gossipWith(context.Background(), NormalizeAddr(tsB.URL))
+	if err := a.Exchange(context.Background(), NormalizeAddr(tsB.URL)); err != nil {
+		t.Fatalf("exchange with a live seed: %v", err)
+	}
 	if got, want := b.State(NormalizeAddr(tsA.URL)), PeerUp; got != want {
 		t.Fatalf("b's view of a after join gossip = %s, want %s", got, want)
 	}
@@ -190,10 +192,33 @@ func TestLeave(t *testing.T) {
 			t.Fatal("departed self still on the ring")
 		}
 	}
-	// And the departure is sticky: a probe success cannot resurrect it.
+	// And the departure is sticky: an exchange success cannot resurrect it.
 	c.MarkSuccess("http://a:1")
 	if st := c.State("http://a:1"); st != PeerLeft {
 		t.Fatalf("left must be terminal for the incarnation, got %s", st)
+	}
+}
+
+// TestAntiEntropyConcurrentWithMerge runs anti-entropy passes while gossip
+// merges add members: the pass must read the membership under the lock, so
+// this fails under -race if it does not.
+func TestAntiEntropyConcurrentWithMerge(t *testing.T) {
+	c := mustNew(t, Options{Self: "http://a:1"})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			// Down members: anti-entropy skips them, so no pass dials anyone.
+			c.Merge([]Member{{Addr: fmt.Sprintf("http://n%d:1", i), Incarnation: 1, State: PeerDown}})
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			c.antiEntropy(context.Background())
+		}
 	}
 }
 
@@ -202,9 +227,8 @@ func TestLeave(t *testing.T) {
 // owner second — but only inside the handoff window.
 func TestHandoffWindow(t *testing.T) {
 	c := mustNew(t, Options{
-		Self:          "http://a:1",
-		Peers:         []string{"http://b:1", "http://c:1"},
-		HandoffWindow: 10 * time.Second,
+		Self:  "http://a:1",
+		Peers: []string{"http://b:1", "http://c:1"},
 	})
 	base := time.Unix(1000, 0)
 	c.now = func() time.Time { return base }
@@ -235,7 +259,7 @@ func TestHandoffWindow(t *testing.T) {
 	}
 
 	// Outside the window the previous ring is forgotten.
-	c.now = func() time.Time { return base.Add(11 * time.Second) }
+	c.now = func() time.Time { return base.Add(HandoffWindow + time.Second) }
 	for _, cand := range c.FetchCandidates(key) {
 		if cand == "http://b:1" {
 			t.Fatal("handoff window expired but the previous owner is still offered")

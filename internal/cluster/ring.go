@@ -1,9 +1,9 @@
 // Package cluster turns `wfrepro serve` into a shardable cluster node: a
-// consistent hash ring over a static peer list decides which node owns each
-// content-addressed cache key, a lightweight health prober tracks peer
-// liveness (up → suspect → down with probe backoff), and a peer-fetch client
-// pulls finished artifacts from their owner — verified against their SHA-256
-// content address — instead of recomputing them.
+// consistent hash ring over the gossiped membership decides which node owns
+// each content-addressed cache key, one SWIM liveness loop tracks peer
+// liveness (up → suspect → down, indirect probes before down), and a
+// peer-fetch client pulls finished artifacts from their owner — verified
+// against their SHA-256 content address — instead of recomputing them.
 //
 // The ring keys are the engine's existing cache keys: every artifact is
 // already addressed by the SHA-256 of its canonical encoding (or by a

@@ -478,3 +478,70 @@ func TestPeerFillDegenerateResponses(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterAsymmetricLinkKeepsMember is the liveness loop's acceptance: a
+// link between members A and B that fails one way, or both ways, while C
+// reaches both must not take B off A's ring. Each subtest boots a fresh
+// 3-node cluster, waits for convergence, cuts the link for 5 s with no client
+// traffic, and samples A's view of B throughout: B is never down and A's
+// epoch never moves. With both directions cut B never reaches A either, so
+// only indirect probes through C can keep B up.
+func TestClusterAsymmetricLinkKeepsMember(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		bothWays bool
+	}{{"one-way", false}, {"both-ways", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const size = 3
+			lns := make([]net.Listener, size)
+			urls := make([]string, size)
+			for i := range lns {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				lns[i] = ln
+				urls[i] = "http://" + ln.Addr().String()
+			}
+			nfts := make([]*netfault.Transport, size)
+			nodes := make([]*clusterNode, size)
+			for i := range nodes {
+				nfts[i] = netfault.New(nil, urls[i], netfault.Options{Seed: 1, Rate: 0})
+				nodes[i] = bootNodeCfg(t, lns[i], urls[i], urls, nodeConfig{
+					gossipInterval: 50 * time.Millisecond,
+					transport:      nfts[i],
+				})
+			}
+			waitConverged(t, nodes, size)
+
+			a, b := nodes[0], nodes[1]
+			spec := a.url + "->" + b.url
+			if tc.bothWays {
+				spec += ";" + b.url + "->" + a.url
+			}
+			for _, nft := range nfts {
+				if err := nft.SetPartition(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			epoch := a.s.cluster.Epoch()
+			downs, prev := 0, cluster.PeerUp
+			for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+				st := a.s.cluster.State(b.url)
+				if st == cluster.PeerDown && prev != cluster.PeerDown {
+					downs++
+				}
+				prev = st
+			}
+			if downs > 0 {
+				t.Errorf("A marked B down %d times while C could reach it", downs)
+			}
+			if moved := a.s.cluster.Epoch() - epoch; moved > 0 {
+				t.Errorf("A's membership epoch moved %d times under a cut link", moved)
+			}
+			if got := counter(a, "cluster_probe_indirect_ok"); tc.bothWays && got < 1 {
+				t.Errorf("cluster_probe_indirect_ok = %d; with B unable to reach A, only indirect probes keep B up", got)
+			}
+		})
+	}
+}

@@ -91,7 +91,7 @@ func (s *Server) maybeForward(ctx context.Context, r *http.Request, key string) 
 // forward relays r to the owning peer with the forwarded marker and the
 // originating trace ID set, and captures the response for verbatim replay.
 // Transport failures mark the peer (suspect → down) so the next query stops
-// trying it before the prober catches up.
+// trying it before the liveness loop catches up.
 func (s *Server) forward(ctx context.Context, owner string, r *http.Request) (*forwardResult, error) {
 	u := owner + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -169,9 +169,10 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerProbe is the indirect-probe relay: a peer that cannot reach a
-// suspect asks us to try (?target=addr). 204 means we reached it; 502 means
-// we couldn't either. Only known members are probed — this endpoint must
-// not be a generic request proxy.
+// suspect asks us to try (?target=addr) with the same exchange the liveness
+// loop runs, which also refreshes our own view of the target. 204 means we
+// reached it; 502 means we couldn't either. Only known members are probed —
+// this endpoint must not be a generic request proxy.
 func (s *Server) handlePeerProbe(w http.ResponseWriter, r *http.Request) {
 	target := cluster.NormalizeAddr(r.URL.Query().Get("target"))
 	if target == "" {
@@ -183,12 +184,10 @@ func (s *Server) handlePeerProbe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.eng.Metrics().Inc("cluster_indirect_probe_requests")
-	if err := s.cluster.DirectProbe(r.Context(), target); err != nil {
+	if err := s.cluster.Exchange(r.Context(), target); err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("indirect probe of %s failed: %w", target, err))
 		return
 	}
-	// Free evidence: we just reached it, so our own view recovers too.
-	s.cluster.MarkSuccess(target)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -19,8 +19,8 @@ import (
 )
 
 // clusterNode is one in-process cluster member: a full Server (engine +
-// cluster + prober) on a real TCP listener, so forwards, fills, and probes
-// travel over actual HTTP exactly as they would between processes.
+// cluster + liveness loop) on a real TCP listener, so forwards, fills, and
+// exchanges travel over actual HTTP exactly as they would between processes.
 type clusterNode struct {
 	url    string // normalized advertise address
 	addr   string // host:port, for re-binding after a kill
@@ -29,9 +29,9 @@ type clusterNode struct {
 	cancel context.CancelFunc
 }
 
-// kill simulates a node death: the prober stops and the listener plus every
-// established connection close, so peers see transport errors, not clean
-// HTTP failures.
+// kill simulates a node death: the liveness loop stops and the listener plus
+// every established connection close, so peers see transport errors, not
+// clean HTTP failures.
 func (n *clusterNode) kill() {
 	n.cancel()
 	n.hs.Close()
@@ -42,13 +42,13 @@ func (n *clusterNode) kill() {
 // for the churn soak, and a tighter client timeout so a blackholed fetch
 // fails fast instead of stalling a request for the whole serve deadline.
 type nodeConfig struct {
-	gossipInterval time.Duration     // 0 = cluster default
+	gossipInterval time.Duration     // 0 = 40ms
 	clientTimeout  time.Duration     // 0 = 5s
 	transport      http.RoundTripper // non-nil wraps every outbound cluster request
 }
 
-// bootNode starts one cluster member on ln. Probe intervals are cranked down
-// so kill/heal convergence fits in test time.
+// bootNode starts one cluster member on ln. The protocol period is cranked
+// down so kill/heal convergence fits in test time.
 func bootNode(t *testing.T, ln net.Listener, self string, peers []string) *clusterNode {
 	t.Helper()
 	return bootNodeCfg(t, ln, self, peers, nodeConfig{})
@@ -64,12 +64,15 @@ func bootNodeCfg(t *testing.T, ln net.Listener, self string, peers []string, cfg
 	if clientTimeout == 0 {
 		clientTimeout = 5 * time.Second
 	}
+	gossipInterval := cfg.gossipInterval
+	if gossipInterval == 0 {
+		gossipInterval = 40 * time.Millisecond
+	}
 	cl, err := cluster.New(cluster.Options{
 		Self:           self,
 		Peers:          peers,
-		ProbeInterval:  40 * time.Millisecond,
 		ProbeTimeout:   300 * time.Millisecond,
-		GossipInterval: cfg.gossipInterval,
+		GossipInterval: gossipInterval,
 		Metrics:        eng.Metrics(),
 		Client:         &http.Client{Timeout: clientTimeout, Transport: cfg.transport},
 		Admitter:       eng,
@@ -453,7 +456,7 @@ func clusterLoad(t *testing.T, targets []*clusterNode, queries []clusterQuery, r
 
 // TestClusterChaosKillHeal is the whole-node chaos satellite: a 3-node
 // cluster under load loses a member (SIGKILL-equivalent: listener and
-// connections torn down, prober stopped), the survivors keep answering
+// connections torn down, liveness loop stopped), the survivors keep answering
 // byte-identically to a single-node reference — a dead owner degrades to
 // local recompute, never to 500s or wrong bytes — and once the node
 // restarts, the ring converges back to all-up and every member serves again.
@@ -466,7 +469,7 @@ func TestClusterChaosKillHeal(t *testing.T) {
 	clusterLoad(t, nodes, queries, ref, 4, 12)
 
 	// Kill one node mid-life. Survivors must discover it (passively via
-	// failed forwards/fills, actively via probes) and keep serving.
+	// failed forwards/fills, actively via the liveness loop) and keep serving.
 	victim := nodes[1]
 	survivors := []*clusterNode{nodes[0], nodes[2]}
 	victim.kill()

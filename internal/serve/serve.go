@@ -138,15 +138,15 @@ func NewServer(eng *engine.Engine, o Options) *Server {
 		degCost = DefaultDegradedMaxCost
 	}
 	return &Server{
-		eng:     eng,
-		sem:     make(chan struct{}, maxConc),
-		timeout: timeout,
-		slow:    o.SlowLog,
-		logger:  logger,
-		pprofOn: o.EnablePprof,
-		traces:  obs.NewRegistry(o.TraceBuffer),
-		maxCost: o.MaxCost,
-		degCost: degCost,
+		eng:      eng,
+		sem:      make(chan struct{}, maxConc),
+		timeout:  timeout,
+		slow:     o.SlowLog,
+		logger:   logger,
+		pprofOn:  o.EnablePprof,
+		traces:   obs.NewRegistry(o.TraceBuffer),
+		maxCost:  o.MaxCost,
+		degCost:  degCost,
 		breaker:  newBreaker(o.Breaker),
 		cluster:  o.Cluster,
 		netfault: o.NetFault,
@@ -648,7 +648,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"breaker_recoveries": recoveries,
 	}
 	if s.cluster != nil {
-		// Peer health, membership, and ring size — the prober's live view,
+		// Peer health, membership, and ring size — the liveness loop's view,
 		// so a kill/heal cycle is observable from any surviving node.
 		body["cluster"] = s.cluster.Snapshot()
 	}

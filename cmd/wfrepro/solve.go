@@ -83,6 +83,9 @@ func cmdSolve(args []string) error {
 			continue
 		}
 		verdict := fmt.Sprintf("UNSOLVABLE for all b ≤ %d (proven by exhaustion)", res.Level)
+		if res.Certificate != nil {
+			verdict = fmt.Sprintf("UNSOLVABLE at every b (Sperner certificate on a %d-vertex input face)", len(res.Certificate))
+		}
 		if res.Solvable {
 			verdict = fmt.Sprintf("SOLVABLE at b = %d", res.Level)
 			if err := solver.VerifyDecisionMap(j.task, res); err != nil {

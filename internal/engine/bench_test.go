@@ -9,15 +9,20 @@ import (
 	"testing"
 )
 
-// benchReq is moderately expensive cold (two subdivision levels plus an
-// exhaustive unsolvability proof) so the warm/cold ratio is meaningful.
+// benchReq is binary consensus for two processes at b ≤ 2. Its Sperner
+// certificate answers it cold before any level is built; warm, it is a
+// store hit that builds no task.
 var benchReq = SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 2}, MaxLevel: 2}
 
+// coldReq has no certificate: a cold answer builds levels 0–2 and searches
+// them, finding a map at b = 2 after 678 nodes.
+var coldReq = SolveRequest{Spec: TaskSpec{Family: "approx-agreement-n", Procs: 3, D: 4}, MaxLevel: 2}
+
 // BenchmarkEngineSolveCold measures a full computation: fresh engine per
-// iteration, nothing cached.
+// iteration, nothing cached, every level built and searched.
 func BenchmarkEngineSolveCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := New(Options{}).Solve(context.Background(), benchReq); err != nil {
+		if _, err := New(Options{}).Solve(context.Background(), coldReq); err != nil {
 			b.Fatal(err)
 		}
 	}

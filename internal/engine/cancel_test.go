@@ -8,13 +8,15 @@ import (
 	"time"
 )
 
-// expensiveReq needs well over 10⁶ backtracking nodes at b=2 (set-consensus
-// (3,2) is unsolvable there only by exhaustion), with a budget far above the
-// node count so only cancellation can stop it early.
+// expensiveReq searches for seconds at b=1 (2-set consensus for 4
+// processes under 3-set memory: the filter keeps 23 of the 75 ordered
+// partitions, so no Sperner certificate applies and the search runs past 3M
+// nodes), with a budget far above that so only cancellation can stop it.
 var expensiveReq = SolveRequest{
-	Spec:     TaskSpec{Family: "set-consensus", Procs: 3, K: 2},
-	MaxLevel: 2,
+	Spec:     TaskSpec{Family: "set-consensus", Procs: 4, K: 2},
+	MaxLevel: 1,
 	MaxNodes: 500_000_000,
+	Model:    "3-set",
 }
 
 // TestSolveCancellation is the acceptance check for the lifecycle work: a

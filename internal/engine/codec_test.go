@@ -142,3 +142,19 @@ func TestCacheKeyDiscipline(t *testing.T) {
 		t.Fatal("different max levels must key apart")
 	}
 }
+
+// TestDecodeRejectsControlByteKeys: the gob DTO decoder, which reads spill
+// files and peer artifacts, builds through AddVertex, so a vertex key
+// holding a byte below 0x20 — which would break the rank order of the
+// canonical encoding — is a decode failure.
+func TestDecodeRejectsControlByteKeys(t *testing.T) {
+	for _, key := range []string{"P0\x1fP1", "\x00", "P\n"} {
+		data, err := gobEncode(&ComplexDTO{Verts: []VertexDTO{{Key: key, Color: 0}}, Facets: [][]int{{0}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeComplexGob(data); err == nil {
+			t.Errorf("DecodeComplexGob accepted vertex key %q", key)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"waitfree/internal/model"
 	"waitfree/internal/solver"
-	"waitfree/internal/topology"
 )
 
 // Cost estimation: the admission controller's closed-form model of how much
@@ -71,38 +70,29 @@ func chainCostModel(facets int64, m, maxLevel int, spec model.Spec) int64 {
 	return total
 }
 
-// complexChainCost sums chainCostModel per facet of c (facet sizes can
-// differ in non-pure input complexes).
-func complexChainCost(c *topology.Complex, maxLevel int, spec model.Spec) int64 {
-	var total int64
-	for _, f := range c.Facets() {
-		total = satAdd(total, chainCostModel(1, len(f), maxLevel, spec))
-	}
-	return total
-}
-
 // EstimateCost returns the Lemma 3.3 facet-count estimate for a solve query:
 // the total facets of the (restricted) subdivision chain over the task's
-// input complex through MaxLevel. Invalid specs — the task's or the
-// model's — return the same ErrInvalid the engine would, so the serving
-// layer's admission pass rejects an unknown model with 400 before the
-// request key is ever derived or looked up.
+// input complex through MaxLevel, priced from the input complex's shape
+// (TaskSpec.inputShape) without building the task. Invalid specs — the
+// task's or the model's — return the same ErrInvalid the engine would, so
+// the serving layer's admission pass rejects an unknown model with 400
+// before the request key is ever derived or looked up.
 func (r SolveRequest) EstimateCost() (int64, error) {
 	if r.MaxLevel < 0 || r.MaxLevel > MaxSolveLevel {
 		return 0, fmt.Errorf("%w: max_level=%d out of range [0,%d]", ErrInvalid, r.MaxLevel, MaxSolveLevel)
 	}
-	task, err := r.Spec.Build()
-	if err != nil {
+	if err := r.Spec.Check(); err != nil {
 		return 0, err
 	}
 	spec, err := model.Parse(r.Model)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	if err := spec.Validate(len(task.Inputs.Colors())); err != nil {
+	facets, size := r.Spec.inputShape()
+	if err := spec.Validate(size); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	return complexChainCost(task.Inputs, r.MaxLevel, spec), nil
+	return chainCostModel(facets, size, r.MaxLevel, spec), nil
 }
 
 // EstimateCost returns the facet-count estimate for a complex query: the

@@ -74,13 +74,14 @@ func TestCostSaturates(t *testing.T) {
 }
 
 // TestSolveRecordsSearchCounters: every searched level feeds the solver
-// counters. Consensus is decided by propagation alone, so it prunes values
-// at zero nodes; set consensus's binding constraints are 2-dimensional, out
-// of AC-3's reach, so it burns real search nodes.
+// counters. Approximate agreement at d = 4 prunes domain values before its
+// search finds the level-2 map; 3-process approximate agreement at d = 4
+// burns real search nodes (678) before its level-2 map. Neither has a
+// Sperner certificate, which would answer before any search.
 func TestSolveRecordsSearchCounters(t *testing.T) {
 	e := New(Options{})
 	m := e.Metrics()
-	req := SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 2}, MaxLevel: 2}
+	req := SolveRequest{Spec: TaskSpec{Family: "approx-agreement", D: 4}, MaxLevel: 2}
 	if _, err := e.Solve(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSolveRecordsSearchCounters(t *testing.T) {
 		t.Errorf("solver_pruned_values_total = %d, want > 0", m.Counter("solver_pruned_values_total"))
 	}
 
-	sc := SolveRequest{Spec: TaskSpec{Family: "set-consensus", Procs: 3, K: 2}, MaxLevel: 1}
+	sc := SolveRequest{Spec: TaskSpec{Family: "approx-agreement-n", Procs: 3, D: 4}, MaxLevel: 2}
 	if _, err := e.Solve(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}

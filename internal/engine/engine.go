@@ -295,15 +295,17 @@ func (e *Engine) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	if req.MaxNodes < 0 {
 		return nil, fmt.Errorf("%w: max_nodes=%d must be non-negative", ErrInvalid, req.MaxNodes)
 	}
-	task, err := req.Spec.Build() // validate before hashing the query
-	if err != nil {
+	// Validate before hashing the query, building nothing: a hit answers
+	// from the store, and a miss builds the task once, inside the flight.
+	if err := req.Spec.Check(); err != nil {
 		return nil, err
 	}
 	spec, err := model.Parse(req.Model)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	if err := spec.Validate(len(task.Inputs.Colors())); err != nil {
+	_, procs := req.Spec.inputShape()
+	if err := spec.Validate(procs); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	e.metrics.Inc("solve_model_" + metricName(spec))
@@ -335,9 +337,16 @@ func (e *Engine) computeSolve(ctx context.Context, req SolveRequest, spec model.
 	if maxNodes == 0 {
 		maxNodes = e.maxNodes
 	}
-	opts := solver.Options{MaxNodes: maxNodes}
+	opts := solver.Options{MaxNodes: maxNodes, Restrict: spec.Filter()}
 	if !spec.IsWaitFree() {
 		opts.Model = spec.Canonical()
+	}
+	// A Sperner certificate answers before any level is built or searched.
+	if res, err := solver.Certify(ctx, task, req.MaxLevel, opts); res != nil || err != nil {
+		if err != nil {
+			return nil, err
+		}
+		return solveResponse(req, spec, res, false), nil
 	}
 	baseHash := task.Inputs.CanonicalHash()
 	var last *solver.Result
@@ -375,10 +384,7 @@ func solveResponse(req SolveRequest, spec model.Spec, res *solver.Result, verifi
 	if !spec.IsWaitFree() {
 		resp.Model = spec.Canonical()
 	}
-	if res.Subdivision != nil {
-		resp.SubdivisionVertices = res.Subdivision.NumVertices()
-		resp.SubdivisionFacets = len(res.Subdivision.Facets())
-	}
+	resp.SubdivisionVertices, resp.SubdivisionFacets = res.Vertices, res.Facets
 	if res.Solvable {
 		resp.Verdict = fmt.Sprintf("SOLVABLE at b = %d", res.Level)
 	} else {
@@ -387,10 +393,18 @@ func solveResponse(req SolveRequest, spec model.Spec, res *solver.Result, verifi
 	return resp
 }
 
+// validate bounds a complex query to the levels the engine enumerates.
+func (r ComplexRequest) validate() error {
+	if r.N < 0 || r.N > 3 || r.B < 0 || r.B > 3 || (r.N >= 3 && r.B >= 2) {
+		return fmt.Errorf("%w: complex enumeration is exponential; need 0 ≤ n ≤ 3, 0 ≤ b ≤ 3, n·b small", ErrInvalid)
+	}
+	return nil
+}
+
 // ComplexInfo answers a subdivision-shape query over the standard simplex.
 func (e *Engine) ComplexInfo(ctx context.Context, req ComplexRequest) (*ComplexResponse, error) {
-	if req.N < 0 || req.N > 3 || req.B < 0 || req.B > 3 || (req.N >= 3 && req.B >= 2) {
-		return nil, fmt.Errorf("%w: complex enumeration is exponential; need 0 ≤ n ≤ 3, 0 ≤ b ≤ 3, n·b small", ErrInvalid)
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
 	v, err := e.do(ctx, "complex", req.Key(), true, func(cctx context.Context) (any, error) {
 		base := topology.Simplex(req.N)
@@ -398,13 +412,14 @@ func (e *Engine) ComplexInfo(ctx context.Context, req ComplexRequest) (*ComplexR
 		if err != nil {
 			return nil, err
 		}
+		fv := sub.FVector()
 		return &ComplexResponse{
 			N:         req.N,
 			B:         req.B,
 			Vertices:  sub.NumVertices(),
 			Facets:    len(sub.Facets()),
-			FVector:   sub.FVector(),
-			Euler:     sub.EulerCharacteristic(),
+			FVector:   fv,
+			Euler:     topology.Euler(fv),
 			Chromatic: sub.IsChromatic(),
 			Pure:      sub.IsPure(),
 			Hash:      sub.CanonicalHash(),

@@ -3,10 +3,13 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"waitfree/internal/obs"
 )
 
 func TestSolveVerdicts(t *testing.T) {
@@ -276,6 +279,87 @@ func TestSpecValidation(t *testing.T) {
 	for _, req := range bad {
 		if _, err := e.Solve(context.Background(), req); err == nil {
 			t.Fatalf("request %+v should be rejected", req)
+		}
+	}
+}
+
+// TestWarmSolveHitBuildsNoTask: a cached solve answer is returned without
+// constructing the task. renaming procs=4 m=8 builds a 1,680-facet output
+// complex (about 1.3 MB); a hit that built it, in validation or anywhere
+// else, would allocate that much per request.
+func TestWarmSolveHitBuildsNoTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race")
+	}
+	e := New(Options{})
+	ctx := context.Background()
+	for _, req := range []SolveRequest{
+		{Spec: TaskSpec{Family: "renaming", Procs: 4, M: 8}, MaxLevel: 0},
+		{Spec: TaskSpec{Family: "consensus", Procs: 4}, MaxLevel: 2},
+		{Spec: TaskSpec{Family: "approx-agreement-n", Procs: 4, D: 8}, MaxLevel: 0, Model: "3-resilient"},
+	} {
+		if _, err := e.Solve(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const hits = 50
+		for i := 0; i < hits; i++ {
+			if _, err := e.Solve(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / hits; per > 2048 {
+			t.Errorf("%s: %d bytes allocated per warm hit, want ≤ 2 KiB (was the task built?)", req.Spec.Canonical(), per)
+		}
+	}
+}
+
+// TestCertifiedSolveBuildsNoLevel: the service's heavy query, consensus-4p
+// at b ≤ 2, is answered by its Sperner certificate. The response carries
+// the level's sizes from the closed form and 0 nodes; its trace has one
+// solver.obstruct span and no sds.subdivide or solver.search span; the
+// store holds no subdivision level. set-consensus-3p-2 at b = 2 and
+// set-consensus-4p-3 at b = 1, which exceed any search budget, answer too.
+func TestCertifiedSolveBuildsNoLevel(t *testing.T) {
+	e := New(Options{})
+	tr := obs.NewTrace()
+	resp, err := e.Solve(obs.WithTrace(context.Background(), tr), SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 4}, MaxLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Solvable || resp.Level != 2 || resp.Nodes != 0 || resp.SubdivisionVertices != 15048 || resp.SubdivisionFacets != 90000 {
+		t.Fatalf("consensus-4p b≤2: %+v", resp)
+	}
+	if resp.Verdict != "UNSOLVABLE for all b ≤ 2 (proven by exhaustion)" {
+		t.Errorf("verdict %q", resp.Verdict)
+	}
+	snap := tr.Snapshot()
+	if spans := snap.Find("solver.obstruct"); len(spans) != 1 || spans[0].Ints["certified"] != 1 {
+		t.Fatalf("solver.obstruct spans: %+v", spans)
+	}
+	for _, name := range []string{"sds.subdivide", "solver.search"} {
+		if n := len(snap.Find(name)); n != 0 {
+			t.Errorf("certified solve recorded %d %s spans", n, name)
+		}
+	}
+	for _, k := range e.cache.Keys() {
+		if strings.HasPrefix(k, "sds:") {
+			t.Errorf("certified solve stored subdivision level %q", k)
+		}
+	}
+	for _, req := range []SolveRequest{
+		{Spec: TaskSpec{Family: "set-consensus", Procs: 3, K: 2}, MaxLevel: 2},
+		{Spec: TaskSpec{Family: "set-consensus", Procs: 4, K: 3}, MaxLevel: 1},
+		{Spec: TaskSpec{Family: "set-consensus", Procs: 3, K: 2}, MaxLevel: 2, Model: "2-resilient"},
+	} {
+		resp, err := e.Solve(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s model=%q: %v", req.Spec.Canonical(), req.Model, err)
+		}
+		if resp.Solvable || resp.Nodes != 0 || resp.Level != req.MaxLevel {
+			t.Errorf("%s model=%q: %+v", req.Spec.Canonical(), req.Model, resp)
 		}
 	}
 }

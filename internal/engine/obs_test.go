@@ -11,11 +11,13 @@ import (
 // TestSolveTraceSpans: a traced Solve must emit the full span tree —
 // cache.lookup, flight.wait, sds.subdivide, solver.search — and the span
 // attributes must equal the response's deterministic counts, per level.
+// Approximate agreement has no Sperner certificate, so it is searched at
+// both levels (solvable at b = 1).
 func TestSolveTraceSpans(t *testing.T) {
 	e := New(Options{})
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
-	req := SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 2}, MaxLevel: 1}
+	req := SolveRequest{Spec: TaskSpec{Family: "approx-agreement", D: 2}, MaxLevel: 1}
 	resp, err := e.Solve(ctx, req)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"waitfree/internal/obs"
+	"waitfree/internal/topology"
 )
 
 // PeerFiller fetches finished, encoded artifacts from the peer that owns
@@ -68,6 +70,12 @@ func (e *Engine) tryPeerFill(ctx context.Context, op, key string) (any, bool) {
 		span.SetStr("cluster.fill_source", "decode_error")
 		return nil, false
 	}
+	if !answersKey(key, v) {
+		e.metrics.Inc("cluster_peer_fill_miss")
+		e.metrics.Inc("cluster_peer_fill_rejected")
+		span.SetStr("cluster.fill_source", "rejected")
+		return nil, false
+	}
 	e.cache.Put(key, v)
 	e.metrics.Inc("cluster_peer_fill_hit")
 	span.SetStr("cluster.fill_source", source)
@@ -99,8 +107,63 @@ func (e *Engine) AdmitEncoded(key string, payload []byte) bool {
 		e.metrics.Inc("cluster_peer_fill_decode_errors")
 		return false
 	}
+	if !answersKey(key, v) {
+		e.metrics.Inc("cluster_peer_fill_rejected")
+		return false
+	}
 	e.cache.Put(key, v)
 	return true
+}
+
+// answersKey reports whether a decoded peer artifact answers its key, as
+// far as that can be checked without computing it. A cx: answer is checked
+// in full against the closed form (topology.SDSLevelSize, SDSFVector): it
+// must echo the key's n and b and have the vertex, facet and f-vector
+// counts of SDS^b(sⁿ), Euler characteristic 1 (a subdivided simplex is
+// contractible), and be chromatic and pure. Its hash is not recomputed and
+// stays trusted-peer (DESIGN §13). A conv: answer must echo its key's
+// parameters. Both key kinds parse strictly, so an alias such as
+// "cx:n=2:b=1:junk" answers nothing. Other kinds pass unchecked.
+func answersKey(key string, v any) bool {
+	switch r := v.(type) {
+	case *ComplexResponse:
+		req, ok := parseComplexKey(key)
+		if !ok || req.validate() != nil || r.N != req.N || r.B != req.B {
+			return false
+		}
+		base := topology.Simplex(req.N)
+		vertices, facets, err := topology.SDSLevelSize(base, req.B)
+		if err != nil {
+			return false
+		}
+		fv, err := topology.SDSFVector(base.FVector(), req.B)
+		return err == nil && r.Vertices == vertices && r.Facets == facets && slices.Equal(r.FVector, fv) &&
+			r.Euler == 1 && r.Chromatic && r.Pure
+	case *ConvergeResponse:
+		req, ok := parseConvergeKey(key)
+		return ok && r.N == req.N && r.Target == req.Target && r.MaxK == req.MaxK
+	}
+	return true
+}
+
+// parseComplexKey parses a cx: key strictly: the key must be exactly what
+// ComplexRequest.Key renders for the parameters read from it, so signs,
+// leading zeros and trailing text are refused rather than aliased.
+func parseComplexKey(key string) (ComplexRequest, bool) {
+	var r ComplexRequest
+	if _, err := fmt.Sscanf(key, "cx:n=%d:b=%d", &r.N, &r.B); err != nil || r.Key() != key {
+		return ComplexRequest{}, false
+	}
+	return r, true
+}
+
+// parseConvergeKey parses a conv: key as strictly as parseComplexKey.
+func parseConvergeKey(key string) (ConvergeRequest, bool) {
+	var r ConvergeRequest
+	if _, err := fmt.Sscanf(key, "conv:n=%d:target=%d:maxk=%d", &r.N, &r.Target, &r.MaxK); err != nil || r.Key() != key {
+		return ConvergeRequest{}, false
+	}
+	return r, true
 }
 
 // CachedKeys lists up to max finished memory-tier cache keys, MRU first —
@@ -128,23 +191,22 @@ const (
 // FetchByteLimit bounds the acceptable encoded-artifact size for a cache
 // key, derived from the same closed-form cost estimate that prices
 // admission: keys whose parameters are recoverable from the key string
-// (cx:, conv:) scale with their Lemma 3.3 facet count; opaque keys (solve:
-// carries a spec hash, adv: an algorithm name) get the flat floor, which
-// comfortably covers their small fixed-shape DTOs.
+// (cx:, conv:, parsed strictly by parseComplexKey and parseConvergeKey)
+// scale with their Lemma 3.3 facet count; opaque and malformed keys
+// (solve: carries a spec hash, adv: an algorithm name) get the flat floor,
+// which comfortably covers their small fixed-shape DTOs.
 func (e *Engine) FetchByteLimit(key string) int64 {
 	var cost int64
 	switch kindOf(key) {
 	case "cx":
-		var n, b int
-		if _, err := fmt.Sscanf(key, "cx:n=%d:b=%d", &n, &b); err == nil {
-			if c, err := (ComplexRequest{N: n, B: b}).EstimateCost(); err == nil {
+		if req, ok := parseComplexKey(key); ok {
+			if c, err := req.EstimateCost(); err == nil {
 				cost = c
 			}
 		}
 	case "conv":
-		var n, target, maxK int
-		if _, err := fmt.Sscanf(key, "conv:n=%d:target=%d:maxk=%d", &n, &target, &maxK); err == nil {
-			if c, err := (ConvergeRequest{N: n, Target: target, MaxK: maxK}).EstimateCost(); err == nil {
+		if req, ok := parseConvergeKey(key); ok {
+			if c, err := req.EstimateCost(); err == nil {
 				cost = c
 			}
 		}

@@ -276,3 +276,101 @@ func TestFetchByteLimit(t *testing.T) {
 		t.Fatalf("conv limit %d below floor", got)
 	}
 }
+
+// TestPeerFillRejectsWrongComplex: a peer serving cx:n=2:b=2's answer under
+// the key cx:n=2:b=1 is refused — the answer does not echo its key — and the
+// engine computes the level itself. At the parent the substitute was
+// admitted and served.
+func TestPeerFillRejectsWrongComplex(t *testing.T) {
+	src := New(Options{})
+	deeper, err := src.ComplexInfo(context.Background(), ComplexRequest{N: 2, B: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := gobEncode(deeper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{})
+	f := &fakeFiller{payload: payload, source: "http://peer-1"}
+	e.SetPeerFiller(f)
+	got, err := e.ComplexInfo(context.Background(), ComplexRequest{N: 2, B: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.B != 1 || got.Vertices != 12 || got.Facets != 13 {
+		t.Fatalf("served %+v, want the locally computed SDS(s²)", got)
+	}
+	// The filler is asked twice, for the answer and for the level the
+	// local compute then misses; the level does not decode as a complex.
+	m := e.Metrics()
+	if m.Counter("cluster_peer_fill_rejected") != 1 || m.Counter("cluster_peer_fill_hit") != 0 || f.calls.Load() != 2 {
+		t.Fatalf("rejected=%d hit=%d calls=%d; want 1, 0, 2",
+			m.Counter("cluster_peer_fill_rejected"), m.Counter("cluster_peer_fill_hit"), f.calls.Load())
+	}
+}
+
+// TestAdmitEncodedChecksComplexAnswers: anti-entropy admission applies the
+// same check. The true answer is admitted under its own key; every
+// tampered field, a mismatched key, and keys that only parse loosely are
+// refused and counted.
+func TestAdmitEncodedChecksComplexAnswers(t *testing.T) {
+	src := New(Options{})
+	truth, err := src.ComplexInfo(context.Background(), ComplexRequest{N: 2, B: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(r ComplexResponse) []byte {
+		data, err := gobEncode(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	tamper := map[string]func(r *ComplexResponse){
+		"vertices":  func(r *ComplexResponse) { r.Vertices++ },
+		"facets":    func(r *ComplexResponse) { r.Facets-- },
+		"f_vector":  func(r *ComplexResponse) { r.FVector = []int{12, 24, 14} },
+		"euler":     func(r *ComplexResponse) { r.Euler = 2 },
+		"chromatic": func(r *ComplexResponse) { r.Chromatic = false },
+		"pure":      func(r *ComplexResponse) { r.Pure = false },
+		"n":         func(r *ComplexResponse) { r.N = 1 },
+	}
+	e := New(Options{})
+	rejected := int64(0)
+	for field, f := range tamper {
+		r := *truth
+		r.FVector = append([]int(nil), truth.FVector...)
+		f(&r)
+		if e.AdmitEncoded("cx:n=2:b=1", encode(r)) {
+			t.Errorf("answer with tampered %s admitted", field)
+		}
+		rejected++
+	}
+	for _, key := range []string{"cx:n=2:b=1:junk", "cx:n=+2:b=01", "cx:n=2:b=2", "cx:n=3:b=3"} {
+		if e.AdmitEncoded(key, encode(*truth)) {
+			t.Errorf("SDS(s²) admitted under %q", key)
+		}
+		rejected++
+	}
+	if got := e.Metrics().Counter("cluster_peer_fill_rejected"); got != rejected {
+		t.Errorf("cluster_peer_fill_rejected = %d, want %d", got, rejected)
+	}
+	if !e.AdmitEncoded("cx:n=2:b=1", encode(*truth)) {
+		t.Fatal("true answer refused")
+	}
+}
+
+// TestFetchByteLimitStrictKeys: keys that only resemble a cx: or conv: key
+// get the flat floor, not the bound of the key they resemble.
+func TestFetchByteLimitStrictKeys(t *testing.T) {
+	e := New(Options{})
+	if e.FetchByteLimit("cx:n=2:b=1") == fetchLimitBase {
+		t.Fatal("cx:n=2:b=1 should be priced")
+	}
+	for _, key := range []string{"cx:n=2:b=1:junk", "cx:n=+2:b=01", "cx:n=02:b=1", "conv:n=2:target=1:maxk=3x", "conv:n=2:target=+1:maxk=3"} {
+		if got := e.FetchByteLimit(key); got != fetchLimitBase {
+			t.Errorf("FetchByteLimit(%q) = %d, want the %d floor", key, got, fetchLimitBase)
+		}
+	}
+}

@@ -63,10 +63,12 @@ const (
 	maxSpecM     = 8
 )
 
-// Build constructs the task, validating parameters.
-func (s TaskSpec) Build() (*tasks.Task, error) {
+// Check validates the spec without building anything: it returns exactly
+// the error Build would, so admission and the warm path can reject a bad
+// spec, or price and look up a good one, without constructing its task.
+func (s TaskSpec) Check() error {
 	if s.Procs < 0 || s.Procs > maxSpecProcs {
-		return nil, fmt.Errorf("%w: procs=%d out of range [1,%d]", ErrInvalid, s.Procs, maxSpecProcs)
+		return fmt.Errorf("%w: procs=%d out of range [1,%d]", ErrInvalid, s.Procs, maxSpecProcs)
 	}
 	procs := s.Procs
 	needProcs := func() error {
@@ -76,54 +78,78 @@ func (s TaskSpec) Build() (*tasks.Task, error) {
 		return nil
 	}
 	switch s.Family {
-	case "identity":
-		if err := needProcs(); err != nil {
-			return nil, err
-		}
-		return tasks.IdentityTask(procs), nil
-	case "consensus":
-		if err := needProcs(); err != nil {
-			return nil, err
-		}
-		return tasks.Consensus(procs), nil
+	case "identity", "consensus", "wsb":
+		return needProcs()
 	case "set-consensus":
 		if err := needProcs(); err != nil {
-			return nil, err
+			return err
 		}
 		if s.K < 1 || s.K > procs {
-			return nil, fmt.Errorf("%w: set-consensus needs 1 ≤ k ≤ procs, got k=%d procs=%d", ErrInvalid, s.K, procs)
+			return fmt.Errorf("%w: set-consensus needs 1 ≤ k ≤ procs, got k=%d procs=%d", ErrInvalid, s.K, procs)
 		}
-		return tasks.SetConsensus(procs, s.K), nil
 	case "approx-agreement":
 		if procs != 0 && procs != 2 {
-			return nil, fmt.Errorf("%w: approx-agreement is 2-process (procs=%d)", ErrInvalid, procs)
+			return fmt.Errorf("%w: approx-agreement is 2-process (procs=%d)", ErrInvalid, procs)
 		}
 		if s.D < 1 || s.D > maxSpecD {
-			return nil, fmt.Errorf("%w: approx-agreement needs 1 ≤ d ≤ %d, got %d", ErrInvalid, maxSpecD, s.D)
+			return fmt.Errorf("%w: approx-agreement needs 1 ≤ d ≤ %d, got %d", ErrInvalid, maxSpecD, s.D)
 		}
-		return tasks.ApproxAgreement(s.D), nil
 	case "approx-agreement-n":
 		if err := needProcs(); err != nil {
-			return nil, err
+			return err
 		}
 		if s.D < 1 || s.D > 8 {
-			return nil, fmt.Errorf("%w: approx-agreement-n needs 1 ≤ d ≤ 8, got %d", ErrInvalid, s.D)
+			return fmt.Errorf("%w: approx-agreement-n needs 1 ≤ d ≤ 8, got %d", ErrInvalid, s.D)
 		}
-		return tasks.ApproxAgreementN(procs, s.D), nil
 	case "renaming":
 		if err := needProcs(); err != nil {
-			return nil, err
+			return err
 		}
 		if s.M < procs || s.M > maxSpecM {
-			return nil, fmt.Errorf("%w: renaming needs procs ≤ m ≤ %d, got m=%d procs=%d", ErrInvalid, maxSpecM, s.M, procs)
+			return fmt.Errorf("%w: renaming needs procs ≤ m ≤ %d, got m=%d procs=%d", ErrInvalid, maxSpecM, s.M, procs)
 		}
-		return tasks.Renaming(procs, s.M), nil
-	case "wsb":
-		if err := needProcs(); err != nil {
-			return nil, err
-		}
-		return tasks.WeakSymmetryBreaking(procs), nil
 	default:
-		return nil, fmt.Errorf("%w: unknown task family %q (want one of %v)", ErrInvalid, s.Family, Families())
+		return fmt.Errorf("%w: unknown task family %q (want one of %v)", ErrInvalid, s.Family, Families())
+	}
+	return nil
+}
+
+// inputShape returns the facet count and facet size of the input complex
+// Build would construct, without constructing it: consensus and
+// approx-agreement-n take every 0/1-valued (0/d-valued) input vector, so
+// 2^procs facets; approx-agreement is that at 2 processes; every other
+// family has the one facet of process ids. Every facet has one vertex per
+// process. The spec must pass Check.
+func (s TaskSpec) inputShape() (facets int64, size int) {
+	switch s.Family {
+	case "consensus", "approx-agreement-n":
+		return 1 << s.Procs, s.Procs
+	case "approx-agreement":
+		return 4, 2
+	default:
+		return 1, s.Procs
+	}
+}
+
+// Build constructs the task, validating parameters with Check.
+func (s TaskSpec) Build() (*tasks.Task, error) {
+	if err := s.Check(); err != nil {
+		return nil, err
+	}
+	switch s.Family {
+	case "identity":
+		return tasks.IdentityTask(s.Procs), nil
+	case "consensus":
+		return tasks.Consensus(s.Procs), nil
+	case "set-consensus":
+		return tasks.SetConsensus(s.Procs, s.K), nil
+	case "approx-agreement":
+		return tasks.ApproxAgreement(s.D), nil
+	case "approx-agreement-n":
+		return tasks.ApproxAgreementN(s.Procs, s.D), nil
+	case "renaming":
+		return tasks.Renaming(s.Procs, s.M), nil
+	default: // "wsb"; Check refused every other family
+		return tasks.WeakSymmetryBreaking(s.Procs), nil
 	}
 }

@@ -188,25 +188,7 @@ func (s Spec) Filter() topology.FacetFilter {
 // of the restricted subdivision chain, which is what the engine's cost
 // model multiplies per level. For wait-free it is exactly the Fubini
 // number, computed by the same checked recurrence the unrestricted cost
-// model uses. m is range-checked before the enumeration allocates its m-int
-// buffer, the same bound the recurrence applies.
+// model uses.
 func (s Spec) CountAllowedPartitions(m int) (int, error) {
-	if s.IsWaitFree() {
-		return topology.CountOrderedPartitionsChecked(m)
-	}
-	if m < 0 || m > topology.MaxOrderedPartitionsN {
-		return 0, fmt.Errorf("model: CountAllowedPartitions(%d) out of range [0,%d]", m, topology.MaxOrderedPartitionsN)
-	}
-	count := 0
-	blocks := make([]int, 0, m)
-	topology.ForEachOrderedPartition(m, func(parts [][]int) {
-		blocks = blocks[:0]
-		for _, b := range parts {
-			blocks = append(blocks, len(b))
-		}
-		if s.AllowsPartition(blocks) {
-			count++
-		}
-	})
-	return count, nil
+	return topology.CountKeptPartitions(m, s.Filter())
 }

@@ -16,10 +16,11 @@ import (
 	"waitfree/internal/engine"
 )
 
-// expensivePath needs millions of backtracking nodes (set-consensus(3,2) at
-// b=2 is unsolvable only by exhaustion) with a budget big enough that only
-// cancellation or a deadline can stop it early.
-const expensivePath = "/v1/solve?family=set-consensus&procs=3&k=2&maxb=2&maxnodes=500000000"
+// expensivePath searches for seconds (2-set consensus for 4 processes under
+// 3-set memory at b=1: the model keeps 23 of the 75 ordered partitions, so
+// no Sperner certificate applies, and the search runs past 3M nodes) with a
+// budget big enough that only cancellation or a deadline can stop it early.
+const expensivePath = "/v1/solve?family=set-consensus&procs=4&k=2&model=3-set&maxb=1&maxnodes=500000000"
 
 // TestParamValidation is the table-driven 400 sweep: negative or out-of-
 // range numeric parameters on every endpoint are rejected at the door.

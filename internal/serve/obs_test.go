@@ -26,7 +26,9 @@ import (
 func TestTraceHeaderAndRegistry(t *testing.T) {
 	_, ts := newTestServer(t, engine.Options{}, Options{})
 
-	resp, err := http.Get(ts.URL + "/v1/solve?family=consensus&procs=2&maxb=1")
+	// Approximate agreement has no Sperner certificate, so both levels are
+	// built and searched.
+	resp, err := http.Get(ts.URL + "/v1/solve?family=approx-agreement&d=2&maxb=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +121,11 @@ func TestMetricsContract(t *testing.T) {
 		{"adversary ok", "adversary", "/v1/adversary?algo=commitadopt&procs=3&seed=42", http.StatusOK},
 		{"converge ok", "converge", "/v1/converge?n=1&target=1&maxk=2", http.StatusOK},
 		{"bad param", "complex", "/v1/complex?n=99", http.StatusBadRequest},
-		// Consensus no longer works here: the solver's AC-3 pass
-		// decides it with zero search nodes, so no budget can be exhausted.
-		// Set consensus survives propagation (its binding constraints are
-		// 2-dimensional) and still burns nodes at level 0.
-		{"budget exhausted", "solve", "/v1/solve?family=set-consensus&procs=3&k=2&maxb=0&maxnodes=1", http.StatusServiceUnavailable},
+		// Consensus and wait-free set consensus no longer work here: a
+		// Sperner certificate answers them before any search, so no budget
+		// can be exhausted. Under 3-set memory the certificate does not
+		// apply, and 2-set consensus for 4 processes burns nodes at level 0.
+		{"budget exhausted", "solve", "/v1/solve?family=set-consensus&procs=4&k=2&model=3-set&maxb=0&maxnodes=1", http.StatusServiceUnavailable},
 		{"client gone", "solve", "", StatusClientClosedRequest},
 	}
 	for _, tc := range cases {

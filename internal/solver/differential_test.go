@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"waitfree/internal/engine"
@@ -155,19 +156,27 @@ func slackEdgeTask() *tasks.Task {
 // bans drive a spread of solvable and unsolvable instances; the search and
 // the oracle must agree on all of them, at level 0 and level 1.
 func TestRandomTasksDifferential(t *testing.T) {
-	var solvableSeen, unsolvableSeen int
+	var solvableSeen, unsolvableSeen, certified int
 	for seed := int64(0); seed < 40; seed++ {
-		for _, solvable := range randomTaskDifferential(t, seed) {
+		verdicts, fired := randomTaskDifferential(t, seed)
+		for _, solvable := range verdicts {
 			if solvable {
 				solvableSeen++
 			} else {
 				unsolvableSeen++
 			}
 		}
+		if fired {
+			certified++
+		}
 	}
 	// The differential only means something if it exercises both verdicts.
 	if solvableSeen == 0 || unsolvableSeen == 0 {
 		t.Fatalf("degenerate corpus: %d solvable, %d unsolvable", solvableSeen, unsolvableSeen)
+	}
+	// Likewise the certificate check, and it must not fire everywhere.
+	if certified == 0 || certified == 40 {
+		t.Fatalf("degenerate corpus: the certificate fired on %d of 40 validity tasks", certified)
 	}
 }
 
@@ -186,11 +195,28 @@ func FuzzSolverDifferential(f *testing.F) {
 
 // randomTaskDifferential checks the search against the oracle on
 // randomPairwiseTask(seed) at levels 0 and 1 — equal verdicts, no more
-// nodes than the oracle, verified maps — and returns the verdicts.
-func randomTaskDifferential(t *testing.T, seed int64) []bool {
+// nodes than the oracle, verified maps — and returns the verdicts. It runs
+// the same differential on randomValidityTask(seed) and checks the Sperner
+// certificate against it: where solver.Obstruct fires, neither search may
+// find a map. fired reports whether it did.
+func randomTaskDifferential(t *testing.T, seed int64) (verdicts []bool, fired bool) {
+	t.Helper()
+	verdicts = levelDifferential(t, seed, randomPairwiseTask(rand.New(rand.NewSource(seed)), seed))
+	vt := randomValidityTask(rand.New(rand.NewSource(seed)), seed)
+	fired = solver.Obstruct(vt, nil) != nil
+	for b, solvable := range levelDifferential(t, seed, vt) {
+		if fired && solvable {
+			t.Fatalf("seed %d b=%d: %s has a map, but the Sperner certificate fired", seed, b, vt.Name)
+		}
+	}
+	return verdicts, fired
+}
+
+// levelDifferential checks the search against the oracle on task at levels
+// 0 and 1 and returns the verdicts.
+func levelDifferential(t *testing.T, seed int64, task *tasks.Task) []bool {
 	t.Helper()
 	ctx := context.Background()
-	task := randomPairwiseTask(rand.New(rand.NewSource(seed)), seed)
 	var verdicts []bool
 	for b := 0; b <= 1; b++ {
 		sub := topology.SDSPow(task.Inputs, b)
@@ -216,6 +242,78 @@ func randomTaskDifferential(t *testing.T, seed int64) []bool {
 		verdicts = append(verdicts, str.Solvable)
 	}
 	return verdicts
+}
+
+// randomValidityTask wraps a random chromatic input complex in a task with
+// consensus-like structure: each input vertex holds a value in {0, 1, 2},
+// every decision must be an input value of its carrier (validity), and a
+// random set of color pairs must decide equal values (agreement). An edge
+// with distinct inputs between agreeing colors is a Sperner certificate,
+// so the certificate fires on part of the corpus.
+func randomValidityTask(rng *rand.Rand, seed int64) *tasks.Task {
+	inputs := topology.RandomChromaticComplex(rng)
+	colors := inputs.Colors()
+	inVal := make(map[topology.Vertex]string)
+	for v := 0; v < inputs.NumVertices(); v++ {
+		inVal[topology.Vertex(v)] = strconv.Itoa(rng.Intn(3))
+	}
+	out := topology.NewComplex()
+	outVal := make(map[topology.Vertex]string)
+	byColor := make(map[int][]topology.Vertex)
+	for _, col := range colors {
+		for val := 0; val < 3; val++ {
+			w := out.MustAddVertex(fmt.Sprintf("o%d_%d", col, val), col)
+			outVal[w] = strconv.Itoa(val)
+			byColor[col] = append(byColor[col], w)
+		}
+	}
+	var build func(i int, cur []topology.Vertex)
+	build = func(i int, cur []topology.Vertex) {
+		if i == len(colors) {
+			out.MustAddSimplex(cur...)
+			return
+		}
+		for _, w := range byColor[colors[i]] {
+			build(i+1, append(cur, w))
+		}
+	}
+	build(0, nil)
+	outputs := out.Seal()
+	agree := make(map[[2]int]bool)
+	for i, a := range colors {
+		for _, b := range colors[i+1:] {
+			agree[[2]int{a, b}] = rng.Intn(2) == 0
+		}
+	}
+	return &tasks.Task{
+		Name:    fmt.Sprintf("random-validity-%d", seed),
+		Procs:   len(colors),
+		Inputs:  inputs,
+		Outputs: outputs,
+		Allowed: func(in, outS []topology.Vertex) bool {
+			valid := make(map[string]bool, len(in))
+			for _, v := range in {
+				valid[inVal[v]] = true
+			}
+			for i, w := range outS {
+				if !valid[outVal[w]] {
+					return false
+				}
+				for _, x := range outS[i+1:] {
+					a, b := outputs.Color(w), outputs.Color(x)
+					if a > b {
+						a, b = b, a
+					}
+					if agree[[2]int{a, b}] && outVal[w] != outVal[x] {
+						return false
+					}
+				}
+			}
+			return true
+		},
+		InputValue:  func(v topology.Vertex) string { return inVal[v] },
+		OutputValue: func(w topology.Vertex) string { return outVal[w] },
+	}
 }
 
 // randomPairwiseTask wraps a random chromatic input complex in a task whose

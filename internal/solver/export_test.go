@@ -2,3 +2,16 @@ package solver
 
 // SolveExhaustive exposes the exhaustive oracle to the external test package.
 var SolveExhaustive = solveExhaustive
+
+// SolveExhaustiveWithin is the oracle under a caller-chosen node budget.
+var SolveExhaustiveWithin = solveExhaustiveWithin
+
+// KeepsAllPartitions exposes the certificate's model gate.
+var KeepsAllPartitions = keepsAllPartitions
+
+// SearchUpTo exposes the certificate-free chain walk, for tests whose
+// subject is the search itself.
+var SearchUpTo = searchChain
+
+// RaceEnabled reports whether the race detector is compiled in.
+const RaceEnabled = raceEnabled

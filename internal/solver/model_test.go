@@ -19,6 +19,7 @@ package solver_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -243,23 +244,19 @@ func facetKeySet(c *topology.Complex) map[string]bool {
 	return set
 }
 
-// undecidedAtBudget reports the one grid region no engine can decide: the
-// set-consensus-3-2 instance at level 2 under any model whose filter keeps
-// all 13 partitions (wait-free, 2-resilient, 3-concurrency, 3-set — the
-// identical complex). The wait-free E6 table stops at b = 1 for this task
-// for the same reason; both engines exceed 50M nodes at b = 2.
-func undecidedAtBudget(task *tasks.Task, spec model.Spec, b int) bool {
-	if task.Name != "set-consensus-3p-2" || b != 2 {
-		return false
-	}
-	allowed, err := spec.CountAllowedPartitions(3)
-	return err == nil && allowed == 13
-}
-
 // TestModelThreeWayDifferential is the acceptance-criteria grid: for every
 // task (2- and 3-process), every valid model, and every b ≤ 2, the three
 // planes must agree — and the scheduler-built complex must be the
 // restricted subdivision, vertex for vertex, carrier for carrier.
+//
+// One region no search finishes: set-consensus-3p-2 at b = 2 under the
+// four models whose filter keeps all 13 partitions (wait-free,
+// 2-resilient, 3-concurrency, 3-set — the identical complex), where both
+// engines exceed 50M nodes. The Sperner certificate (solver.Obstruct)
+// decides those cells. Their searches run under the soundness grid's
+// budget and must find no map; a budget error there is the only one the
+// grid tolerates, and the test checks that exactly those four cells ran
+// under it. Every other cell runs under DefaultMaxNodes and must finish.
 func TestModelThreeWayDifferential(t *testing.T) {
 	grid := []*tasks.Task{
 		tasks.Consensus(2),
@@ -268,6 +265,7 @@ func TestModelThreeWayDifferential(t *testing.T) {
 		tasks.SetConsensus(3, 2),
 	}
 	ctx := context.Background()
+	var certifiedOnly []string // cells run under the soundness budget
 	for _, task := range grid {
 		task := task
 		n := len(task.Inputs.Colors())
@@ -275,12 +273,14 @@ func TestModelThreeWayDifferential(t *testing.T) {
 			spec := spec
 			// Per-level verdicts feed the SolveUpToCtx expectation below.
 			verdicts := map[int]bool{}
-			maxB := 2
-			for b := 0; b <= 2; b++ {
-				if undecidedAtBudget(task, spec, b) {
-					maxB = b - 1
-					t.Logf("%s/%s/b=%d skipped: undecided within node budget (see undecidedAtBudget)", task.Name, spec.Canonical(), b)
-					break
+			const maxB = 2
+			certified := solver.Obstruct(task, spec.Filter()) != nil
+			for b := 0; b <= maxB; b++ {
+				maxNodes := int64(solver.DefaultMaxNodes)
+				mayExhaust := certified && task.Name == "set-consensus-3p-2" && b == 2
+				if mayExhaust {
+					maxNodes = soundnessBudget()
+					certifiedOnly = append(certifiedOnly, spec.Canonical())
 				}
 				t.Run(fmt.Sprintf("%s/%s/b=%d", task.Name, spec.Canonical(), b), func(t *testing.T) {
 					explicit, err := topology.SDSRestrictedPow(task.Inputs, b, spec.Filter())
@@ -311,17 +311,29 @@ func TestModelThreeWayDifferential(t *testing.T) {
 						}
 					}
 
-					exh, err := solver.SolveExhaustive(ctx, task, b, explicit)
-					if err != nil {
-						t.Fatalf("exhaustive on restricted complex: %v", err)
+					exh, exhErr := solver.SolveExhaustiveWithin(ctx, task, b, explicit, maxNodes)
+					run, runErr := solver.SolveExhaustiveWithin(ctx, task, b, runC, maxNodes)
+					str, strErr := solver.SolveAtLevelOn(ctx, task, b, explicit, solver.Options{Model: spec.Canonical(), MaxNodes: maxNodes})
+					undecided := false
+					for _, r := range []struct {
+						plane string
+						res   *solver.Result
+						err   error
+					}{{"exhaustive on restricted complex", exh, exhErr}, {"exhaustive on run-enumerated complex", run, runErr}, {"structured", str, strErr}} {
+						switch {
+						case r.err == nil:
+							if certified && r.res.Solvable {
+								t.Fatalf("%s found a map where the Sperner certificate fired", r.plane)
+							}
+						case mayExhaust && errors.Is(r.err, solver.ErrBudget):
+							undecided = true
+						default:
+							t.Fatalf("%s: %v", r.plane, r.err)
+						}
 					}
-					run, err := solver.SolveExhaustive(ctx, task, b, runC)
-					if err != nil {
-						t.Fatalf("exhaustive on run-enumerated complex: %v", err)
-					}
-					str, err := solver.SolveAtLevelOn(ctx, task, b, explicit, solver.Options{Model: spec.Canonical()})
-					if err != nil {
-						t.Fatalf("structured: %v", err)
+					if undecided {
+						t.Logf("decided by the certificate alone: a search exhausted its %d-node budget without a map", maxNodes)
+						return
 					}
 					if exh.Solvable != run.Solvable || exh.Solvable != str.Solvable {
 						t.Fatalf("verdicts split: exhaustive=%v scheduler=%v structured=%v",
@@ -344,9 +356,6 @@ func TestModelThreeWayDifferential(t *testing.T) {
 			// Production path: the incremental restricted chain must land on
 			// the first solvable level of the per-level verdicts.
 			t.Run(fmt.Sprintf("%s/%s/chain", task.Name, spec.Canonical()), func(t *testing.T) {
-				if maxB < 0 {
-					t.Skip("no decidable level")
-				}
 				opts := solver.Options{Restrict: spec.Filter()}
 				if !spec.IsWaitFree() {
 					opts.Model = spec.Canonical()
@@ -368,6 +377,9 @@ func TestModelThreeWayDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+	if got := fmt.Sprint(certifiedOnly); got != "[wait-free 2-resilient 3-concurrency 3-set]" {
+		t.Errorf("set-consensus-3p-2 at b=2 ran under the soundness budget for %s, want the four full-partition models", got)
 	}
 }
 

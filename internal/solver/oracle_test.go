@@ -20,6 +20,11 @@ import (
 // solveExhaustive decides level b of task on sub (SDS^b of the inputs, or a
 // restriction of it) by plain backtracking within DefaultMaxNodes.
 func solveExhaustive(ctx context.Context, task *tasks.Task, b int, sub *topology.Complex) (*Result, error) {
+	return solveExhaustiveWithin(ctx, task, b, sub, DefaultMaxNodes)
+}
+
+// solveExhaustiveWithin is solveExhaustive with a caller-chosen node budget.
+func solveExhaustiveWithin(ctx context.Context, task *tasks.Task, b int, sub *topology.Complex, maxNodes int64) (*Result, error) {
 	res := &Result{Task: task, Level: b, Subdivision: sub}
 	domains, _ := buildDomains(task, sub)
 	for _, d := range domains {
@@ -59,7 +64,7 @@ func solveExhaustive(ctx context.Context, task *tasks.Task, b int, sub *topology
 		v := order[p]
 		for _, w := range domains[v] {
 			res.Nodes++
-			if res.Nodes > DefaultMaxNodes {
+			if res.Nodes > maxNodes {
 				return false, ErrBudget
 			}
 			if res.Nodes&(cancelCheckInterval-1) == 0 {

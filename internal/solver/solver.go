@@ -106,6 +106,16 @@ type Result struct {
 	Map         *topology.SimplicialMap
 	Subdivision *topology.Complex // SDS^Level(Inputs)
 
+	// Vertices and Facets are the sizes of level Level: Subdivision's when
+	// it was built, the closed form's (topology.SDSLevelSize) when a
+	// certificate decided the task without building it.
+	Vertices, Facets int
+
+	// Certificate, when non-nil, is the input simplex σ whose Sperner
+	// obstruction (Obstruct) proves the task unsolvable at every level;
+	// Subdivision is then nil and Nodes 0.
+	Certificate []topology.Vertex
+
 	Nodes int64 // assignment nodes explored
 	Stats Stats // pruning telemetry
 }
@@ -131,15 +141,15 @@ func SolveAtLevelOn(ctx context.Context, task *tasks.Task, b int, sub *topology.
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	res = &Result{Task: task, Level: b, Subdivision: sub}
+	res = &Result{Task: task, Level: b, Subdivision: sub, Vertices: sub.NumVertices(), Facets: len(sub.Facets())}
 	// Tracing: one solver.search span per level, carrying the search's
 	// deterministic combinatorics — node counts, domain prunes and the
 	// component split are identical run-to-run, so the trace is a checkable
 	// witness, not a sample. Nil-safe no-op when ctx carries no trace.
 	ctx, span := obs.StartSpan(ctx, "solver.search")
 	span.SetInt("level", int64(b))
-	span.SetInt("vertices", int64(sub.NumVertices()))
-	span.SetInt("facets", int64(len(sub.Facets())))
+	span.SetInt("vertices", int64(res.Vertices))
+	span.SetInt("facets", int64(res.Facets))
 	span.SetStr("task", task.Name)
 	if opts.Model != "" {
 		span.SetStr("model", opts.Model)
@@ -312,10 +322,21 @@ var subdivide = topology.SDSCtx
 // subdivision step between levels stop cooperatively when the caller goes
 // away, returning ErrCanceled.
 //
-// The subdivision chain is built incrementally — level b's SDS^b(I) is one
-// subdivision of level b−1's complex, not a recomputation from
-// scratch — so the total subdivision cost is that of the last level alone.
+// A task with a Sperner certificate (Certify) is answered unsolvable at
+// maxLevel before any level is built. Otherwise the subdivision chain is
+// built incrementally — level b's SDS^b(I) is one subdivision of level
+// b−1's complex, not a recomputation from scratch — so the total
+// subdivision cost is that of the last level alone.
 func SolveUpToCtx(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
+	if res, err := Certify(ctx, task, maxLevel, opts); res != nil || err != nil {
+		return res, err
+	}
+	return searchChain(ctx, task, maxLevel, opts)
+}
+
+// searchChain is SolveUpToCtx without the certificate: it builds and
+// searches levels 0 … maxLevel in turn.
+func searchChain(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
 	var last *Result
 	sub := task.Inputs
 	for b := 0; b <= maxLevel; b++ {

@@ -25,7 +25,10 @@ func statsLine(res *solver.Result) string {
 // Verdicts alone would let a precompute change silently alter the pruning:
 // PrunedValues depends on the order AC-3 revises edges, and the component
 // split on the exact simplex structure the search sees. Any drift in any
-// field fails here.
+// field fails here. The rows walk the chain with SearchUpTo, the search
+// without the Sperner certificate that SolveUpToCtx tries first: the
+// certificate answers the consensus and wait-free set-consensus rows before
+// any search (TestCertifiedStatsGolden).
 func TestStructuredStatsGolden(t *testing.T) {
 	ctx := context.Background()
 	upTo := []struct {
@@ -87,7 +90,7 @@ func TestStructuredStatsGolden(t *testing.T) {
 		if !tc.spec.IsWaitFree() {
 			opts.Model = tc.spec.Canonical()
 		}
-		res, err := solver.SolveUpToCtx(ctx, tc.task, tc.maxB, opts)
+		res, err := solver.SearchUpTo(ctx, tc.task, tc.maxB, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -115,6 +118,59 @@ func TestStructuredStatsGolden(t *testing.T) {
 		}
 		if got := statsLine(res); got != wantC4[b] {
 			t.Errorf("consensus-4p/b=%d:\n got: %s\nwant: %s", b, got, wantC4[b])
+		}
+	}
+}
+
+// TestCertifiedStatsGolden pins what SolveUpToCtx reports on the rows of
+// TestStructuredStatsGolden that a Sperner certificate decides: unsolvable
+// at the deepest level asked, no search nodes and no search telemetry, and
+// that level's sizes from the closed form, equal to the built level's.
+func TestCertifiedStatsGolden(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		task *tasks.Task
+		spec model.Spec
+		maxB int
+		want string
+	}{
+		{"e6/binary-consensus-2p", tasks.Consensus(2), model.WaitFree(), 3,
+			"solvable=false level=3 nodes=0 pruned=0 components=0 component_nodes=[] vertices=108 facets=108"},
+		{"e6/binary-consensus-3p", tasks.Consensus(3), model.WaitFree(), 1,
+			"solvable=false level=1 nodes=0 pruned=0 components=0 component_nodes=[] vertices=54 facets=104"},
+		{"e6/set-consensus-3-2", tasks.SetConsensus(3, 2), model.WaitFree(), 1,
+			"solvable=false level=1 nodes=0 pruned=0 components=0 component_nodes=[] vertices=12 facets=13"},
+		{"matrix/consensus-3p/wait-free", tasks.Consensus(3), model.WaitFree(), 2,
+			"solvable=false level=2 nodes=0 pruned=0 components=0 component_nodes=[] vertices=678 facets=1352"},
+		{"matrix/consensus-2p/1-resilient", tasks.Consensus(2), model.TResilient(1), 2,
+			"solvable=false level=2 nodes=0 pruned=0 components=0 component_nodes=[] vertices=36 facets=36"},
+		{"set-consensus-3-2/b=2", tasks.SetConsensus(3, 2), model.WaitFree(), 2,
+			"solvable=false level=2 nodes=0 pruned=0 components=0 component_nodes=[] vertices=99 facets=169"},
+	}
+	for _, tc := range cases {
+		opts := solver.Options{Restrict: tc.spec.Filter()}
+		if !tc.spec.IsWaitFree() {
+			opts.Model = tc.spec.Canonical()
+		}
+		res, err := solver.SolveUpToCtx(ctx, tc.task, tc.maxB, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := fmt.Sprintf("%s vertices=%d facets=%d", statsLine(res), res.Vertices, res.Facets)
+		if got != tc.want {
+			t.Errorf("%s:\n got: %s\nwant: %s", tc.name, got, tc.want)
+		}
+		if res.Certificate == nil || res.Subdivision != nil {
+			t.Errorf("%s: certificate %v, level built: %v", tc.name, res.Certificate, res.Subdivision != nil)
+		}
+		built, err := topology.SDSRestrictedPow(tc.task.Inputs, tc.maxB, tc.spec.Filter())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Vertices != built.NumVertices() || res.Facets != len(built.Facets()) {
+			t.Errorf("%s: closed form %d vertices, %d facets; built level %d, %d",
+				tc.name, res.Vertices, res.Facets, built.NumVertices(), len(built.Facets()))
 		}
 	}
 }

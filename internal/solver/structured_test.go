@@ -19,7 +19,9 @@ import (
 // failure as ErrCanceled, so a genuine construction failure surfaced to the
 // serving layer as a client disconnect (HTTP 499) instead of a server error
 // (500). A poisoned subdivision step under a live context must surface as
-// itself; under a dead context it must still read as cancellation.
+// itself; under a dead context it must still read as cancellation. The task
+// is approximate agreement at d = 4, which has no Sperner certificate and
+// no map at level 0, so SolveUpToCtx must subdivide to reach level 1.
 func TestSubdivisionErrorNotMisclassified(t *testing.T) {
 	defer func() { subdivide = topology.SDSCtx }()
 
@@ -30,7 +32,7 @@ func TestSubdivisionErrorNotMisclassified(t *testing.T) {
 
 	// Live context: the failure is not a cancellation and must not claim to
 	// be one.
-	_, err := SolveUpToCtx(context.Background(), tasks.Consensus(2), 2, Options{})
+	_, err := SolveUpToCtx(context.Background(), tasks.ApproxAgreement(4), 2, Options{})
 	if err == nil {
 		t.Fatal("poisoned subdivision returned no error")
 	}
@@ -51,7 +53,7 @@ func TestSubdivisionErrorNotMisclassified(t *testing.T) {
 		cancel()
 		return nil, sctx.Err()
 	}
-	if _, err := SolveUpToCtx(ctx, tasks.Consensus(2), 2, Options{}); !errors.Is(err, ErrCanceled) {
+	if _, err := SolveUpToCtx(ctx, tasks.ApproxAgreement(4), 2, Options{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled subdivision: got %v, want ErrCanceled", err)
 	}
 }

@@ -77,10 +77,19 @@ func NewSubdivision(base *Complex) *Complex {
 
 // AddVertex registers a vertex with the given canonical key and color,
 // returning its index. Re-adding an existing key returns the existing vertex
-// and requires the color to match.
+// and requires the color to match. A key holding a byte below 0x20 is an
+// error: the canonical encoding joins keys with "\x1f" and orders facets by
+// key rank, which equals the byte order of the joined strings only for such
+// keys (writeCanonical). Decoded complexes pass through here, so a crafted
+// key in a spill file or peer artifact is a decode failure.
 func (c *Complex) AddVertex(key string, color int) (Vertex, error) {
 	if c.sealed {
 		return 0, fmt.Errorf("topology: AddVertex on sealed complex")
+	}
+	for i := 0; i < len(key); i++ {
+		if key[i] < 0x20 {
+			return 0, fmt.Errorf("topology: vertex key %q holds control byte %#02x", key, key[i])
+		}
 	}
 	if v, ok := c.byKey[key]; ok {
 		if c.verts[v].color != color {
@@ -398,19 +407,6 @@ func (c *Complex) FVector() []int {
 		f[d] = len(ss)
 	}
 	return f
-}
-
-// EulerCharacteristic returns Σ (−1)^d f_d.
-func (c *Complex) EulerCharacteristic() int {
-	chi := 0
-	for d, n := range c.FVector() {
-		if d%2 == 0 {
-			chi += n
-		} else {
-			chi -= n
-		}
-	}
-	return chi
 }
 
 // VerticesOfColor returns all vertices with the given color, ascending.

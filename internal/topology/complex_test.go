@@ -4,6 +4,10 @@ import (
 	"testing"
 )
 
+// EulerCharacteristic returns Σ (−1)^d f_d. Production code computes Euler
+// from an f-vector it already holds (topology.Euler).
+func (c *Complex) EulerCharacteristic() int { return Euler(c.FVector()) }
+
 func TestSimplexBasics(t *testing.T) {
 	for n := 0; n <= 4; n++ {
 		s := Simplex(n)

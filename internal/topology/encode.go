@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,9 +39,12 @@ func (c *Complex) CanonicalHash() string {
 
 // writeCanonical streams the canonical encoding to w. It materializes
 // vertex keys (lazily, via ensureKeys) but never the per-facet joined key
-// strings: facets are ordered by a virtual byte-walk over their sorted key
-// tuples (cmpKeyTuples), which reproduces the byte order of sorting the
-// materialized "key\x1fkey…" strings exactly.
+// strings: facets are ordered by the ranks of their vertex keys in the
+// sorted key list the verts{} section already needs. No key holds a byte
+// below 0x20 (AddVertex enforces it; arena keys are built from such keys
+// and printable glue), so the "\x1f" separator sorts below every key byte
+// and rank order is exactly the byte order of the materialized
+// "key\x1fkey…" strings.
 func (c *Complex) writeCanonical(w io.Writer) {
 	c.ensureKeys()
 	if c.base != nil {
@@ -54,6 +58,7 @@ func (c *Complex) writeCanonical(w io.Writer) {
 		keys[i] = c.verts[i].key
 	}
 	sort.Strings(keys)
+	rank := make([]int32, len(c.verts))
 	ws(w, "verts{")
 	var num [24]byte
 	for i, k := range keys {
@@ -61,6 +66,7 @@ func (c *Complex) writeCanonical(w io.Writer) {
 			ws(w, ";")
 		}
 		v := c.byKey[k]
+		rank[v] = int32(i)
 		ws(w, k)
 		ws(w, "|")
 		w.Write(strconv.AppendInt(num[:0], int64(c.verts[v].color), 10))
@@ -76,27 +82,32 @@ func (c *Complex) writeCanonical(w io.Writer) {
 		}
 	}
 	ws(w, "}\nfacets{")
-	// Sorted key tuple per facet, then facets ordered by the joined-string
-	// byte order of those tuples.
-	tuples := make([][]string, len(c.facets))
+	// Sorted rank tuple per facet, then facets in lexicographic rank order.
+	total := 0
+	for _, f := range c.facets {
+		total += len(f)
+	}
+	flat := make([]int32, 0, total)
+	tuples := make([][]int32, len(c.facets))
 	for i, f := range c.facets {
-		t := make([]string, len(f))
-		for j, v := range f {
-			t[j] = c.verts[v].key
+		start := len(flat)
+		for _, v := range f {
+			flat = append(flat, rank[v])
 		}
-		sort.Strings(t)
+		t := flat[start:len(flat):len(flat)]
+		slices.Sort(t)
 		tuples[i] = t
 	}
-	sort.Slice(tuples, func(i, j int) bool { return cmpKeyTuples(tuples[i], tuples[j]) < 0 })
+	slices.SortFunc(tuples, slices.Compare[[]int32])
 	for i, t := range tuples {
 		if i > 0 {
 			ws(w, ";")
 		}
-		for j, k := range t {
+		for j, r := range t {
 			if j > 0 {
 				ws(w, "\x1f")
 			}
-			ws(w, k)
+			ws(w, keys[r])
 		}
 	}
 	ws(w, "}")
@@ -105,47 +116,3 @@ func (c *Complex) writeCanonical(w io.Writer) {
 // ws writes a string, ignoring errors (strings.Builder and hash.Hash never
 // fail).
 func ws(w io.Writer, s string) { io.WriteString(w, s) }
-
-// cmpKeyTuples compares two key tuples exactly as the strings
-// strings.Join(a, "\x1f") and strings.Join(b, "\x1f") would compare, byte
-// by byte, without building them.
-func cmpKeyTuples(a, b []string) int {
-	ai, ao, bi, bo := 0, 0, 0, 0
-	for {
-		ca, aok := tupleByte(a, &ai, &ao)
-		cb, bok := tupleByte(b, &bi, &bo)
-		switch {
-		case !aok && !bok:
-			return 0
-		case !aok:
-			return -1
-		case !bok:
-			return 1
-		}
-		if ca != cb {
-			if ca < cb {
-				return -1
-			}
-			return 1
-		}
-	}
-}
-
-// tupleByte yields the next byte of the virtual string
-// ks[0] + "\x1f" + ks[1] + …, advancing the (token, offset) cursor.
-func tupleByte(ks []string, i, o *int) (byte, bool) {
-	for *i < len(ks) {
-		s := ks[*i]
-		if *o < len(s) {
-			b := s[*o]
-			*o++
-			return b, true
-		}
-		*i++
-		*o = 0
-		if *i < len(ks) {
-			return 0x1f, true
-		}
-	}
-	return 0, false
-}

@@ -30,6 +30,32 @@ import (
 // reused between calls and must not be retained.
 type FacetFilter func(blocks []int) bool
 
+// CountKeptPartitions returns how many of the Fubini(m) ordered partitions
+// of an m-set keep accepts — the per-facet branching factor of the
+// restricted chain. A nil filter keeps every one, counted by the checked
+// Fubini recurrence. m is range-checked before the enumeration allocates
+// its m-int buffer, the same bound the recurrence applies.
+func CountKeptPartitions(m int, keep FacetFilter) (int, error) {
+	if keep == nil {
+		return CountOrderedPartitionsChecked(m)
+	}
+	if m < 0 || m > MaxOrderedPartitionsN {
+		return 0, fmt.Errorf("topology: CountKeptPartitions(%d) out of range [0,%d]", m, MaxOrderedPartitionsN)
+	}
+	count := 0
+	blocks := make([]int, 0, m)
+	ForEachOrderedPartition(m, func(parts [][]int) {
+		blocks = blocks[:0]
+		for _, b := range parts {
+			blocks = append(blocks, len(b))
+		}
+		if keep(blocks) {
+			count++
+		}
+	})
+	return count, nil
+}
+
 // SDSBlockSizes returns the block sizes (|B1|,…,|Bm|) of the ordered
 // partition that generated the given facet of an SDS-built complex, in
 // schedule order. The facet's vertices carry their snapshot faces in the

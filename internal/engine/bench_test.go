@@ -28,6 +28,23 @@ func BenchmarkEngineSolveCold(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineComplexCold measures the complex endpoint's heaviest
+// answer cold: a fresh engine per iteration builds SDS³(s²), counts its
+// f-vector and hashes its canonical encoding. One untimed answer first
+// takes the process's one-time set-up out of the exact allocs/op.
+func BenchmarkEngineComplexCold(b *testing.B) {
+	req := ComplexRequest{N: 2, B: 3}
+	if _, err := New(Options{}).ComplexInfo(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Options{}).ComplexInfo(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineSolveWarm measures a content-address hit: one engine,
 // verdict cached before the timer starts.
 func BenchmarkEngineSolveWarm(b *testing.B) {

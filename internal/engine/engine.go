@@ -255,8 +255,10 @@ func (e *Engine) sdsLevel(ctx context.Context, base *topology.Complex, baseHash 
 // nil, so the chain is the identical cached object, not a lookalike.
 // Restriction runs in the same compute step as the subdivision that built
 // the level, while the arena provenance (ordered-partition block sizes) is
-// live; cached restricted levels rehydrate as explicit complexes and are
-// only ever inputs to the next subdivision, never to another restriction.
+// live, and compacts that arena: a restricted level in memory is an arena
+// complex like a wait-free one, with lazy keys. A level rehydrated from the
+// spill tier is explicit; either way a cached level is only ever an input
+// to the next subdivision, never to another restriction.
 func (e *Engine) modelLevel(ctx context.Context, base *topology.Complex, baseHash string, b int, spec model.Spec) (*topology.Complex, error) {
 	if b == 0 {
 		return base, nil

@@ -334,17 +334,19 @@ func TestPeerArtifactEndpoint(t *testing.T) {
 	nodes := bootCluster(t, 2)
 	queries := clusterQueries()
 
-	// A key this node owns, computed locally first.
+	// A key this node owns, computed locally first. Ring placement follows
+	// the nodes' ephemeral ports, so a fixed list can land wholly on node 1;
+	// replay keys are drawn until one lands on node 0 (all 64 miss with
+	// probability 2⁻⁶⁴ on a working ring).
 	var q clusterQuery
-	found := false
-	for _, cand := range queries {
-		if _, self := nodes[0].s.cluster.Owner(cand.key); self {
-			q, found = cand, true
-			break
+	for seed := int64(1); seed <= 64 && q.key == ""; seed++ {
+		req := engine.AdversaryRequest{Algo: "commitadopt", Adversary: "random", Seed: seed, Procs: 3}
+		if _, self := nodes[0].s.cluster.Owner(req.Key()); self {
+			q = clusterQuery{fmt.Sprintf("/v1/adversary?algo=commitadopt&adversary=random&seed=%d&procs=3", seed), req.Key()}
 		}
 	}
-	if !found {
-		t.Fatal("no query owned by node 0; broaden the query list")
+	if q.key == "" {
+		t.Fatal("none of 64 replay keys is owned by node 0")
 	}
 	if code, body := get(t, nodes[0].url+q.path); code != http.StatusOK {
 		t.Fatalf("priming query: %d %s", code, body)

@@ -29,6 +29,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -558,11 +559,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleComplex(w http.ResponseWriter, r *http.Request) {
 	s.instrument("complex", w, r, func(ctx context.Context) (any, error) {
-		n, err := intParamRange(r, "n", 2, 0, 8)
+		q := r.URL.Query()
+		n, err := intParamRange(q, "n", 2, 0, 8)
 		if err != nil {
 			return nil, err
 		}
-		b, err := intParamRange(r, "b", 1, 0, 8)
+		b, err := intParamRange(q, "b", 1, 0, 8)
 		if err != nil {
 			return nil, err
 		}
@@ -579,15 +581,16 @@ func (s *Server) handleComplex(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 	s.instrument("converge", w, r, func(ctx context.Context) (any, error) {
-		n, err := intParamRange(r, "n", 1, 0, 8)
+		q := r.URL.Query()
+		n, err := intParamRange(q, "n", 1, 0, 8)
 		if err != nil {
 			return nil, err
 		}
-		target, err := intParamRange(r, "target", 1, 0, 8)
+		target, err := intParamRange(q, "target", 1, 0, 8)
 		if err != nil {
 			return nil, err
 		}
-		maxk, err := intParamRange(r, "maxk", 3, 0, 8)
+		maxk, err := intParamRange(q, "maxk", 3, 0, 8)
 		if err != nil {
 			return nil, err
 		}
@@ -664,27 +667,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the CLI: maxb=2, engine-default node budget.
 func parseSolve(r *http.Request) (engine.SolveRequest, error) {
 	var req engine.SolveRequest
-	req.Spec.Family = r.URL.Query().Get("family")
+	q := r.URL.Query()
+	req.Spec.Family = q.Get("family")
 	if req.Spec.Family == "" {
 		return req, fmt.Errorf("%w: family is required (one of %v)", engine.ErrInvalid, engine.Families())
 	}
 	var err error
-	if req.Spec.Procs, err = intParamRange(r, "procs", 0, 0, 64); err != nil {
+	if req.Spec.Procs, err = intParamRange(q, "procs", 0, 0, 64); err != nil {
 		return req, err
 	}
-	if req.Spec.K, err = intParamRange(r, "k", 0, 0, 64); err != nil {
+	if req.Spec.K, err = intParamRange(q, "k", 0, 0, 64); err != nil {
 		return req, err
 	}
-	if req.Spec.D, err = intParamRange(r, "d", 0, 0, 1<<20); err != nil {
+	if req.Spec.D, err = intParamRange(q, "d", 0, 0, 1<<20); err != nil {
 		return req, err
 	}
-	if req.Spec.M, err = intParamRange(r, "m", 0, 0, 64); err != nil {
+	if req.Spec.M, err = intParamRange(q, "m", 0, 0, 64); err != nil {
 		return req, err
 	}
-	if req.MaxLevel, err = intParamRange(r, "maxb", 2, 0, engine.MaxSolveLevel); err != nil {
+	if req.MaxLevel, err = intParamRange(q, "maxb", 2, 0, engine.MaxSolveLevel); err != nil {
 		return req, err
 	}
-	maxNodes, err := intParamRange(r, "maxnodes", 0, 0, 1<<62)
+	maxNodes, err := intParamRange(q, "maxnodes", 0, 0, 1<<62)
 	if err != nil {
 		return req, err
 	}
@@ -693,7 +697,7 @@ func parseSolve(r *http.Request) (engine.SolveRequest, error) {
 	// through verbatim: admission (EstimateCost) and the engine both reject
 	// unknown or out-of-range models with ErrInvalid → 400, and the repro
 	// line maps it 1:1 onto the CLI's -model flag.
-	req.Model = r.URL.Query().Get("model")
+	req.Model = q.Get("model")
 	return req, nil
 }
 
@@ -710,16 +714,16 @@ func parseAdversary(r *http.Request) (engine.AdversaryRequest, error) {
 		req.Adversary = "round-robin"
 	}
 	var err error
-	if req.Procs, err = intParamRange(r, "procs", 3, 1, 8); err != nil {
+	if req.Procs, err = intParamRange(q, "procs", 3, 1, 8); err != nil {
 		return req, err
 	}
-	seed, err := intParam(r, "seed", 1)
+	seed, err := intParam(q, "seed", 1)
 	if err != nil {
 		return req, err
 	}
 	req.Seed = int64(seed)
 	// maxsteps < 0 is meaningful (= unlimited budget, mirroring the CLI).
-	if req.MaxSteps, err = intParam(r, "maxsteps", 0); err != nil {
+	if req.MaxSteps, err = intParam(q, "maxsteps", 0); err != nil {
 		return req, err
 	}
 	if cs := q.Get("crash"); cs != "" {
@@ -731,8 +735,10 @@ func parseAdversary(r *http.Request) (engine.AdversaryRequest, error) {
 	return req, nil
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	s := r.URL.Query().Get(name)
+// intParam reads an integer query parameter, def when it is absent or
+// empty. Callers parse the query string once and pass its values.
+func intParam(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
 	if s == "" {
 		return def, nil
 	}
@@ -746,8 +752,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 // intParamRange is intParam plus a [min, max] sanity window, so negative or
 // absurd values are rejected at the door instead of reaching the engine
 // raw. The engine still applies its own (tighter, per-family) bounds.
-func intParamRange(r *http.Request, name string, def, min, max int) (int, error) {
-	v, err := intParam(r, name, def)
+func intParamRange(q url.Values, name string, def, min, max int) (int, error) {
+	v, err := intParam(q, name, def)
 	if err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -43,10 +44,10 @@ type Complex struct {
 	facets [][]Vertex        // each sorted ascending; mutually non-contained
 	base   *Complex          // non-nil iff this complex is a subdivision
 
-	// incidence[v] lists indices into facets containing v. Seal builds it
-	// while absorbing faces; sealTrusted leaves it to the first HasSimplex
-	// (ensureIncidence): the solver never asks that of the level it solves
-	// on, so solve queries never pay for it.
+	// incidence[v] lists, ascending, the indices of the facets containing
+	// v. Seal builds it while absorbing faces; sealTrusted leaves it to the
+	// first HasSimplex or FVector (ensureIncidence): the solver asks neither
+	// of the level it solves on, so solve queries never pay for it.
 	incidence [][]int
 	incOnce   sync.Once
 	sealed    bool
@@ -207,7 +208,23 @@ func (c *Complex) ensureIncidence() {
 		if c.incidence != nil {
 			return
 		}
+		// Every list is carved from one array: count each vertex's facets,
+		// then append into the vertex's window in facet order.
+		deg := make([]int, len(c.verts))
+		total := 0
+		for _, f := range c.facets {
+			for _, v := range f {
+				deg[v]++
+			}
+			total += len(f)
+		}
+		flat := make([]int, total)
 		inc := make([][]int, len(c.verts))
+		off := 0
+		for v, d := range deg {
+			inc[v] = flat[off : off : off+d]
+			off += d
+		}
 		for i, f := range c.facets {
 			for _, v := range f {
 				inc[v] = append(inc[v], i)
@@ -335,13 +352,12 @@ func (c *Complex) IsChromatic() bool {
 		}
 	}
 	for _, f := range c.facets {
-		seen := make(map[int]struct{}, len(f))
-		for _, v := range f {
-			col := c.verts[v].color
-			if _, dup := seen[col]; dup {
-				return false
+		for i := 1; i < len(f); i++ {
+			for _, w := range f[:i] {
+				if c.verts[f[i]].color == c.verts[w].color {
+					return false
+				}
 			}
-			seen[col] = struct{}{}
 		}
 	}
 	return true
@@ -399,14 +415,67 @@ func (c *Complex) AllSimplices() [][][]Vertex {
 }
 
 // FVector returns the number of simplices in each dimension: f[d] is the
-// count of d-simplices.
+// count of d-simplices. It lists none of them: each simplex is counted
+// once, at the first facet in facet order that holds it. A face of facet
+// t is a subset of t's positions, and it lies in an earlier facet t' iff
+// it lies in t ∩ t', so t owns exactly the position subsets outside every
+// such intersection; the earlier facets meeting t are read off the
+// incidence lists of t's vertices, which list facets in order.
 func (c *Complex) FVector() []int {
-	all := c.AllSimplices()
-	f := make([]int, len(all))
-	for d, ss := range all {
-		f[d] = len(ss)
+	c.mustBeSealed("FVector")
+	f := make([]int, c.Dimension()+1)
+	if len(f) == 0 {
+		return f
+	}
+	c.ensureIncidence()
+	var shared []uint32 // position masks over t of t ∩ t', one per earlier t'
+	for i, t := range c.facets {
+		if len(t) > 30 {
+			panic("topology: FVector of a facet with more than 30 vertices")
+		}
+		shared = shared[:0]
+		for p, v := range t {
+			for _, j := range c.incidence[v] {
+				if j >= i {
+					break
+				}
+				// t' is listed once per shared vertex; take it at the first.
+				if m, first := meetMask(t, c.facets[j]); first == p {
+					shared = append(shared, m)
+				}
+			}
+		}
+	face:
+		for m := uint32(1); m < 1<<len(t); m++ {
+			for _, s := range shared {
+				if m&^s == 0 {
+					continue face
+				}
+			}
+			f[bits.OnesCount32(m)-1]++
+		}
 	}
 	return f
+}
+
+// meetMask returns the positions in t of t ∩ u as a bitmask, and the
+// position of the first shared vertex (len(t) if none), for sorted t, u.
+func meetMask(t, u []Vertex) (mask uint32, first int) {
+	first = len(t)
+	for i, j := 0, 0; i < len(t) && j < len(u); {
+		switch {
+		case t[i] < u[j]:
+			i++
+		case t[i] > u[j]:
+			j++
+		default:
+			mask |= 1 << i
+			first = min(first, i)
+			i++
+			j++
+		}
+	}
+	return mask, first
 }
 
 // VerticesOfColor returns all vertices with the given color, ascending.

@@ -1,4 +1,8 @@
 package topology
 
-// CmpFacetOrder exposes the facet-order oracle to the external test package.
-var CmpFacetOrder = cmpFacetOrder
+// The oracles below are exposed to the external test package.
+var (
+	CmpFacetOrder      = cmpFacetOrder
+	FVectorOracle      = fvectorOracle
+	RestrictSDSRebuild = restrictSDSRebuild
+)

@@ -111,11 +111,11 @@ func snapshotSizesToBlocks(sizes []int) []int {
 // itself, pointer-identical, so canonical encodings and content addresses
 // of unrestricted levels are byte-for-byte unchanged.
 //
-// Otherwise the result is a fresh explicit complex over the same base:
-// surviving vertices keep their canonical keys, colors, and carriers, in
-// the original index order, so restricted complexes of equal levels are
-// equal, content-address identically, and round-trip through the engine's
-// DTO codec.
+// Otherwise the result is s's arena compacted to the kept facets: surviving
+// vertices keep their provenance, colors and carriers, in the original
+// index order, and keys materialize from that provenance as they do for s.
+// So restricted complexes of equal levels are equal, content-address
+// identically, and round-trip through the engine's DTO codec.
 func RestrictSDS(s *Complex, accept FacetFilter) (*Complex, error) {
 	if accept == nil {
 		return s, nil
@@ -137,15 +137,28 @@ func RestrictSDS(s *Complex, accept FacetFilter) (*Complex, error) {
 	if all {
 		return s, nil
 	}
-	used := make([]bool, s.NumVertices())
-	kept := 0
-	for i, f := range facets {
+	return compactSDS(s, keep)
+}
+
+// compactSDS returns the arena complex holding the kept facets of s and the
+// vertices they use. The face table is shared with s, since it is final once
+// s is sealed; kept facets are distinct and maximal because s's are, so the
+// result seals by the trusted path.
+func compactSDS(s *Complex, keep []bool) (*Complex, error) {
+	const dropped = -1
+	remap := make([]Vertex, len(s.verts))
+	for v := range remap {
+		remap[v] = dropped
+	}
+	kept, size := 0, 0
+	for i, f := range s.facets {
 		if !keep[i] {
 			continue
 		}
 		kept++
+		size += len(f)
 		for _, v := range f {
-			used[v] = true
+			remap[v] = 0 // used; numbered below
 		}
 	}
 	if kept == 0 {
@@ -154,33 +167,41 @@ func RestrictSDS(s *Complex, accept FacetFilter) (*Complex, error) {
 		// empty a level; refuse rather than hand back a base-less shell.
 		return nil, fmt.Errorf("topology: RestrictSDS filter rejected every facet")
 	}
-	out := NewSubdivision(s.Base())
-	remap := make([]Vertex, s.NumVertices())
-	for v := 0; v < s.NumVertices(); v++ {
-		if !used[v] {
+	n := 0
+	for v := range remap {
+		if remap[v] != dropped {
+			remap[v] = Vertex(n)
+			n++
+		}
+	}
+	p := s.prov
+	q := &provenance{kind: provSDS, src: p.src, faceData: p.faceData, faceOff: p.faceOff,
+		u: make([]Vertex, 0, n), face: make([]int32, 0, n)}
+	out := &Complex{verts: make([]vertexAttr, 0, n), base: s.base, prov: q}
+	for v := range s.verts {
+		if remap[v] == dropped {
 			continue
 		}
-		w, err := out.AddVertex(s.Key(Vertex(v)), s.Color(Vertex(v)))
-		if err != nil {
-			return nil, fmt.Errorf("topology: RestrictSDS: %w", err)
-		}
-		out.SetCarrier(w, s.Carrier(Vertex(v)))
-		remap[v] = w
+		// Field reads, not a struct copy: s's key may be materializing
+		// concurrently (see IsChromatic).
+		out.verts = append(out.verts, vertexAttr{color: s.verts[v].color, carrier: s.verts[v].carrier})
+		q.u = append(q.u, p.u[v])
+		q.face = append(q.face, p.face[v])
 	}
-	mapped := make([]Vertex, 0, 8)
-	for i, f := range facets {
+	// The numbering keeps index order, so mapped facets stay sorted.
+	flat := make([]Vertex, 0, size)
+	out.facets = make([][]Vertex, 0, kept)
+	for i, f := range s.facets {
 		if !keep[i] {
 			continue
 		}
-		mapped = mapped[:0]
+		start := len(flat)
 		for _, v := range f {
-			mapped = append(mapped, remap[v])
+			flat = append(flat, remap[v])
 		}
-		if err := out.AddSimplex(mapped...); err != nil {
-			return nil, fmt.Errorf("topology: RestrictSDS: %w", err)
-		}
+		out.facets = append(out.facets, flat[start:len(flat):len(flat)])
 	}
-	return out.Seal(), nil
+	return out.sealTrusted(), nil
 }
 
 // SDSRestricted returns R(c): one standard chromatic subdivision of c

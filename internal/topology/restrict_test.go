@@ -2,6 +2,7 @@ package topology_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -201,6 +202,30 @@ func checkRestriction(t *testing.T, s, r *topology.Complex) {
 	}
 }
 
+// TestRestrictSDSMatchesRebuild runs every model that restricts something
+// down the chains the service builds, R^b(sⁿ) for n ≤ 3 at b ≤ 2 (b ≤ 1
+// at n = 3), and checks each compacted level against the explicit rebuild.
+func TestRestrictSDSMatchesRebuild(t *testing.T) {
+	for n := 1; n <= 3; n++ {
+		for _, spec := range []model.Spec{model.TResilient(0), model.TResilient(1), model.KConcurrency(1),
+			model.KConcurrency(2), model.KSet(1), model.KSet(2)} {
+			if spec.Validate(n+1) != nil {
+				continue
+			}
+			c := topology.Simplex(n)
+			for b := 1; b <= 2 && (n < 3 || b == 1); b++ {
+				s := topology.SDS(c)
+				r, err := topology.RestrictSDS(s, spec.Filter())
+				if err != nil {
+					t.Fatalf("n=%d b=%d %s: %v", n, b, spec.Canonical(), err)
+				}
+				checkCompaction(t, s, spec.Filter(), r)
+				c = r
+			}
+		}
+	}
+}
+
 // fuzzSpec decodes the (family, param) fuzz bytes into a model spec and a
 // flag for whether the filter must be a behavioral no-op (identity path).
 func fuzzSpec(fam byte, param int) (spec model.Spec, ok bool) {
@@ -218,10 +243,39 @@ func fuzzSpec(fam byte, param int) (spec model.Spec, ok bool) {
 	}
 }
 
+// checkCompaction asserts that r, RestrictSDS(s, accept), is byte for byte
+// the explicit rebuild of the restriction (the oracle RestrictSDSRebuild):
+// the same keys in index order, colors, carriers, facets in order, and
+// canonical string.
+func checkCompaction(t *testing.T, s *topology.Complex, accept topology.FacetFilter, r *topology.Complex) {
+	t.Helper()
+	want, err := topology.RestrictSDSRebuild(s, accept)
+	if err != nil {
+		t.Fatalf("rebuild oracle: %v", err)
+	}
+	if r.NumVertices() != want.NumVertices() {
+		t.Fatalf("%d vertices, rebuild has %d", r.NumVertices(), want.NumVertices())
+	}
+	for v := 0; v < r.NumVertices(); v++ {
+		rv := topology.Vertex(v)
+		if r.Key(rv) != want.Key(rv) || r.Color(rv) != want.Color(rv) || !slices.Equal(r.Carrier(rv), want.Carrier(rv)) {
+			t.Fatalf("vertex %d: (%q, %d, %v), rebuild (%q, %d, %v)", v,
+				r.Key(rv), r.Color(rv), r.Carrier(rv), want.Key(rv), want.Color(rv), want.Carrier(rv))
+		}
+	}
+	if !slices.EqualFunc(r.Facets(), want.Facets(), slices.Equal[[]topology.Vertex]) {
+		t.Fatalf("facets %v, rebuild %v", r.Facets(), want.Facets())
+	}
+	if r.CanonicalString() != want.CanonicalString() {
+		t.Fatal("canonical string differs from the rebuild's")
+	}
+}
+
 // FuzzRestrictedSubdivision: for random chromatic complexes and random
 // model parameters, one restricted subdivision level is a simplicial,
-// chromatic, carrier-respecting subcomplex of the full SDS, and the
-// wait-free filter is byte-identical (pointer-identical) to SDS.
+// chromatic, carrier-respecting subcomplex of the full SDS, the compacted
+// arena equals the explicit rebuild byte for byte, and the wait-free filter
+// is byte-identical (pointer-identical) to SDS.
 func FuzzRestrictedSubdivision(f *testing.F) {
 	f.Add(int64(1), byte('w'), 0)
 	f.Add(int64(2), byte('r'), 0)
@@ -250,12 +304,15 @@ func FuzzRestrictedSubdivision(f *testing.F) {
 			t.Fatal("wait-free restriction is not the identical complex")
 		}
 		checkRestriction(t, s, r)
+		checkCompaction(t, s, spec.Filter(), r)
 		// Accepted facets keep their full vertex set, so the restriction
 		// still covers every base facet and supports another level.
-		r2, err := topology.SDSRestricted(r, spec.Filter())
+		s2 := topology.SDS(r)
+		r2, err := topology.RestrictSDS(s2, spec.Filter())
 		if err != nil {
 			t.Fatalf("second restricted level (%s): %v", spec.Canonical(), err)
 		}
-		checkRestriction(t, topology.SDS(r), r2)
+		checkRestriction(t, s2, r2)
+		checkCompaction(t, s2, spec.Filter(), r2)
 	})
 }

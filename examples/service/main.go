@@ -80,10 +80,11 @@ func getJSON(url string, v any) {
 	}
 }
 
-// Retry policy: the service sheds load with 503 (+ Retry-After) when it is
-// at capacity or in degraded mode, and those conditions clear on their own —
-// exactly the failures worth retrying. 4xx (other than 429) means the query
-// itself is wrong and retrying cannot help.
+// Retry policy: the service sheds load with 429 (+ Retry-After) when it is
+// at capacity, and with 503 (+ Retry-After) when it is in degraded mode or
+// its deadline expired; those conditions clear on their own — exactly the
+// failures worth retrying. 4xx (other than 429) means the query itself is
+// wrong and retrying cannot help.
 const (
 	maxAttempts = 5
 	baseDelay   = 100 * time.Millisecond

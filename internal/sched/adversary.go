@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -186,24 +185,4 @@ func NewAdversary(name string, seed int64, n int) (Adversary, error) {
 	default:
 		return nil, fmt.Errorf("sched: unknown adversary %q (have %s)", name, strings.Join(AdversaryNames(), ", "))
 	}
-}
-
-// TestAdversaries returns one instance of every strategy, sized for n
-// processes — the sweep the schedule-replay tests iterate. The random
-// member uses the given seed.
-func TestAdversaries(n int, seed int64) []Adversary {
-	advs := []Adversary{
-		NewRoundRobin(),
-		NewRandom(seed),
-		PriorityInversion{},
-		Laggard{},
-	}
-	for p := 0; p < n; p++ {
-		advs = append(advs, NewSolo(p))
-	}
-	for k := 1; k < n; k++ {
-		advs = append(advs, NewBlockK(k))
-	}
-	sort.SliceStable(advs, func(i, j int) bool { return advs[i].Name() < advs[j].Name() })
-	return advs
 }

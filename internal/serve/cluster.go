@@ -16,9 +16,10 @@ import (
 )
 
 // forwardResult is a query fully answered by the owning peer: the serving
-// layer relays its status and body verbatim (responses are byte-identical
-// across nodes — same engine, same encoder), so a client cannot tell which
-// node computed its answer.
+// layer relays its status, body and Retry-After verbatim (responses are
+// byte-identical across nodes — same engine, same encoder), so a client
+// cannot tell which node computed its answer, and a shed carries the hint
+// of the node that shed it.
 type forwardResult struct {
 	owner       string
 	status      int

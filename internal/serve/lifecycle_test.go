@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"waitfree/internal/engine"
+	"waitfree/internal/solver"
 )
 
 // expensivePath searches for seconds (2-set consensus for 4 processes under
@@ -163,14 +165,11 @@ func TestServerTimeoutReturns503(t *testing.T) {
 	}
 }
 
-// TestRetryAfterOn503 pins the Retry-After satellite: every retryable
-// rejection the server emits — 429 capacity sheds from the limiter AND
-// deadline 503s written by http.TimeoutHandler itself — carries a
-// Retry-After header holding an integer number of seconds in [1, 60],
-// derived from queue depth × recent p50. The timeout path is the
-// load-bearing case: TimeoutHandler writes its 503 after discarding the
-// handler's buffered response, so the header can only come from the wrapper
-// outside it.
+// TestRetryAfterOn503 pins the Retry-After contract: every retryable
+// rejection the server emits — 429 capacity sheds from the slot check AND
+// deadline 503s — carries a Retry-After header holding an integer number of
+// seconds in [1, 60], derived from queue depth × recent p50. Both come from
+// the outcome table, so the deadline path is checked like any other.
 func TestRetryAfterOn503(t *testing.T) {
 	checkRetryAfter := func(t *testing.T, resp *http.Response) {
 		t.Helper()
@@ -185,7 +184,7 @@ func TestRetryAfterOn503(t *testing.T) {
 		s, ts := newTestServer(t, engine.Options{}, Options{MaxConcurrent: 1, Timeout: 200 * time.Millisecond})
 		s.sem <- struct{}{} // occupy the only slot
 		defer func() { <-s.sem }()
-		resp, err := http.Get(ts.URL + "/healthz")
+		resp, err := http.Get(ts.URL + "/v1/complex?n=1&b=1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,29 +224,47 @@ func TestRetryAfterOn503(t *testing.T) {
 	})
 }
 
-// TestStatusForTaxonomy pins the error → status mapping directly.
+// TestStatusForTaxonomy pins the outcome table directly: for each error
+// class, the status, whether the response carries Retry-After, and whether
+// the failure feeds the breaker.
 func TestStatusForTaxonomy(t *testing.T) {
+	overBudget := &costError{estimated: 427576, budget: 100_000, err: engine.ErrOverBudget}
+	shed := &costError{estimated: 183, budget: 100, err: ErrDegraded}
 	cases := []struct {
-		err  error
-		want int
+		err       error
+		want      int
+		wantRetry bool
+		wantFeed  bool
 	}{
-		{engine.ErrInvalid, http.StatusBadRequest},
-		{context.DeadlineExceeded, http.StatusServiceUnavailable},
-		{engine.ErrCanceled, StatusClientClosedRequest},
-		{context.Canceled, StatusClientClosedRequest},
-		{errors.New("mystery"), http.StatusInternalServerError},
+		{engine.ErrInvalid, http.StatusBadRequest, false, false},
+		{overBudget, http.StatusBadRequest, false, false},
+		{errAtCapacity, http.StatusTooManyRequests, true, true},
+		{shed, http.StatusServiceUnavailable, true, false},
+		{context.DeadlineExceeded, http.StatusServiceUnavailable, true, true},
+		{errTimedOut, http.StatusServiceUnavailable, true, true},
+		{engine.ErrCanceled, StatusClientClosedRequest, false, false},
+		{context.Canceled, StatusClientClosedRequest, false, false},
+		{fmt.Errorf("level 0: %w", solver.ErrBudget), http.StatusServiceUnavailable, true, true},
+		{errors.New("mystery"), http.StatusInternalServerError, false, true},
 	}
 	for _, tc := range cases {
-		if got := statusFor(tc.err); got != tc.want {
-			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
+		got := statusFor(tc.err)
+		if got.status != tc.want {
+			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got.status, tc.want)
+		}
+		if got.retryAfter != tc.wantRetry {
+			t.Errorf("statusFor(%v) Retry-After = %v, want %v", tc.err, got.retryAfter, tc.wantRetry)
+		}
+		if got.feedsBreaker != tc.wantFeed {
+			t.Errorf("statusFor(%v) feeds the breaker = %v, want %v", tc.err, got.feedsBreaker, tc.wantFeed)
 		}
 	}
 	// A deadline wrapped by the engine's cancellation must still read as a
 	// server-side timeout, not a client disconnect.
 	wrapped := engine.ErrCanceled
 	both := errorsJoin(wrapped, context.DeadlineExceeded)
-	if got := statusFor(both); got != http.StatusServiceUnavailable {
-		t.Errorf("statusFor(ErrCanceled+DeadlineExceeded) = %d, want 503", got)
+	if got := statusFor(both); got.status != http.StatusServiceUnavailable {
+		t.Errorf("statusFor(ErrCanceled+DeadlineExceeded) = %d, want 503", got.status)
 	}
 }
 

@@ -106,16 +106,17 @@ func TestTraceHeaderAndRegistry(t *testing.T) {
 // class: each /v1/* request increments exactly one requests_total_<endpoint>
 // counter, exactly one http_status_<endpoint>_<code> counter, and exactly
 // one latency observation — in the success histogram for 200s and in the
-// _error histogram for everything else.
+// _error histogram for everything else. Admission rejections count too.
 func TestMetricsContract(t *testing.T) {
-	s, ts := newTestServer(t, engine.Options{}, Options{})
+	// A 1 s deadline keeps the capacity row's slot wait (Timeout/2) short.
+	s, ts := newTestServer(t, engine.Options{}, Options{Timeout: time.Second})
 	m := s.Engine().Metrics()
 
 	cases := []struct {
 		name       string
 		endpoint   string
 		path       string // empty → direct dispatch with canceled context
-		wantStatus int
+		wantStatus int    // 429 → every worker slot is held while the request runs
 	}{
 		{"complex ok", "complex", "/v1/complex?n=1&b=1", http.StatusOK},
 		{"adversary ok", "adversary", "/v1/adversary?algo=commitadopt&procs=3&seed=42", http.StatusOK},
@@ -127,6 +128,7 @@ func TestMetricsContract(t *testing.T) {
 		// apply, and 2-set consensus for 4 processes burns nodes at level 0.
 		{"budget exhausted", "solve", "/v1/solve?family=set-consensus&procs=4&k=2&model=3-set&maxb=0&maxnodes=1", http.StatusServiceUnavailable},
 		{"client gone", "solve", "", StatusClientClosedRequest},
+		{"capacity", "complex", "/v1/complex?n=1&b=1", http.StatusTooManyRequests},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,6 +138,16 @@ func TestMetricsContract(t *testing.T) {
 			beforeOK := m.HistCount("http_" + ep)
 			beforeErr := m.HistCount("http_" + ep + "_error")
 
+			if tc.wantStatus == http.StatusTooManyRequests {
+				for i := 0; i < cap(s.sem); i++ {
+					s.sem <- struct{}{}
+				}
+				defer func() {
+					for i := 0; i < cap(s.sem); i++ {
+						<-s.sem
+					}
+				}()
+			}
 			var gotStatus int
 			if tc.path != "" {
 				gotStatus, _ = get(t, ts.URL+tc.path)

@@ -45,11 +45,12 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// MaxConcurrent bounds in-flight requests; excess callers queue (briefly)
-	// and are rejected with 503 once the queue is full. 0 = 2×MaxConcurrent
-	// default of 32.
+	// MaxConcurrent bounds the /v1 queries that hold a worker slot at once;
+	// an excess query waits up to Timeout/2 for a slot and is then rejected
+	// 429 + Retry-After. 0 = DefaultMaxConcurrent (32).
 	MaxConcurrent int
-	// Timeout is the per-request deadline; 0 = 30s.
+	// Timeout is the per-query deadline, counted from arrival, so time spent
+	// waiting for a slot counts against it; 0 = 30s.
 	Timeout time.Duration
 	// SlowLog, when > 0, logs any /v1/* request slower than this threshold
 	// via Logger, together with the exact wfrepro CLI line that reproduces
@@ -85,10 +86,10 @@ type Options struct {
 	NetFault *netfault.Transport
 }
 
-// DefaultMaxConcurrent is the default in-flight request bound.
+// DefaultMaxConcurrent is the default number of worker slots for /v1 queries.
 const DefaultMaxConcurrent = 32
 
-// DefaultTimeout is the default per-request deadline.
+// DefaultTimeout is the default per-query deadline.
 const DefaultTimeout = 30 * time.Second
 
 // DefaultDegradedMaxCost is the degraded-mode admission budget: generous
@@ -157,11 +158,10 @@ func NewServer(eng *engine.Engine, o Options) *Server {
 // Engine exposes the underlying engine (tests, metrics wiring).
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
-// Traces exposes the trace registry (tests, CLI wiring).
-func (s *Server) Traces() *obs.Registry { return s.traces }
-
-// Handler returns the full route table wrapped in the concurrency limiter
-// and the per-request timeout.
+// Handler returns the route table. The four /v1 query endpoints run the
+// admission step inside instrument; the control plane (/healthz, /metrics,
+// /debug/*, /v1/peer/*) is not a query and skips it, so a probe reads the
+// server's state even while every worker slot is held.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", s.handleSolve)
@@ -187,33 +187,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	inner := http.TimeoutHandler(s.limit(mux), s.timeout, `{"error":"request timed out"}`)
-	// The Retry-After wrapper sits OUTSIDE TimeoutHandler on purpose:
-	// TimeoutHandler buffers its child's response and writes its own 503
-	// directly to the writer it was given, so a header set from inside the
-	// handler would be discarded on the timeout path. Intercepting
-	// WriteHeader out here covers every 503 — capacity, deadline, and
-	// degraded-mode rejections — with one mechanism.
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		inner.ServeHTTP(&retryAfterWriter{ResponseWriter: w, s: s}, r)
-	})
-}
-
-// retryAfterWriter injects a Retry-After header on every 503 and 429
-// passing through, derived from live load (see retryAfterSeconds). Both are
-// "come back later" statuses: 503 means the server is sick or gave up, 429
-// means the concurrency gate shed the caller; either way the honest hint is
-// the same queue-and-cooldown estimate.
-type retryAfterWriter struct {
-	http.ResponseWriter
-	s *Server
-}
-
-func (w *retryAfterWriter) WriteHeader(code int) {
-	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(w.s.retryAfterSeconds()))
-	}
-	w.ResponseWriter.WriteHeader(code)
+	return mux
 }
 
 // retryAfterSeconds estimates when a retry is worth attempting: the queue
@@ -238,88 +212,74 @@ func (s *Server) retryAfterSeconds() int {
 	return sec
 }
 
-// limit is the concurrency gate: a semaphore sized MaxConcurrent, with the
-// queue-depth gauge counting callers blocked on it. Callers that cannot get
-// a slot within a grace period are rejected 429 + Retry-After so a stampede
-// degrades instead of piling up. 429 — not 503 — because load-shedding is
-// the client's signal to back off while the server is healthy; 503 is
-// reserved for the server being sick (degraded mode) or giving up (deadline,
-// budget), so the two failure families are distinguishable in dashboards
-// and client retry policies.
-func (s *Server) limit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m := s.eng.Metrics()
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			m.QueueDepth.Add(1)
-			t := time.NewTimer(s.timeout / 2)
-			select {
-			case s.sem <- struct{}{}:
-				t.Stop()
-				m.QueueDepth.Add(-1)
-			case <-t.C:
-				m.QueueDepth.Add(-1)
-				m.Rejected.Add(1)
-				// Capacity rejections still feed the breaker even though they
-				// surface as 429: a stampede that outlasts the grace period
-				// should push the server toward shedding expensive work too.
-				s.breaker.RecordFailures(1)
-				writeError(w, http.StatusTooManyRequests, errors.New("server at capacity"))
-				return
-			case <-r.Context().Done():
-				t.Stop()
-				m.QueueDepth.Add(-1)
-				return
-			}
-		}
-		defer func() { <-s.sem }()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// instrument is the per-request observability spine shared by every /v1/*
-// endpoint. For each request it:
+// instrument is the spine of every /v1 query: parse, admit, route, answer,
+// and write the one response. For each request it:
 //
-//   - starts a trace, sets X-Trace-Id before the handler runs, and records
-//     the finished span tree into the /debug/traces registry;
+//   - starts a trace, sets X-Trace-Id before anything runs, and records the
+//     finished span tree into the /debug/traces registry;
+//   - parses the query string, runs the admission step (admit) once, routes
+//     the query (maybeForward), and calls the engine only if the query is
+//     admitted and not forwarded;
 //   - increments exactly one requests_total_<endpoint> counter and exactly
-//     one http_status_<endpoint>_<code> counter, on every path — 200 and
-//     400/499/503/500 alike;
+//     one http_status_<endpoint>_<code> counter, on every path — admission
+//     rejections included;
 //   - records exactly one latency observation: into the http_<endpoint>
-//     histogram on success, or http_<endpoint>_error on failure, so
-//     canceled and failed queries never pollute the success percentiles;
+//     histogram on success, timed from the slot grant, or
+//     http_<endpoint>_error on failure, so canceled and failed queries never
+//     pollute the success percentiles;
+//   - answers a failure by its row of the outcome table (statusFor): status,
+//     Retry-After, and whether it feeds the breaker;
 //   - when the request exceeds the slowlog threshold, logs it with the
 //     exact `wfrepro <cmd> -json ...` line that reproduces the query.
-func (s *Server) instrument(name string, w http.ResponseWriter, r *http.Request, fn func(ctx context.Context) (any, error)) {
+func instrument[R costedRequest, V any](s *Server, name string, w http.ResponseWriter, r *http.Request,
+	parse func(url.Values) (R, error), run func(context.Context, R) (V, error)) {
 	m := s.eng.Metrics()
 	s.pollSpillFaults()
 	state := s.healthState()
 	tr := obs.NewTrace()
-	ctx := obs.WithTrace(r.Context(), tr)
+	// The deadline counts from arrival: time spent queued for a slot is
+	// time the query no longer has to compute in.
+	ctx, cancel := context.WithTimeout(obs.WithTrace(r.Context(), tr), s.timeout)
+	defer cancel()
 	ctx, root := obs.StartSpan(ctx, "http."+name)
 	w.Header().Set("X-Trace-Id", tr.ID)
 	m.Inc("requests_total_" + name)
 	m.Inc("requests_state_" + state)
 	start := time.Now()
-	v, err := fn(ctx)
+	var (
+		v   V
+		fwd *forwardResult
+	)
+	req, err := parse(r.URL.Query())
+	if err == nil {
+		err = s.admit(ctx, req)
+	}
+	if err == nil {
+		defer func() { <-s.sem }()
+		// retryAfterSeconds multiplies the success p50 by the queue depth,
+		// so the success series must not count time spent in the queue.
+		start = time.Now()
+		if fwd = s.maybeForward(ctx, r, req.Key()); fwd == nil {
+			v, err = run(ctx, req)
+		}
+	}
 	elapsed := time.Since(start)
 	status := http.StatusOK
-	var fwd *forwardResult
+	var o outcome
 	if err != nil {
-		status = statusFor(err)
-		// 5xx outcomes feed the breaker — except degraded-mode sheds, which
-		// are the breaker's own output; counting them would hold it tripped
-		// forever under retry traffic.
-		if status >= 500 && !errors.Is(err, ErrDegraded) {
+		if errors.Is(err, context.DeadlineExceeded) {
+			err = errTimedOut
+		}
+		o = statusFor(err)
+		status = o.status
+		if o.feedsBreaker {
 			s.breaker.RecordFailures(1)
 		}
-	} else if f, ok := v.(*forwardResult); ok {
+	} else if fwd != nil {
 		// The owning peer answered; its status is this request's status, and
 		// the route is recorded on the root span so a trace shows the hop.
-		fwd = f
-		status = f.status
-		root.SetStr("cluster.owner", f.owner)
+		status = fwd.status
+		root.SetStr("cluster.owner", fwd.owner)
 		root.SetInt("cluster.hop", 1)
 		root.SetInt("cluster.epoch", int64(s.cluster.Epoch()))
 	}
@@ -328,7 +288,7 @@ func (s *Server) instrument(name string, w http.ResponseWriter, r *http.Request,
 	root.Finish()
 	s.traces.Record(tr)
 	m.Inc(fmt.Sprintf("http_status_%s_%d", name, status))
-	if err != nil || status >= 400 {
+	if status >= 400 {
 		// Forwarded failures land in the error series too: a peer's 503
 		// must not pollute the local success percentiles Retry-After uses.
 		m.Observe("http_"+name+"_error", elapsed)
@@ -355,11 +315,14 @@ func (s *Server) instrument(name string, w http.ResponseWriter, r *http.Request,
 		}
 		s.logger.Warn("slow query", args...)
 	}
-	if err != nil {
+	switch {
+	case err != nil:
+		if o.retryAfter {
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		}
 		writeError(w, status, err)
-		return
-	}
-	if fwd != nil {
+	case fwd != nil:
+		// Relayed verbatim: the owner's status, body and Retry-After.
 		if fwd.contentType != "" {
 			w.Header().Set("Content-Type", fwd.contentType)
 		}
@@ -370,12 +333,12 @@ func (s *Server) instrument(name string, w http.ResponseWriter, r *http.Request,
 		if _, err := w.Write(fwd.body); err != nil {
 			m.Inc("http_write_errors")
 		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := engine.WriteJSON(w, v); err != nil {
-		// Headers are gone; nothing to do but record it.
-		m.Inc("http_write_errors")
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		if err := engine.WriteJSON(w, v); err != nil {
+			// Headers are gone; nothing to do but record it.
+			m.Inc("http_write_errors")
+		}
 	}
 }
 
@@ -394,7 +357,7 @@ func (s *Server) pollSpillFaults() {
 // /healthz, as a span attribute, and as requests_state_* counters:
 //
 //	degraded   — the breaker tripped; only cache hits and cheap queries serve
-//	overloaded — callers are queued on the concurrency gate
+//	overloaded — queries are queued for a worker slot
 //	ok         — neither
 //
 // Degraded wins over overloaded: shedding is the stronger statement, and the
@@ -417,19 +380,28 @@ type costedRequest interface {
 	Key() string
 }
 
-// admit is the cost-aware admission gate, run after parsing and before any
-// engine work:
+// admit is the admission step. instrument runs it once per /v1 query,
+// after parsing and before routing or any engine work. Its checks run in
+// this order:
 //
-//  1. Estimate the query's cost from the Lemma 3.3 facet recurrence
-//     (closed form — microseconds, no subdivision built).
-//  2. Over MaxCost → 400 ErrOverBudget with the estimate in the body: the
-//     query will never fit, resize it instead of retrying.
-//  3. In degraded mode, over DegradedMaxCost and not already cached →
-//     503 ErrDegraded + Retry-After: the query is fine, come back later.
+//  1. Cost. The Lemma 3.3 closed form prices the query in microseconds and
+//     builds nothing. Over MaxCost is 400 ErrOverBudget with the estimate in
+//     the body: the query will never fit, so resize it instead of retrying.
+//     This check does no I/O and takes no slot, so it answers at once even
+//     while every slot is held.
+//  2. Slot. The query waits up to Timeout/2 for one of MaxConcurrent
+//     slots, then is shed 429. A query whose client leaves while queued
+//     ends 499.
+//  3. Degraded shed. With the breaker tripped, a query over DegradedMaxCost
+//     that is not already cached is 503 ErrDegraded: the query is fine, the
+//     server is not. This check sits behind the slot because HasCached may
+//     read the spill tier that degraded mode protects. Cached answers always
+//     serve: a hit costs no facets whatever the estimate says.
+//  4. Deadline. The query's context carries the Timeout deadline, set at
+//     arrival; every layer below stops on it, and it ends 503.
 //
-// Cached answers always serve: a hit costs no facets regardless of what the
-// estimate says the query would cost to compute.
-func (s *Server) admit(req costedRequest) error {
+// On a nil return the caller holds a slot and releases it with <-s.sem.
+func (s *Server) admit(ctx context.Context, req costedRequest) error {
 	cost, err := req.EstimateCost()
 	if err != nil {
 		return err
@@ -437,7 +409,28 @@ func (s *Server) admit(req costedRequest) error {
 	if s.maxCost > 0 && cost > s.maxCost {
 		return &costError{estimated: cost, budget: s.maxCost, err: engine.ErrOverBudget}
 	}
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		m := s.eng.Metrics()
+		m.QueueDepth.Add(1)
+		t := time.NewTimer(s.timeout / 2)
+		select {
+		case s.sem <- struct{}{}:
+		case <-t.C:
+			m.Rejected.Add(1)
+			err = errAtCapacity
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		t.Stop()
+		m.QueueDepth.Add(-1)
+		if err != nil {
+			return err
+		}
+	}
 	if cost > s.degCost && s.breaker.Degraded() && !s.eng.HasCached(req.Key()) {
+		<-s.sem
 		return &costError{estimated: cost, budget: s.degCost, err: ErrDegraded}
 	}
 	return nil
@@ -493,37 +486,54 @@ func reproCommand(endpoint string, r *http.Request) string {
 // receives the response body, but the status lands in metrics and logs.
 const StatusClientClosedRequest = 499
 
-// statusFor maps the engine's typed error taxonomy to HTTP statuses via
-// errors.Is — no message matching:
-//
-//	engine.ErrInvalid                → 400 (the request was never attempted)
-//	engine.ErrOverBudget             → 400 (admission: the query will never fit)
-//	ErrDegraded                      → 503 (admission: the server is sick; retry)
-//	context.DeadlineExceeded         → 503 (the server's deadline expired)
-//	engine.ErrCanceled / Canceled    → 499 (the client went away)
-//	solver.ErrBudget                 → 503 (no verdict within the node budget)
-//	anything else                    → 500
-//
-// DeadlineExceeded is checked before ErrCanceled: the engine wraps every
-// cancellation — including timeouts — in ErrCanceled, and a deadline is the
-// server giving up, not the client.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, engine.ErrInvalid):
-		return http.StatusBadRequest
-	case errors.Is(err, engine.ErrOverBudget):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrDegraded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, engine.ErrCanceled), errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest
-	case errors.Is(err, solver.ErrBudget):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
+var (
+	// errAtCapacity is the slot check's verdict: no slot freed up within
+	// Timeout/2.
+	errAtCapacity = errors.New("server at capacity")
+	// errTimedOut replaces any error the query's deadline caused, so a
+	// deadline reads the same whichever layer noticed it.
+	errTimedOut = fmt.Errorf("request timed out: %w", context.DeadlineExceeded)
+)
+
+// outcome is one row of the outcome table: how a /v1 query that failed
+// with an error of the row's class is answered.
+type outcome struct {
+	class        error // matched with errors.Is
+	status       int
+	retryAfter   bool // the response carries Retry-After (retryAfterSeconds)
+	feedsBreaker bool // the failure counts toward tripping the breaker
+}
+
+// outcomes is the one outcome table for /v1 queries, matched top to bottom
+// with errors.Is — no message matching. Every 429 and 503 carries
+// Retry-After. 429s feed the breaker, so a stampede that outlasts the slot
+// wait pushes the server toward shedding expensive work too. 5xx feed it
+// as well, except degraded-mode sheds: those are the breaker's own output,
+// and counting them would hold it tripped forever under retry traffic.
+// 429 rather than 503 tells a client the server is healthy, only busy.
+// DeadlineExceeded is matched before ErrCanceled because the engine wraps
+// every cancellation, timeouts included, in ErrCanceled, and a deadline is
+// the server giving up, not the client.
+var outcomes = []outcome{
+	{engine.ErrInvalid, http.StatusBadRequest, false, false},              // the request was never attempted
+	{engine.ErrOverBudget, http.StatusBadRequest, false, false},           // admission: the query will never fit
+	{errAtCapacity, http.StatusTooManyRequests, true, true},               // admission: the server is busy; back off
+	{ErrDegraded, http.StatusServiceUnavailable, true, false},             // admission: the server is sick; retry
+	{context.DeadlineExceeded, http.StatusServiceUnavailable, true, true}, // the server's deadline expired
+	{engine.ErrCanceled, StatusClientClosedRequest, false, false},         // the client went away
+	{context.Canceled, StatusClientClosedRequest, false, false},
+	{solver.ErrBudget, http.StatusServiceUnavailable, true, true}, // no verdict within the node budget
+}
+
+// statusFor returns err's row of the outcome table; an error no row
+// classifies is a bug: 500, fed to the breaker.
+func statusFor(err error) outcome {
+	for _, o := range outcomes {
+		if errors.Is(err, o.class) {
+			return o
+		}
 	}
+	return outcome{status: http.StatusInternalServerError, feedsBreaker: true}
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -542,83 +552,19 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.instrument("solve", w, r, func(ctx context.Context) (any, error) {
-		req, err := parseSolve(r)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.admit(req); err != nil {
-			return nil, err
-		}
-		if fr := s.maybeForward(ctx, r, req.Key()); fr != nil {
-			return fr, nil
-		}
-		return s.eng.Solve(ctx, req)
-	})
+	instrument(s, "solve", w, r, parseSolve, s.eng.Solve)
 }
 
 func (s *Server) handleComplex(w http.ResponseWriter, r *http.Request) {
-	s.instrument("complex", w, r, func(ctx context.Context) (any, error) {
-		q := r.URL.Query()
-		n, err := intParamRange(q, "n", 2, 0, 8)
-		if err != nil {
-			return nil, err
-		}
-		b, err := intParamRange(q, "b", 1, 0, 8)
-		if err != nil {
-			return nil, err
-		}
-		req := engine.ComplexRequest{N: n, B: b}
-		if err := s.admit(req); err != nil {
-			return nil, err
-		}
-		if fr := s.maybeForward(ctx, r, req.Key()); fr != nil {
-			return fr, nil
-		}
-		return s.eng.ComplexInfo(ctx, req)
-	})
+	instrument(s, "complex", w, r, parseComplex, s.eng.ComplexInfo)
 }
 
 func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
-	s.instrument("converge", w, r, func(ctx context.Context) (any, error) {
-		q := r.URL.Query()
-		n, err := intParamRange(q, "n", 1, 0, 8)
-		if err != nil {
-			return nil, err
-		}
-		target, err := intParamRange(q, "target", 1, 0, 8)
-		if err != nil {
-			return nil, err
-		}
-		maxk, err := intParamRange(q, "maxk", 3, 0, 8)
-		if err != nil {
-			return nil, err
-		}
-		req := engine.ConvergeRequest{N: n, Target: target, MaxK: maxk}
-		if err := s.admit(req); err != nil {
-			return nil, err
-		}
-		if fr := s.maybeForward(ctx, r, req.Key()); fr != nil {
-			return fr, nil
-		}
-		return s.eng.Converge(ctx, req)
-	})
+	instrument(s, "converge", w, r, parseConverge, s.eng.Converge)
 }
 
 func (s *Server) handleAdversary(w http.ResponseWriter, r *http.Request) {
-	s.instrument("adversary", w, r, func(ctx context.Context) (any, error) {
-		req, err := parseAdversary(r)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.admit(req); err != nil {
-			return nil, err
-		}
-		if fr := s.maybeForward(ctx, r, req.Key()); fr != nil {
-			return fr, nil
-		}
-		return s.eng.Adversary(ctx, req)
-	})
+	instrument(s, "adversary", w, r, parseAdversary, s.eng.Adversary)
 }
 
 // handleTraces serves the bounded trace registry: the full span tree for
@@ -665,9 +611,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // parseSolve reads a SolveRequest from query parameters. Defaults mirror
 // the CLI: maxb=2, engine-default node budget.
-func parseSolve(r *http.Request) (engine.SolveRequest, error) {
+func parseSolve(q url.Values) (engine.SolveRequest, error) {
 	var req engine.SolveRequest
-	q := r.URL.Query()
 	req.Spec.Family = q.Get("family")
 	if req.Spec.Family == "" {
 		return req, fmt.Errorf("%w: family is required (one of %v)", engine.ErrInvalid, engine.Families())
@@ -701,10 +646,30 @@ func parseSolve(r *http.Request) (engine.SolveRequest, error) {
 	return req, nil
 }
 
+// parseComplex reads a ComplexRequest from query parameters.
+func parseComplex(q url.Values) (req engine.ComplexRequest, err error) {
+	if req.N, err = intParamRange(q, "n", 2, 0, 8); err != nil {
+		return req, err
+	}
+	req.B, err = intParamRange(q, "b", 1, 0, 8)
+	return req, err
+}
+
+// parseConverge reads a ConvergeRequest from query parameters.
+func parseConverge(q url.Values) (req engine.ConvergeRequest, err error) {
+	if req.N, err = intParamRange(q, "n", 1, 0, 8); err != nil {
+		return req, err
+	}
+	if req.Target, err = intParamRange(q, "target", 1, 0, 8); err != nil {
+		return req, err
+	}
+	req.MaxK, err = intParamRange(q, "maxk", 3, 0, 8)
+	return req, err
+}
+
 // parseAdversary reads an AdversaryRequest from query parameters.
-func parseAdversary(r *http.Request) (engine.AdversaryRequest, error) {
+func parseAdversary(q url.Values) (engine.AdversaryRequest, error) {
 	var req engine.AdversaryRequest
-	q := r.URL.Query()
 	req.Algo = q.Get("algo")
 	if req.Algo == "" {
 		return req, fmt.Errorf("%w: algo is required (one of %v)", engine.ErrInvalid, engine.AdversaryAlgos())

@@ -227,7 +227,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 func TestCapacityRejection(t *testing.T) {
 	s, ts := newTestServer(t, engine.Options{}, Options{MaxConcurrent: 1, Timeout: 200 * time.Millisecond})
 	s.sem <- struct{}{} // occupy the only slot
-	code, body := get(t, ts.URL+"/healthz")
+	code, body := get(t, ts.URL+"/v1/complex?n=1&b=1")
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("with the slot held, got %d %s, want 429", code, body)
 	}
@@ -235,7 +235,7 @@ func TestCapacityRejection(t *testing.T) {
 		t.Errorf("Rejected gauge %d, want 1", got)
 	}
 	<-s.sem
-	if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+	if code, _ := get(t, ts.URL+"/v1/complex?n=1&b=1"); code != http.StatusOK {
 		t.Fatalf("after release, got %d, want 200", code)
 	}
 }

@@ -101,7 +101,7 @@ func findMap(ctx context.Context, base, a *topology.Complex, maxK int, chromatic
 			return nil, 0, fmt.Errorf("converge: search canceled: %w", err)
 		}
 		if k > 0 {
-			next, err := topology.SDSCtx(ctx, sub)
+			next, err := topology.Subdivide(ctx, sub, 1, nil)
 			if err != nil {
 				return nil, 0, err
 			}

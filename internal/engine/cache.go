@@ -28,18 +28,17 @@ func hashString(s string) string {
 }
 
 // cacheCodec (de)serializes one kind of cached artifact for spill-to-disk.
-// Kinds are addressed by the key prefix up to the first ':' ("sds",
-// "solve", "conv", "adv").
+// Kinds are addressed by the key prefix up to the first ':' ("solve", "cx",
+// "conv", "adv").
 type cacheCodec struct {
 	encode func(any) ([]byte, error)
 	decode func([]byte) (any, error)
 }
 
 // Cache is an entry-bounded, content-addressed store. Values are live Go
-// objects (complexes are reused directly by later computations); when a
-// spill directory is configured, evicted entries with a registered codec
-// are written as checksummed gob files and transparently rehydrated on the
-// next miss.
+// objects; when a spill directory is configured, evicted entries with a
+// registered codec are written as checksummed gob files and transparently
+// rehydrated on the next miss.
 //
 // Eviction is GreedyDual over entry counts: every entry carries a
 // recompute cost (PutCost; Put means cost 0) and a priority — the cache's
@@ -82,9 +81,8 @@ type Cache struct {
 }
 
 // DefaultSpillMaxBytes bounds the spill directory when the caller does not
-// choose a budget: enough for thousands of gob'd verdicts and a deep
-// subdivision chain, small enough that an unattended server cannot fill a
-// disk.
+// choose a budget: room for hundreds of thousands of gob'd answers, small
+// enough that an unattended server cannot fill a disk.
 const DefaultSpillMaxBytes = 1 << 30 // 1 GiB
 
 type cacheEntry struct {

@@ -3,10 +3,8 @@ package engine
 import (
 	"bytes"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 
-	"waitfree/internal/solver"
 	"waitfree/internal/topology"
 )
 
@@ -15,16 +13,16 @@ import (
 // facet lists, with the base chain encoded recursively. Round-tripping
 // preserves vertex numbering, colors, carriers, and the f-vector.
 type ComplexDTO struct {
-	Verts  []VertexDTO `json:"verts"`
-	Facets [][]int     `json:"facets"`
-	Base   *ComplexDTO `json:"base,omitempty"`
+	Verts  []VertexDTO
+	Facets [][]int
+	Base   *ComplexDTO
 }
 
 // VertexDTO is one vertex record of a ComplexDTO.
 type VertexDTO struct {
-	Key     string `json:"key"`
-	Color   int    `json:"color"`
-	Carrier []int  `json:"carrier,omitempty"` // base vertex ids; set iff the complex is a subdivision
+	Key     string
+	Color   int
+	Carrier []int // base vertex ids; set iff the complex is a subdivision
 }
 
 // ComplexToDTO encodes a sealed complex (and its base chain).
@@ -101,8 +99,9 @@ func ComplexFromDTO(d *ComplexDTO) (*topology.Complex, error) {
 	return c.Seal(), nil
 }
 
-// EncodeComplexGob / DecodeComplexGob are the spill codec for "sds" cache
-// entries.
+// EncodeComplexGob / DecodeComplexGob are the complex codec, a gob of the
+// ComplexDTO. No cache kind stores a complex, so neither spill files nor
+// peer artifacts reach it.
 func EncodeComplexGob(c *topology.Complex) ([]byte, error) { return gobEncode(ComplexToDTO(c)) }
 
 // DecodeComplexGob rehydrates a complex from its gob DTO.
@@ -112,80 +111,6 @@ func DecodeComplexGob(data []byte) (*topology.Complex, error) {
 		return nil, err
 	}
 	return ComplexFromDTO(&d)
-}
-
-// EncodeComplexJSON / DecodeComplexJSON mirror the gob codec for clients
-// that want a readable artifact.
-func EncodeComplexJSON(c *topology.Complex) ([]byte, error) {
-	return json.Marshal(ComplexToDTO(c))
-}
-
-// DecodeComplexJSON rehydrates a complex from its JSON DTO.
-func DecodeComplexJSON(data []byte) (*topology.Complex, error) {
-	var d ComplexDTO
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, err
-	}
-	return ComplexFromDTO(&d)
-}
-
-// ResultDTO is the serializable form of a solver.Result: the spec that
-// built the task, the verdict, and — when solvable — the decision map image
-// and the subdivision it is defined on.
-type ResultDTO struct {
-	Spec        TaskSpec    `json:"spec"`
-	Level       int         `json:"level"`
-	Solvable    bool        `json:"solvable"`
-	Nodes       int64       `json:"nodes"`
-	Image       []int       `json:"image,omitempty"`
-	Subdivision *ComplexDTO `json:"subdivision,omitempty"`
-}
-
-// ResultToDTO encodes a solver result produced for the given spec.
-func ResultToDTO(spec TaskSpec, r *solver.Result) *ResultDTO {
-	d := &ResultDTO{Spec: spec, Level: r.Level, Solvable: r.Solvable, Nodes: r.Nodes}
-	if r.Subdivision != nil {
-		d.Subdivision = ComplexToDTO(r.Subdivision)
-	}
-	if r.Map != nil {
-		d.Image = make([]int, len(r.Map.Image))
-		for i, w := range r.Map.Image {
-			d.Image[i] = int(w)
-		}
-	}
-	return d
-}
-
-// ResultFromDTO rebuilds the result, reconstructing the task from the spec
-// and the decision map over the decoded subdivision. The rebuilt result
-// passes solver.VerifyDecisionMap whenever the original did.
-func ResultFromDTO(d *ResultDTO) (*solver.Result, error) {
-	task, err := d.Spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	r := &solver.Result{Task: task, Level: d.Level, Solvable: d.Solvable, Nodes: d.Nodes}
-	if d.Subdivision != nil {
-		sub, err := ComplexFromDTO(d.Subdivision)
-		if err != nil {
-			return nil, err
-		}
-		r.Subdivision = sub
-	}
-	if d.Solvable && d.Image != nil {
-		if r.Subdivision == nil {
-			return nil, fmt.Errorf("engine: result DTO has an image but no subdivision")
-		}
-		m := topology.NewSimplicialMap(r.Subdivision, task.Outputs)
-		if len(d.Image) != len(m.Image) {
-			return nil, fmt.Errorf("engine: image length %d for %d vertices", len(d.Image), len(m.Image))
-		}
-		for i, w := range d.Image {
-			m.Image[i] = topology.Vertex(w)
-		}
-		r.Map = m
-	}
-	return r, nil
 }
 
 func gobEncode(v any) ([]byte, error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"waitfree/internal/solver"
 	"waitfree/internal/topology"
 )
 
@@ -54,59 +53,6 @@ func TestComplexCodecRoundTrip(t *testing.T) {
 			}
 			identical(t, c, got)
 		})
-		t.Run(name+"/json", func(t *testing.T) {
-			data, err := EncodeComplexJSON(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeComplexJSON(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			identical(t, c, got)
-		})
-	}
-}
-
-func TestResultCodecRoundTrip(t *testing.T) {
-	for _, spec := range []TaskSpec{
-		{Family: "approx-agreement", D: 2}, // solvable at b ≥ 1: exercises map + subdivision
-		{Family: "consensus", Procs: 2},    // unsolvable: exercises the no-map path
-	} {
-		task, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := solver.SolveUpTo(task, 2, solver.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dto := ResultToDTO(spec, res)
-		data, err := gobEncode(dto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back ResultDTO
-		if err := gobDecode(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ResultFromDTO(&back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Level != res.Level || got.Solvable != res.Solvable || got.Nodes != res.Nodes {
-			t.Fatalf("verdict changed: (%d,%v,%d) vs (%d,%v,%d)",
-				got.Level, got.Solvable, got.Nodes, res.Level, res.Solvable, res.Nodes)
-		}
-		if res.Subdivision != nil {
-			identical(t, res.Subdivision, got.Subdivision)
-		}
-		if res.Solvable {
-			// The decoded map must still satisfy the Proposition 3.1 conditions.
-			if err := solver.VerifyDecisionMap(got.Task, got); err != nil {
-				t.Fatalf("decoded map fails verification: %v", err)
-			}
-		}
 	}
 }
 

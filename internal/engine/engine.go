@@ -19,11 +19,10 @@ const DefaultCacheSize = 512
 
 // costRetained lists the ops whose computed answers enter the store at
 // their compute time as GreedyDual cost (Cache.PutCost): the queries that
-// walk a subdivision chain and can take a second, and whose answers are a
-// few hundred bytes. Everything else is stored at cost 0 and keeps LRU
-// order: subdivision levels are large, so holding one past its turn costs
-// real memory, and replays are always cheap (AdversaryRequest.EstimateCost)
-// and make up most of a busy store's churn.
+// build a subdivision chain and can take a second, and whose answers are a
+// few hundred bytes. Replays are stored at cost 0 and keep LRU order: they
+// are always cheap (AdversaryRequest.EstimateCost) and make up most of a
+// busy store's churn.
 var costRetained = map[string]bool{"solve": true, "complex": true, "converge": true}
 
 // DefaultMaxNodes is the engine's per-level search budget — deliberately
@@ -36,7 +35,7 @@ type Options struct {
 	// CacheSize bounds the in-memory store (entries); 0 = DefaultCacheSize.
 	CacheSize int
 	// SpillDir, when set, enables the gob spill-to-disk tier for evicted
-	// artifacts (subdivisions, verdicts, convergence maps, replays).
+	// answers (verdicts, complex shapes, convergence maps, replays).
 	SpillDir string
 	// SpillMaxBytes bounds the spill directory's total size; old files are
 	// swept oldest-first past the budget. 0 = DefaultSpillMaxBytes.
@@ -52,8 +51,10 @@ type Options struct {
 
 // Engine is the concurrent query engine. All methods are safe for
 // concurrent use; identical in-flight queries are deduplicated so they cost
-// one computation, and every derived artifact is content-addressed in the
-// store for reuse across queries.
+// one computation, and every answer is content-addressed in the store for
+// reuse across queries. Subdivision levels are values: the query that needs
+// one builds it with topology.Subdivide and drops it, so a level never
+// enters the store, the spill tier or a peer's inventory.
 //
 // Every query method takes a context and honors it end-to-end: the solver's
 // backtracking loop, the subdivision, and the converge search all
@@ -82,11 +83,7 @@ func New(o Options) *Engine {
 	if e.maxNodes == 0 {
 		e.maxNodes = DefaultMaxNodes
 	}
-	// Spill codecs: subdivisions rehydrate as live complexes; response
-	// artifacts rehydrate as themselves.
-	e.cache.registerCodec("sds",
-		func(v any) ([]byte, error) { return EncodeComplexGob(v.(*topology.Complex)) },
-		func(data []byte) (any, error) { return DecodeComplexGob(data) })
+	// Spill codecs: every stored answer rehydrates as itself.
 	e.cache.registerCodec("solve",
 		func(v any) ([]byte, error) { return gobEncode(v.(*SolveResponse)) },
 		func(data []byte) (any, error) { var r SolveResponse; err := gobDecode(data, &r); return &r, err })
@@ -118,13 +115,11 @@ func (e *Engine) HasCached(key string) bool {
 	return ok
 }
 
-// canceledErr counts (at whole-query granularity) and wraps a cancellation
-// so callers can errors.Is(err, ErrCanceled) regardless of which layer the
-// context error surfaced from.
-func (e *Engine) canceledErr(topLevel bool, err error) error {
-	if topLevel {
-		e.metrics.Canceled.Add(1)
-	}
+// canceledErr counts and wraps a cancellation so callers can
+// errors.Is(err, ErrCanceled) regardless of which layer the context error
+// surfaced from.
+func (e *Engine) canceledErr(err error) error {
+	e.metrics.Canceled.Add(1)
 	if errors.Is(err, ErrCanceled) {
 		return err
 	}
@@ -132,13 +127,11 @@ func (e *Engine) canceledErr(topLevel bool, err error) error {
 }
 
 // do is the query spine: cache lookup, singleflight dedup of concurrent
-// misses, compute, store. CacheHits/CacheMisses are counted at whole-query
-// granularity — only top-level client queries bump them; internal artifact
-// lookups (the sds: chain a solve walks) count under "<op>_hit"/"<op>_miss"
-// named counters so N clients asking one question read as exactly one miss.
-// op names the latency histogram; successful queries observe into the "op"
-// histogram, failed ones (cancellations included — a canceled search's
-// partial latency would poison the success percentiles) into "op_error".
+// misses, compute, store. Every call is one client query, so N clients
+// asking one question read as exactly one miss. op names the latency
+// histogram; successful queries observe into the "op" histogram, failed
+// ones (cancellations included — a canceled search's partial latency would
+// poison the success percentiles) into "op_error".
 //
 // When ctx carries an obs trace, the spine emits a cache.lookup span (with
 // the answering tier) and, on a miss, a flight.wait span around the
@@ -152,10 +145,10 @@ func (e *Engine) canceledErr(topLevel bool, err error) error {
 // detached, so abandoned searches stop instead of running out their node
 // budgets. Errors — including a detaching caller's own ctx.Err() — are
 // never cached.
-func (e *Engine) do(ctx context.Context, op, key string, topLevel bool, compute func(ctx context.Context) (any, error)) (any, error) {
+func (e *Engine) do(ctx context.Context, op, key string, compute func(ctx context.Context) (any, error)) (any, error) {
 	e.metrics.InFlight.Add(1)
 	start := time.Now()
-	v, err := e.doInner(ctx, op, key, topLevel, compute)
+	v, err := e.doInner(ctx, op, key, compute)
 	e.metrics.InFlight.Add(-1)
 	if err != nil {
 		e.metrics.Observe(op+"_error", time.Since(start))
@@ -165,13 +158,9 @@ func (e *Engine) do(ctx context.Context, op, key string, topLevel bool, compute 
 	return v, err
 }
 
-func (e *Engine) doInner(ctx context.Context, op, key string, topLevel bool, compute func(ctx context.Context) (any, error)) (any, error) {
+func (e *Engine) doInner(ctx context.Context, op, key string, compute func(ctx context.Context) (any, error)) (any, error) {
 	hit := func(tier string) {
-		if topLevel {
-			e.metrics.CacheHits.Add(1)
-		} else {
-			e.metrics.Inc(op + "_hit")
-		}
+		e.metrics.CacheHits.Add(1)
 		if tier == TierDisk {
 			e.metrics.Inc(op + "_disk_hit")
 		}
@@ -189,7 +178,7 @@ func (e *Engine) doInner(ctx context.Context, op, key string, topLevel bool, com
 	lookup.SetInt("hit", 0)
 	lookup.Finish()
 	if err := ctx.Err(); err != nil {
-		return nil, e.canceledErr(topLevel, err)
+		return nil, e.canceledErr(err)
 	}
 	wctx, wait := obs.StartSpan(ctx, "flight.wait")
 	wait.SetStr("op", op)
@@ -199,11 +188,7 @@ func (e *Engine) doInner(ctx context.Context, op, key string, topLevel bool, com
 			hit(tier)
 			return v, nil
 		}
-		if topLevel {
-			e.metrics.CacheMisses.Add(1)
-		} else {
-			e.metrics.Inc(op + "_miss")
-		}
+		e.metrics.CacheMisses.Add(1)
 		// Peer cache-fill: before computing a missed key, try fetching the
 		// finished artifact from its ring owner. Inside the flight, so all
 		// local waiters share one fetch; any failure falls through to
@@ -229,7 +214,7 @@ func (e *Engine) doInner(ctx context.Context, op, key string, topLevel bool, com
 		e.metrics.Deduped.Add(1)
 	}
 	if err != nil && isCancellation(err) {
-		return nil, e.canceledErr(topLevel, err)
+		return nil, e.canceledErr(err)
 	}
 	return v, err
 }
@@ -241,55 +226,7 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
-// sdsLevel returns SDS^b(base) through the content-addressed store,
-// building missing levels one subdivision at a time on top of the
-// deepest cached level. baseHash is hash(base.CanonicalString()), so two
-// tasks over equal input complexes share the whole chain.
-func (e *Engine) sdsLevel(ctx context.Context, base *topology.Complex, baseHash string, b int) (*topology.Complex, error) {
-	return e.modelLevel(ctx, base, baseHash, b, model.WaitFree())
-}
-
-// modelLevel returns R^b(base) for an affine model — the restricted
-// subdivision chain, cached level-by-level like the wait-free one. For the
-// wait-free model the key is the pre-model "sds:…" key and the filter is
-// nil, so the chain is the identical cached object, not a lookalike.
-// Restriction runs in the same compute step as the subdivision that built
-// the level, while the arena provenance (ordered-partition block sizes) is
-// live, and compacts that arena: a restricted level in memory is an arena
-// complex like a wait-free one, with lazy keys. A level rehydrated from the
-// spill tier is explicit; either way a cached level is only ever an input
-// to the next subdivision, never to another restriction.
-func (e *Engine) modelLevel(ctx context.Context, base *topology.Complex, baseHash string, b int, spec model.Spec) (*topology.Complex, error) {
-	if b == 0 {
-		return base, nil
-	}
-	key := fmt.Sprintf("sds:%s:b=%d", baseHash, b)
-	if !spec.IsWaitFree() {
-		key += ":model=" + spec.Canonical()
-	}
-	filter := spec.Filter()
-	v, err := e.do(ctx, "sds", key, false, func(cctx context.Context) (any, error) {
-		prev, err := e.modelLevel(cctx, base, baseHash, b-1, spec)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := topology.SDSCtx(cctx, prev)
-		if err != nil {
-			return nil, err
-		}
-		if filter == nil {
-			return sub, nil
-		}
-		return topology.RestrictSDS(sub, filter)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*topology.Complex), nil
-}
-
-// Solve answers a solvability query, reusing cached subdivision levels and
-// verdicts.
+// Solve answers a solvability query, reusing cached verdicts.
 func (e *Engine) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
 	if req.MaxLevel < 0 || req.MaxLevel > MaxSolveLevel {
 		return nil, fmt.Errorf("%w: max_level=%d out of range [0,%d]", ErrInvalid, req.MaxLevel, MaxSolveLevel)
@@ -311,7 +248,7 @@ func (e *Engine) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	e.metrics.Inc("solve_model_" + metricName(spec))
-	v, err := e.do(ctx, "solve", req.Key(), true, func(cctx context.Context) (any, error) { return e.computeSolve(cctx, req, spec) })
+	v, err := e.do(ctx, "solve", req.Key(), func(cctx context.Context) (any, error) { return e.computeSolve(cctx, req, spec) })
 	if err != nil {
 		return nil, err
 	}
@@ -350,12 +287,17 @@ func (e *Engine) computeSolve(ctx context.Context, req SolveRequest, spec model.
 		}
 		return solveResponse(req, spec, res, false), nil
 	}
-	baseHash := task.Inputs.CanonicalHash()
+	// The chain R^0 … R^MaxLevel lives in this loop: each level is one
+	// Subdivide step on the last, restricted as it is built, and is dropped
+	// with the query. This loop and solver.searchChain walk the same chain;
+	// this one also counts each level's search and re-verifies a found map.
 	var last *solver.Result
+	sub := task.Inputs
 	for b := 0; b <= req.MaxLevel; b++ {
-		sub, err := e.modelLevel(ctx, task.Inputs, baseHash, b, spec)
-		if err != nil {
-			return nil, err
+		if b > 0 {
+			if sub, err = topology.Subdivide(ctx, sub, 1, opts.Restrict); err != nil {
+				return nil, err
+			}
 		}
 		res, err := solver.SolveAtLevelOn(ctx, task, b, sub, opts)
 		e.recordSolve(res)
@@ -408,9 +350,8 @@ func (e *Engine) ComplexInfo(ctx context.Context, req ComplexRequest) (*ComplexR
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	v, err := e.do(ctx, "complex", req.Key(), true, func(cctx context.Context) (any, error) {
-		base := topology.Simplex(req.N)
-		sub, err := e.sdsLevel(cctx, base, base.CanonicalHash(), req.B)
+	v, err := e.do(ctx, "complex", req.Key(), func(cctx context.Context) (any, error) {
+		sub, err := topology.Subdivide(cctx, topology.Simplex(req.N), req.B, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -445,15 +386,13 @@ func (e *Engine) Converge(ctx context.Context, req ConvergeRequest) (*ConvergeRe
 	if req.MaxK < 0 || req.MaxK > 4 {
 		return nil, fmt.Errorf("%w: converge needs 0 ≤ max_k ≤ 4, got %d", ErrInvalid, req.MaxK)
 	}
-	v, err := e.do(ctx, "converge", req.Key(), true, func(cctx context.Context) (any, error) {
+	v, err := e.do(ctx, "converge", req.Key(), func(cctx context.Context) (any, error) {
 		base := topology.Simplex(req.N)
-		a, err := e.sdsLevel(cctx, base, base.CanonicalHash(), req.Target)
+		a, err := topology.Subdivide(cctx, base, req.Target, nil)
 		if err != nil {
 			return nil, err
 		}
-		// The cached chain's base is its own Simplex instance; FindChromaticMap
-		// compares base pointers, so converge against that instance.
-		phi, k, err := converge.FindChromaticMapCtx(cctx, a.Base(), a, req.MaxK)
+		phi, k, err := converge.FindChromaticMapCtx(cctx, base, a, req.MaxK)
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +417,7 @@ func (e *Engine) Converge(ctx context.Context, req ConvergeRequest) (*ConvergeRe
 // Adversary replays a deterministic schedule (cached — the replay is a pure
 // function of the request).
 func (e *Engine) Adversary(ctx context.Context, req AdversaryRequest) (*AdversaryResponse, error) {
-	v, err := e.do(ctx, "adversary", req.Key(), true, func(cctx context.Context) (any, error) {
+	v, err := e.do(ctx, "adversary", req.Key(), func(cctx context.Context) (any, error) {
 		if err := cctx.Err(); err != nil {
 			return nil, err
 		}

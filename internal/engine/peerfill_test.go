@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"waitfree/internal/topology"
 )
 
 // fakeFiller is a canned PeerFiller: returns the same (payload, source, err)
@@ -301,11 +304,11 @@ func TestPeerFillRejectsWrongComplex(t *testing.T) {
 	if got.B != 1 || got.Vertices != 12 || got.Facets != 13 {
 		t.Fatalf("served %+v, want the locally computed SDS(s²)", got)
 	}
-	// The filler is asked twice, for the answer and for the level the
-	// local compute then misses; the level does not decode as a complex.
+	// The filler is asked once, for the answer: the local compute builds
+	// its level in place and asks no peer for it.
 	m := e.Metrics()
-	if m.Counter("cluster_peer_fill_rejected") != 1 || m.Counter("cluster_peer_fill_hit") != 0 || f.calls.Load() != 2 {
-		t.Fatalf("rejected=%d hit=%d calls=%d; want 1, 0, 2",
+	if m.Counter("cluster_peer_fill_rejected") != 1 || m.Counter("cluster_peer_fill_hit") != 0 || f.calls.Load() != 1 {
+		t.Fatalf("rejected=%d hit=%d calls=%d; want 1, 0, 1",
 			m.Counter("cluster_peer_fill_rejected"), m.Counter("cluster_peer_fill_hit"), f.calls.Load())
 	}
 }
@@ -373,4 +376,125 @@ func TestFetchByteLimitStrictKeys(t *testing.T) {
 			t.Errorf("FetchByteLimit(%q) = %d, want the %d floor", key, got, fetchLimitBase)
 		}
 	}
+}
+
+// levelFiller answers every sds: key with a fixed payload and skips every
+// other key, counting the sds: keys it is asked for: a peer that lies about
+// subdivision levels and nothing else.
+type levelFiller struct {
+	payload []byte
+	asked   atomic.Int32
+}
+
+func (f *levelFiller) Fetch(ctx context.Context, key string) ([]byte, string, error) {
+	if !strings.HasPrefix(key, "sds:") {
+		return nil, "", nil
+	}
+	f.asked.Add(1)
+	return f.payload, "http://liar", nil
+}
+
+// TestLyingLevelFillerCannotChangeVerdict: a peer that answers every level
+// with the task's input complex cannot change a verdict, because no query
+// asks a peer for a level. approx-agreement d=2 is solvable at b = 1 over
+// SDS(I)'s 12 facets. When levels were filled from peers, the node took
+// the input complex as SDS(I) and answered "UNSOLVABLE for all b ≤ 2" over
+// 4 facets.
+func TestLyingLevelFillerCannotChangeVerdict(t *testing.T) {
+	spec := TaskSpec{Family: "approx-agreement", D: 2}
+	task, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := EncodeComplexGob(task.Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{})
+	f := &levelFiller{payload: payload}
+	e.SetPeerFiller(f)
+	resp, err := e.Solve(context.Background(), SolveRequest{Spec: spec, MaxLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Verdict != "SOLVABLE at b = 1" || resp.SubdivisionFacets != 12 || !resp.MapVerified {
+		t.Errorf("verdict %q over %d facets (map verified %v), want SOLVABLE at b = 1 over 12",
+			resp.Verdict, resp.SubdivisionFacets, resp.MapVerified)
+	}
+	if n := f.asked.Load(); n != 0 {
+		t.Errorf("the filler was asked for %d sds: keys, want 0", n)
+	}
+}
+
+// TestAdmitEncodedRefusesLevels: anti-entropy admits no subdivision level,
+// not even a true one, since no key kind stores a complex.
+func TestAdmitEncodedRefusesLevels(t *testing.T) {
+	base := topology.Simplex(2)
+	for name, c := range map[string]*topology.Complex{"base": base, "SDS(s²)": topology.SDS(base)} {
+		payload, err := EncodeComplexGob(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(Options{})
+		if e.AdmitEncoded("sds:"+base.CanonicalHash()+":b=1", payload) {
+			t.Errorf("%s admitted as a level", name)
+		}
+		if n := e.CacheLen(); n != 0 {
+			t.Errorf("%s: store holds %d entries after a refusal", name, n)
+		}
+	}
+}
+
+// FuzzAdmitEncoded drives the peer-admission surface — the key parsers,
+// the byte bound and the artifact check — with arbitrary keys and
+// payloads. Neither AdmitEncoded nor FetchByteLimit may panic, the bound
+// stays within [fetchLimitBase, fetchLimitMax], an admitted cx: or conv:
+// key re-renders byte for byte from the parameters parsed out of it, and no
+// sds: key is admitted.
+func FuzzAdmitEncoded(f *testing.F) {
+	truth, err := New(Options{}).ComplexInfo(context.Background(), ComplexRequest{N: 2, B: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	answer, err := gobEncode(truth)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("cx:n=2:b=1", answer)
+	for _, key := range []string{
+		"cx:n=2000000000:b=2000000000",
+		"solve:deadbeef:maxb=1:maxnodes=0",
+		"adv:algo=x",
+		"cx:garbage",
+		"nokind",
+	} {
+		f.Add(key, answer)
+	}
+	base := topology.Simplex(2)
+	level, err := EncodeComplexGob(topology.SDS(base))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("sds:"+base.CanonicalHash()+":b=1", level)
+	f.Fuzz(func(t *testing.T, key string, payload []byte) {
+		e := New(Options{})
+		if limit := e.FetchByteLimit(key); limit < fetchLimitBase || limit > fetchLimitMax {
+			t.Fatalf("FetchByteLimit(%q) = %d, outside [%d, %d]", key, limit, fetchLimitBase, fetchLimitMax)
+		}
+		if !e.AdmitEncoded(key, payload) {
+			return
+		}
+		switch kindOf(key) {
+		case "sds":
+			t.Fatalf("level key %q admitted", key)
+		case "cx":
+			if r, ok := parseComplexKey(key); !ok || r.Key() != key {
+				t.Fatalf("admitted cx: key %q does not re-render", key)
+			}
+		case "conv":
+			if r, ok := parseConvergeKey(key); !ok || r.Key() != key {
+				t.Fatalf("admitted conv: key %q does not re-render", key)
+			}
+		}
+	})
 }

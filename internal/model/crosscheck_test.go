@@ -25,6 +25,7 @@ package model_test
 //     rounds instead of re-interleaving steps.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -55,9 +56,9 @@ func modelsFor(n int) []model.Spec {
 // vertex-key tuples — the subdivision side of the correspondence.
 func restrictedFacetKeys(t *testing.T, n, b int, spec model.Spec) map[string]bool {
 	t.Helper()
-	r, err := topology.SDSRestrictedPow(topology.Simplex(n-1), b, spec.Filter())
+	r, err := topology.Subdivide(context.Background(), topology.Simplex(n-1), b, spec.Filter())
 	if err != nil {
-		t.Fatalf("SDSRestrictedPow(s^%d, %d, %s): %v", n-1, b, spec.Canonical(), err)
+		t.Fatalf("Subdivide(s^%d, %d, %s): %v", n-1, b, spec.Canonical(), err)
 	}
 	set := make(map[string]bool, len(r.Facets()))
 	for _, f := range r.Facets() {

@@ -172,7 +172,7 @@ func (s Spec) AllowsPartition(blocks []int) bool {
 	}
 }
 
-// Filter returns the model's facet filter for topology.RestrictSDS — nil
+// Filter returns the model's facet filter for topology.Subdivide — nil
 // for wait-free, so the unrestricted path is not merely equivalent but the
 // identical code path (and the identical complex object).
 func (s Spec) Filter() topology.FacetFilter {

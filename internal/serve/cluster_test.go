@@ -4,12 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -384,6 +386,41 @@ func TestPeerArtifactEndpoint(t *testing.T) {
 	}
 	if now := nodes[0].s.Engine().Metrics().CacheMisses.Load(); now != misses {
 		t.Fatal("the artifact endpoint computed on a miss; it must be a pure cache read")
+	}
+}
+
+// TestClusterListsNoLevels: after the cluster answers clusterQueries(), no
+// node's anti-entropy listing holds a subdivision level. A level is built
+// inside the query that needs it and never stored, so no peer can list,
+// serve or fill one.
+func TestClusterListsNoLevels(t *testing.T) {
+	nodes := bootCluster(t, 3)
+	for i, q := range clusterQueries() {
+		if code, body := get(t, nodes[i%len(nodes)].url+q.path); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", q.path, code, body)
+		}
+	}
+	listed := 0
+	for _, n := range nodes {
+		code, body := get(t, n.url+cluster.KeysPath)
+		if code != http.StatusOK {
+			t.Fatalf("%s%s: %d %s", n.url, cluster.KeysPath, code, body)
+		}
+		var inventory struct {
+			Keys []string `json:"keys"`
+		}
+		if err := json.Unmarshal(body, &inventory); err != nil {
+			t.Fatal(err)
+		}
+		listed += len(inventory.Keys)
+		for _, k := range inventory.Keys {
+			if strings.HasPrefix(k, "sds:") {
+				t.Errorf("%s lists level %q", n.url, k)
+			}
+		}
+	}
+	if listed == 0 {
+		t.Fatal("no node lists any key; the inventory check saw nothing")
 	}
 }
 

@@ -89,7 +89,7 @@ func BenchmarkSolverStructuredConsensus4(b *testing.B) {
 // deterministic and gated exactly like the wait-free benchmarks.
 func BenchmarkSolverTResilient(b *testing.B) {
 	task := tasks.SetConsensus(3, 2)
-	sub, err := topology.SDSRestrictedPow(task.Inputs, 2, model.TResilient(1).Filter())
+	sub, err := topology.Subdivide(context.Background(), task.Inputs, 2, model.TResilient(1).Filter())
 	if err != nil {
 		b.Fatal(err)
 	}

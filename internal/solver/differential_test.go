@@ -387,7 +387,7 @@ func randomPairwiseTask(rng *rand.Rand, seed int64) *tasks.Task {
 
 // TestSolverDifferentialDTORoundTrip runs the same search twice — once on
 // the arena-built SDS^b(I), once on that complex rehydrated through the
-// engine's JSON DTO codec (which reconstructs it through the explicit
+// engine's gob DTO codec (which reconstructs it through the explicit
 // string-keyed path) — and requires identical verdicts AND identical node
 // counts. Equal node counts mean the two representations present the exact
 // same vertex order, domains, and simplex structure to the backtracking
@@ -409,13 +409,13 @@ func TestSolverDifferentialDTORoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/b=%d", tc.task.Name, tc.b), func(t *testing.T) {
 			sub := topology.SDSPow(tc.task.Inputs, tc.b)
 
-			data, err := engine.EncodeComplexJSON(sub)
+			data, err := engine.EncodeComplexGob(sub)
 			if err != nil {
-				t.Fatalf("EncodeComplexJSON: %v", err)
+				t.Fatalf("EncodeComplexGob: %v", err)
 			}
-			rehydrated, err := engine.DecodeComplexJSON(data)
+			rehydrated, err := engine.DecodeComplexGob(data)
 			if err != nil {
-				t.Fatalf("DecodeComplexJSON: %v", err)
+				t.Fatalf("DecodeComplexGob: %v", err)
 			}
 			if sub.CanonicalString() != rehydrated.CanonicalString() {
 				t.Fatal("DTO round-trip changed the canonical encoding")

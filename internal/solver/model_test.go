@@ -6,7 +6,7 @@ package solver_test
 //	    subdivision chain with Options.Restrict applied per level
 //	    (solver.SolveUpToCtx, what the engine and CLI run),
 //	(b) the exhaustive oracle — solver.SolveExhaustive over an explicitly
-//	    constructed topology.SDSRestrictedPow complex, and
+//	    constructed topology.Subdivide complex, and
 //	(c) the adversarial scheduler — a complex assembled from nothing but
 //	    sched.ExploreFiltered run enumeration: every model-allowed b-round
 //	    run becomes a facet, vertices are named by the SDS key grammar, and
@@ -283,9 +283,9 @@ func TestModelThreeWayDifferential(t *testing.T) {
 					certifiedOnly = append(certifiedOnly, spec.Canonical())
 				}
 				t.Run(fmt.Sprintf("%s/%s/b=%d", task.Name, spec.Canonical(), b), func(t *testing.T) {
-					explicit, err := topology.SDSRestrictedPow(task.Inputs, b, spec.Filter())
+					explicit, err := topology.Subdivide(context.Background(), task.Inputs, b, spec.Filter())
 					if err != nil {
-						t.Fatalf("SDSRestrictedPow: %v", err)
+						t.Fatalf("Subdivide: %v", err)
 					}
 					runC := runEnumComplex(t, task.Inputs, b, spec)
 

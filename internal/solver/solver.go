@@ -66,9 +66,9 @@ type Options struct {
 
 	// Restrict filters each subdivision level of SolveUpTo to the facets
 	// of an affine model (internal/model builds these from t-resilience /
-	// k-concurrency / k-set specs): level b is R^b(I), one RestrictSDS per
-	// SDS application. nil means wait-free — the chain is exactly SDS^b(I),
-	// the identical complexes, not merely equivalent ones.
+	// k-concurrency / k-set specs): level b is R^b(I), one
+	// topology.Subdivide step per level. nil means wait-free — the chain is
+	// exactly SDS^b(I), the identical complexes, not merely equivalent ones.
 	Restrict topology.FacetFilter
 
 	// Model optionally names the restriction (a model canonical string)
@@ -127,10 +127,10 @@ func SolveAtLevel(task *tasks.Task, b int, opts Options) (*Result, error) {
 }
 
 // SolveAtLevelOn is SolveAtLevel with the subdivision supplied by the
-// caller: sub must be SDS^b(task.Inputs) (or a vertex-for-vertex identical
-// complex, e.g. one rehydrated from the engine's content-addressed cache).
-// Sharing the subdivision is what lets the engine amortize the ~13^b
-// construction across queries and levels.
+// caller: sub must be SDS^b(task.Inputs) — R^b under opts.Restrict — or a
+// vertex-for-vertex identical complex. The engine's level loop builds each
+// level once, with one topology.Subdivide step on the previous one, and
+// searches it here.
 //
 // The search honors ctx cooperatively: the backtracking loop checks for
 // cancellation every cancelCheckInterval nodes (amortized — the checkpoint
@@ -316,7 +316,7 @@ func SolveUpTo(task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
 // subdivide is the between-levels subdivision step, a variable so tests can
 // inject non-cancellation failures (SolveUpToCtx must not misreport those
 // as client disconnects; see the ErrCanceled wrapping below).
-var subdivide = topology.SDSCtx
+var subdivide = topology.Subdivide
 
 // SolveUpToCtx is SolveUpTo honoring ctx: both the per-level search and the
 // subdivision step between levels stop cooperatively when the caller goes
@@ -341,7 +341,7 @@ func searchChain(ctx context.Context, task *tasks.Task, maxLevel int, opts Optio
 	sub := task.Inputs
 	for b := 0; b <= maxLevel; b++ {
 		if b > 0 {
-			next, err := subdivide(ctx, sub)
+			next, err := subdivide(ctx, sub, 1, opts.Restrict)
 			if err != nil {
 				// Only a subdivision failure caused by the caller going away
 				// is a cancellation; anything else (a genuine construction
@@ -351,15 +351,6 @@ func searchChain(ctx context.Context, task *tasks.Task, maxLevel int, opts Optio
 					return last, fmt.Errorf("%w: %w", ErrCanceled, err)
 				}
 				return last, fmt.Errorf("solver: subdivision to level %d failed: %w", b, err)
-			}
-			if opts.Restrict != nil {
-				// Restrict in the same step that built the level, while the
-				// arena provenance (the ordered-partition block sizes) is
-				// live; rehydrated complexes cannot be restricted.
-				next, err = topology.RestrictSDS(next, opts.Restrict)
-				if err != nil {
-					return last, fmt.Errorf("solver: restricting level %d failed: %w", b, err)
-				}
 			}
 			sub = next
 		}

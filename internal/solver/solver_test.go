@@ -247,7 +247,7 @@ func TestBudgetExceeded(t *testing.T) {
 // reaches a 100-node budget while the level overruns it twelvefold.
 func TestBudgetCoversTheLevel(t *testing.T) {
 	task := tasks.Consensus(4)
-	sub, err := topology.SDSRestrictedPow(task.Inputs, 2, model.KSet(2).Filter())
+	sub, err := topology.Subdivide(context.Background(), task.Inputs, 2, model.KSet(2).Filter())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestCertifiedStatsGolden(t *testing.T) {
 		if res.Certificate == nil || res.Subdivision != nil {
 			t.Errorf("%s: certificate %v, level built: %v", tc.name, res.Certificate, res.Subdivision != nil)
 		}
-		built, err := topology.SDSRestrictedPow(tc.task.Inputs, tc.maxB, tc.spec.Filter())
+		built, err := topology.Subdivide(context.Background(), tc.task.Inputs, tc.maxB, tc.spec.Filter())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,10 +23,10 @@ import (
 // is approximate agreement at d = 4, which has no Sperner certificate and
 // no map at level 0, so SolveUpToCtx must subdivide to reach level 1.
 func TestSubdivisionErrorNotMisclassified(t *testing.T) {
-	defer func() { subdivide = topology.SDSCtx }()
+	defer func() { subdivide = topology.Subdivide }()
 
 	boom := errors.New("subdivision exploded")
-	subdivide = func(ctx context.Context, c *topology.Complex) (*topology.Complex, error) {
+	subdivide = func(ctx context.Context, c *topology.Complex, b int, keep topology.FacetFilter) (*topology.Complex, error) {
 		return nil, boom
 	}
 
@@ -49,7 +49,7 @@ func TestSubdivisionErrorNotMisclassified(t *testing.T) {
 	// Dead context: a subdivision aborted because the caller went away is a
 	// cancellation, exactly as before the fix.
 	ctx, cancel := context.WithCancel(context.Background())
-	subdivide = func(sctx context.Context, c *topology.Complex) (*topology.Complex, error) {
+	subdivide = func(sctx context.Context, c *topology.Complex, b int, keep topology.FacetFilter) (*topology.Complex, error) {
 		cancel()
 		return nil, sctx.Err()
 	}
@@ -138,7 +138,7 @@ func TestStructuredNodesDropTenfold(t *testing.T) {
 // would move Stats.PrunedValues — and each interned carrier must equal
 // CarrierOfSimplex. Covers restricted, non-pure and level-0 complexes.
 func TestFacesMatchAllSimplices(t *testing.T) {
-	restricted, err := topology.SDSRestrictedPow(tasks.SetConsensus(3, 2).Inputs, 2, func(blocks []int) bool { return blocks[0] >= 2 })
+	restricted, err := topology.Subdivide(context.Background(), tasks.SetConsensus(3, 2).Inputs, 2, func(blocks []int) bool { return blocks[0] >= 2 })
 	if err != nil {
 		t.Fatal(err)
 	}

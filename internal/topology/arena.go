@@ -137,9 +137,8 @@ func carrierUnion(c *Complex, face []Vertex, scratch []Vertex) (union, scratch2 
 // and vertices by the pair (face, u), so shared faces glue by integer
 // identity.
 type sdsBuilder struct {
-	c    *Complex // source (Prev)
+	c    *Complex // source
 	out  *Complex
-	lvl  *SDSLevel
 	prov *provenance
 
 	faceIDs map[string]int32  // packed face content → face index
@@ -161,7 +160,6 @@ func newSDSBuilder(c *Complex) *sdsBuilder {
 	return &sdsBuilder{
 		c:       c,
 		out:     out,
-		lvl:     &SDSLevel{Complex: out, Prev: c},
 		prov:    out.prov,
 		faceIDs: make(map[string]int32),
 		vertIDs: make(map[uint64]Vertex),
@@ -283,38 +281,33 @@ func (b *sdsBuilder) internVertex(face int32, u Vertex) Vertex {
 		b.out.verts = append(b.out.verts, vertexAttr{color: b.c.verts[u].color})
 		b.prov.u = append(b.prov.u, u)
 		b.prov.face = append(b.prov.face, face)
-		b.lvl.U = append(b.lvl.U, u)
 	}
 	return v
 }
 
-// finish materializes carriers and the structural S slices (both alias the
-// final, no-longer-growing face arena where possible) and seals the result
-// via the trusted path: SDS facets are pairwise distinct and maximal by
-// construction, so deduplication and containment checks are skipped.
-func (b *sdsBuilder) finish() *SDSLevel {
+// finish materializes carriers (aliasing the final, no-longer-growing face
+// arena where possible) and seals the result via the trusted path: SDS
+// facets are pairwise distinct and maximal by construction, so
+// deduplication and containment checks are skipped.
+func (b *sdsBuilder) finish() *Complex {
 	out, p := b.out, b.prov
-	b.lvl.S = make([][]Vertex, len(out.verts))
 	var carriers [][]Vertex // per face, computed at most once
 	var scratch []Vertex
 	if b.c.base != nil {
 		carriers = make([][]Vertex, p.numFaces())
 	}
 	for v := range out.verts {
-		face := p.faceOf(p.face[v])
-		b.lvl.S[v] = face
 		if b.c.base == nil {
 			// Carrier of (u, S) is S itself; the face arena is final, so
 			// aliasing is safe.
-			out.verts[v].carrier = face
+			out.verts[v].carrier = p.faceOf(p.face[v])
 		} else {
 			fi := p.face[v]
 			if carriers[fi] == nil {
-				carriers[fi], scratch = carrierUnion(b.c, face, scratch)
+				carriers[fi], scratch = carrierUnion(b.c, p.faceOf(fi), scratch)
 			}
 			out.verts[v].carrier = carriers[fi]
 		}
 	}
-	out.sealTrusted()
-	return b.lvl
+	return out.sealTrusted()
 }

@@ -25,18 +25,23 @@ func EmbedBase(n int) Embedding {
 	return emb
 }
 
-// Embed computes the embedding of an SDS level from the embedding of its
-// predecessor.
-func (lvl *SDSLevel) Embed(prev Embedding) (Embedding, error) {
-	if len(prev) != lvl.Prev.NumVertices() {
+// embedLevel computes the embedding of an SDS-built level from the
+// embedding of the complex it subdivides. It reads each vertex's (u, S) pair
+// from the level's arena provenance, as SDSBlockSizes does, so it errors on
+// complexes that carry none.
+func embedLevel(lvl *Complex, prev Embedding) (Embedding, error) {
+	p := lvl.prov
+	if p == nil || p.kind != provSDS {
+		return nil, fmt.Errorf("topology: embedding a complex without SDS provenance")
+	}
+	if len(prev) != p.src.NumVertices() {
 		return nil, fmt.Errorf("topology: embedding has %d vertices, previous complex has %d",
-			len(prev), lvl.Prev.NumVertices())
+			len(prev), p.src.NumVertices())
 	}
 	dim := len(prev[0])
-	emb := make(Embedding, lvl.Complex.NumVertices())
+	emb := make(Embedding, lvl.NumVertices())
 	for v := range emb {
-		s := lvl.S[v]
-		u := lvl.U[v]
+		s, u := p.faceOf(p.face[v]), p.u[v]
 		if len(s) == 1 {
 			emb[v] = append([]float64(nil), prev[s[0]]...)
 			continue
@@ -61,13 +66,12 @@ func EmbedSDSPow(n, b int) (*Complex, Embedding, error) {
 	c := Simplex(n)
 	emb := EmbedBase(n)
 	for k := 0; k < b; k++ {
-		lvl := SDSStructured(c)
-		next, err := lvl.Embed(emb)
+		next := SDS(c)
+		nextEmb, err := embedLevel(next, emb)
 		if err != nil {
 			return nil, nil, err
 		}
-		c = lvl.Complex
-		emb = next
+		c, emb = next, nextEmb
 	}
 	return c, emb, nil
 }

@@ -153,23 +153,22 @@ func TestDet(t *testing.T) {
 }
 
 func TestSDSStructuredStructure(t *testing.T) {
-	lvl := SDSStructured(Simplex(2))
-	if lvl.Prev != nil && lvl.Prev.NumVertices() != 3 {
-		t.Fatal("Prev should be the base triangle")
-	}
-	for v := 0; v < lvl.Complex.NumVertices(); v++ {
+	prev := Simplex(2)
+	lvl := SDS(prev)
+	us, ss := levelStructure(lvl)
+	for v := 0; v < lvl.NumVertices(); v++ {
 		// u ∈ S always.
 		found := false
-		for _, w := range lvl.S[v] {
-			if w == lvl.U[v] {
+		for _, w := range ss[v] {
+			if w == us[v] {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("vertex %d: u=%d not in S=%v", v, lvl.U[v], lvl.S[v])
+			t.Fatalf("vertex %d: u=%d not in S=%v", v, us[v], ss[v])
 		}
 		// Color is inherited from u.
-		if lvl.Complex.Color(Vertex(v)) != lvl.Prev.Color(lvl.U[v]) {
+		if lvl.Color(Vertex(v)) != prev.Color(us[v]) {
 			t.Fatalf("vertex %d: color mismatch", v)
 		}
 	}

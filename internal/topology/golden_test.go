@@ -88,7 +88,7 @@ func TestGoldenSDSCounts(t *testing.T) {
 }
 
 // TestGoldenSDSCountsViaSpanAttributes is the observability half of the
-// golden suite: SDSCtx must report, through its sds.subdivide span
+// golden suite: Subdivide must report, through its sds.subdivide span
 // attributes, exactly the facet and vertex counts the table pins — the
 // trace a production query emits is checkable against Lemma 3.3, not just
 // plausible.
@@ -102,9 +102,9 @@ func TestGoldenSDSCountsViaSpanAttributes(t *testing.T) {
 		ctx := obs.WithTrace(context.Background(), tr)
 		c := Simplex(n)
 		for b := 1; b <= maxB; b++ {
-			next, err := SDSCtx(ctx, c)
+			next, err := Subdivide(ctx, c, 1, nil)
 			if err != nil {
-				t.Fatalf("SDSCtx(n=%d, b=%d): %v", n, b, err)
+				t.Fatalf("Subdivide(n=%d, b=%d): %v", n, b, err)
 			}
 			c = next
 		}

@@ -13,23 +13,23 @@ package topology
 
 import "sort"
 
-// legacySDSStructured is the seed's string-keyed SDSStructured.
-func legacySDSStructured(c *Complex) *SDSLevel {
+// legacySDSStructured is the seed's string-keyed SDSStructured: the level
+// and the (u, S) pair of each of its vertices.
+func legacySDSStructured(c *Complex) (out *Complex, us []Vertex, ss [][]Vertex) {
 	c.mustBeSealed("SDS")
-	out := NewComplex()
+	out = NewComplex()
 	base := c.base
 	if base == nil {
 		base = c
 	}
 	out.base = base
-	lvl := &SDSLevel{Complex: out, Prev: c}
 
 	addVertex := func(u Vertex, s []Vertex) Vertex {
 		key := sdsVertexKey(c, u, s)
 		v := out.MustAddVertex(key, c.Color(u))
-		if int(v) == len(lvl.U) {
-			lvl.U = append(lvl.U, u)
-			lvl.S = append(lvl.S, append([]Vertex(nil), s...))
+		if int(v) == len(us) {
+			us = append(us, u)
+			ss = append(ss, append([]Vertex(nil), s...))
 			carrierSet := make(map[Vertex]struct{})
 			for _, w := range s {
 				for _, b := range c.Carrier(w) {
@@ -62,11 +62,14 @@ func legacySDSStructured(c *Complex) *SDSLevel {
 		})
 	}
 	out.Seal()
-	return lvl
+	return out, us, ss
 }
 
 // legacySDS is the seed's SDS.
-func legacySDS(c *Complex) *Complex { return legacySDSStructured(c).Complex }
+func legacySDS(c *Complex) *Complex {
+	out, _, _ := legacySDSStructured(c)
+	return out
+}
 
 // legacySDSPow is the seed's SDSPow.
 func legacySDSPow(c *Complex, b int) *Complex {

@@ -103,8 +103,8 @@ func TestHasSimplexAgreesWithClosure(t *testing.T) {
 	}
 }
 
-// TestSDSStructuredArenaInvariants checks the provenance arrays of the
-// arena-built SDSLevel against the paper's (u, S) vertex structure: S is
+// TestSDSStructuredArenaInvariants checks the provenance arrays of an
+// arena-built SDS level against the paper's (u, S) vertex structure: S is
 // sorted, u ∈ S, colors are inherited from u, every S is a simplex of the
 // previous level, and the carrier of (u, S) is exactly the union of the
 // carriers of S's vertices (or S itself when the previous level is a base
@@ -115,20 +115,20 @@ func TestSDSStructuredArenaInvariants(t *testing.T) {
 		c := randomChromaticComplex(rng)
 		// Two levels: the first has a base complex as Prev, the second a
 		// subdivision — the two carrier codepaths of the builder.
-		lvl := SDSStructured(c)
+		prev := c
 		for depth := 0; depth < 2; depth++ {
-			prev := lvl.Prev
-			sds := lvl.Complex
-			if sds.prov == nil || sds.prov.kind != provSDS {
-				t.Logf("seed %d depth %d: SDSStructured result lost arena provenance", seed, depth)
+			sds := SDS(prev)
+			if sds.prov == nil || sds.prov.kind != provSDS || sds.prov.src != prev {
+				t.Logf("seed %d depth %d: SDS result lost arena provenance", seed, depth)
 				return false
 			}
-			if len(lvl.U) != sds.NumVertices() || len(lvl.S) != sds.NumVertices() {
+			us, ss := levelStructure(sds)
+			if len(us) != sds.NumVertices() || len(ss) != sds.NumVertices() {
 				t.Logf("seed %d depth %d: U/S length mismatch", seed, depth)
 				return false
 			}
 			for v := 0; v < sds.NumVertices(); v++ {
-				u, s := lvl.U[v], lvl.S[v]
+				u, s := us[v], ss[v]
 				found := false
 				for i, w := range s {
 					if i > 0 && s[i-1] >= w {
@@ -164,7 +164,7 @@ func TestSDSStructuredArenaInvariants(t *testing.T) {
 					}
 				}
 			}
-			lvl = SDSStructured(sds)
+			prev = sds
 		}
 		return true
 	}

@@ -66,8 +66,8 @@ func CountKeptPartitions(m int, keep FacetFilter) (int, error) {
 //
 // It errors on complexes that were not built by the SDS operators (explicit
 // complexes, Bsd complexes, DTO-rehydrated complexes): those carry no
-// snapshot provenance. Callers restrict a level in the same step that built
-// it, so the provenance is always live there.
+// snapshot provenance. Subdivide restricts a level in the same step that
+// built it, so the provenance is always live there.
 func (c *Complex) SDSBlockSizes(facet []Vertex) ([]int, error) {
 	sizes, err := c.sdsSnapshotSizes(facet, make([]int, 0, len(facet)))
 	if err != nil {
@@ -202,25 +202,4 @@ func compactSDS(s *Complex, keep []bool) (*Complex, error) {
 		out.facets = append(out.facets, flat[start:len(flat):len(flat)])
 	}
 	return out.sealTrusted(), nil
-}
-
-// SDSRestricted returns R(c): one standard chromatic subdivision of c
-// restricted to the facets accepted by the filter. With a nil filter it is
-// exactly SDS(c) — the same object SDS would return.
-func SDSRestricted(c *Complex, accept FacetFilter) (*Complex, error) {
-	return RestrictSDS(SDS(c), accept)
-}
-
-// SDSRestrictedPow returns R^b(c), the b-fold iterated restricted
-// subdivision: each level is one SDS application with the filter applied
-// before the next. SDSRestrictedPow(c, b, nil) equals SDSPow(c, b).
-func SDSRestrictedPow(c *Complex, b int, accept FacetFilter) (*Complex, error) {
-	for i := 0; i < b; i++ {
-		var err error
-		c, err = SDSRestricted(c, accept)
-		if err != nil {
-			return nil, fmt.Errorf("topology: restricted level %d: %w", i+1, err)
-		}
-	}
-	return c, nil
 }

@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
@@ -100,10 +101,10 @@ func TestRestrictSDSIdentity(t *testing.T) {
 	if r != s {
 		t.Error("accept-all filter: want the identical *Complex back")
 	}
-	if wf, err := topology.SDSRestrictedPow(topology.Simplex(2), 2, nil); err != nil {
-		t.Fatalf("SDSRestrictedPow nil: %v", err)
+	if wf, err := topology.Subdivide(context.Background(), topology.Simplex(2), 2, nil); err != nil {
+		t.Fatalf("Subdivide nil: %v", err)
 	} else if got, want := wf.CanonicalHash(), topology.SDSPow(topology.Simplex(2), 2).CanonicalHash(); got != want {
-		t.Errorf("SDSRestrictedPow(·, 2, nil) hash %s != SDSPow hash %s", got, want)
+		t.Errorf("Subdivide(·, 2, nil) hash %s != SDSPow hash %s", got, want)
 	}
 }
 
@@ -129,7 +130,7 @@ func TestRestrictSDSGoldenCounts(t *testing.T) {
 	full := topology.SDS(base)
 	fullFacets := facetKeySet(full)
 	for _, tc := range cases {
-		r, err := topology.SDSRestricted(base, tc.spec.Filter())
+		r, err := topology.Subdivide(context.Background(), base, 1, tc.spec.Filter())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec.Canonical(), err)
 		}
@@ -152,7 +153,7 @@ func TestRestrictSDSGoldenCounts(t *testing.T) {
 // TestRestrictSDSRejectAll: a filter that empties the level is an error,
 // not a degenerate complex.
 func TestRestrictSDSRejectAll(t *testing.T) {
-	if _, err := topology.SDSRestricted(topology.Simplex(2), func([]int) bool { return false }); err == nil {
+	if _, err := topology.Subdivide(context.Background(), topology.Simplex(2), 1, func([]int) bool { return false }); err == nil {
 		t.Fatal("reject-all filter: want error, got nil")
 	}
 }

@@ -22,62 +22,63 @@ import (
 // The result is a subdivision whose Base is c's base (or c itself if c is
 // not a subdivision), with carriers composed accordingly, so iterating SDS
 // keeps carriers relative to the original complex.
-func SDS(c *Complex) *Complex {
-	return SDSStructured(c).Complex
-}
-
-// SDSLevel is one application of the standard chromatic subdivision with
-// its construction structure retained: every new vertex is a pair (u, S)
-// where u is a vertex of Prev and S a face of Prev (u ∈ S). The structure
-// drives the geometric embedding (Embed) and any other recursion over the
-// construction.
-type SDSLevel struct {
-	Complex *Complex
-	Prev    *Complex
-	// U[v] and S[v] are the (u, S) pair of new vertex v, as vertices of
-	// Prev; S[v] is sorted.
-	U []Vertex
-	S [][]Vertex
-}
-
-// SDSStructured is SDS, additionally returning the construction structure.
 //
-// The construction runs on the arena representation: faces and vertices
-// of each facet's one-shot IS subdivision are interned positionally within
-// the facet and by integer identity across the level (no string keys; see
+// Background cannot be canceled and a nil filter rejects nothing, so SDS
+// and SDSPow drop Subdivide's error, which cannot occur.
+func SDS(c *Complex) *Complex {
+	c, _ = Subdivide(context.Background(), c, 1, nil)
+	return c
+}
+
+// SDSPow returns SDS^b(c); SDSPow(c, 0) is c itself.
+func SDSPow(c *Complex, b int) *Complex {
+	c, _ = Subdivide(context.Background(), c, b, nil)
+	return c
+}
+
+// Subdivide returns R^b(c): b standard chromatic subdivisions of the sealed
+// complex c, each level restricted to the facets keep accepts (see
+// RestrictSDS) in the same step that built it, while the level's arena
+// provenance — the ordered-partition block sizes — is live. With a nil keep
+// it returns exactly SDS^b(c), and Subdivide(ctx, c, 0, keep) is c itself.
+//
+// It is the one subdivision step of the engine, the solver and the converge
+// search. Each level emits one sds.subdivide span and checks ctx every
+// sdsCheckInterval source facets; a canceled level is abandoned with an
+// error wrapping ctx.Err().
+//
+// The construction runs on the arena representation: faces and vertices of
+// each facet's one-shot IS subdivision are interned positionally within the
+// facet and by integer identity across the level (no string keys; see
 // sdsBuilder in arena.go). Vertex and facet order are identical to the
 // historical string-keyed construction; string keys materialize lazily on
 // first use.
-func SDSStructured(c *Complex) *SDSLevel {
-	// Background cannot be canceled, so the error path is unreachable.
-	lvl, _ := sdsStructuredCtx(context.Background(), c)
-	return lvl
-}
-
-// SDSCtx is SDS honoring ctx: the construction checks for cancellation
-// every sdsCheckInterval facets and abandons the level, returning an error
-// wrapping ctx.Err(). On success the result is identical to SDS(c). It is
-// the subdivision step of the engine, the solver and the converge search.
-func SDSCtx(ctx context.Context, c *Complex) (*Complex, error) {
-	lvl, err := sdsStructuredCtx(ctx, c)
-	if err != nil {
-		return nil, err
+func Subdivide(ctx context.Context, c *Complex, b int, keep FacetFilter) (*Complex, error) {
+	for i := 0; i < b; i++ {
+		next, err := sdsLevel(ctx, c)
+		if err != nil {
+			return nil, err
+		}
+		if c, err = RestrictSDS(next, keep); err != nil {
+			return nil, fmt.Errorf("topology: restricted level %d: %w", i+1, err)
+		}
 	}
-	return lvl.Complex, nil
+	return c, nil
 }
 
-// SDSParallelCtx is SDSCtx; workers is ignored.
+// SDSParallelCtx is one level of Subdivide; workers is ignored.
 //
-// Deprecated: subdivision has one sequential builder. Use SDSCtx.
+// Deprecated: subdivision has one sequential builder. Use Subdivide.
 func SDSParallelCtx(ctx context.Context, c *Complex, workers int) (*Complex, error) {
-	return SDSCtx(ctx, c)
+	return Subdivide(ctx, c, 1, nil)
 }
 
 // sdsCheckInterval is the cadence, in source facets, of the cancellation
 // checkpoint inside a subdivision level.
 const sdsCheckInterval = 64
 
-func sdsStructuredCtx(ctx context.Context, c *Complex) (lvl *SDSLevel, err error) {
+// sdsLevel builds one unrestricted level, SDS(c).
+func sdsLevel(ctx context.Context, c *Complex) (out *Complex, err error) {
 	c.mustBeSealed("SDS")
 	// Tracing: one sds.subdivide span per level, carrying the exact facet
 	// and vertex counts of the construction (the numbers Lemma 3.3 pins
@@ -89,8 +90,8 @@ func sdsStructuredCtx(ctx context.Context, c *Complex) (lvl *SDSLevel, err error
 		if err != nil {
 			span.SetStr("error", "canceled")
 		} else {
-			span.SetInt("facets_out", int64(len(lvl.Complex.Facets())))
-			span.SetInt("vertices_out", int64(lvl.Complex.NumVertices()))
+			span.SetInt("facets_out", int64(len(out.Facets())))
+			span.SetInt("vertices_out", int64(out.NumVertices()))
 		}
 		span.Finish()
 	}()
@@ -104,14 +105,6 @@ func sdsStructuredCtx(ctx context.Context, c *Complex) (lvl *SDSLevel, err error
 		b.subdivide(t)
 	}
 	return b.finish(), nil
-}
-
-// SDSPow returns SDS^b(c); SDSPow(c, 0) is c itself.
-func SDSPow(c *Complex, b int) *Complex {
-	for i := 0; i < b; i++ {
-		c = SDS(c)
-	}
-	return c
 }
 
 // sdsVertexKey canonically names the SDS vertex (u, S) using the keys of the

@@ -13,7 +13,7 @@ func TestSDSParallelCtxMatchesSequential(t *testing.T) {
 	base := Simplex(2)
 	want := SDS(base).CanonicalString()
 	for name, sds := range map[string]func(context.Context, *Complex) (*Complex, error){
-		"SDSCtx":         SDSCtx,
+		"Subdivide":      func(ctx context.Context, c *Complex) (*Complex, error) { return Subdivide(ctx, c, 1, nil) },
 		"SDSParallelCtx": func(ctx context.Context, c *Complex) (*Complex, error) { return SDSParallelCtx(ctx, c, 4) },
 	} {
 		got, err := sds(context.Background(), base)
@@ -31,7 +31,7 @@ func TestSDSParallelCtxMatchesSequential(t *testing.T) {
 func TestSDSParallelCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SDSCtx(ctx, Simplex(2)); !errors.Is(err, context.Canceled) {
+	if _, err := Subdivide(ctx, Simplex(2), 1, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want an error wrapping context.Canceled", err)
 	}
 	if _, err := SDSParallelCtx(ctx, Simplex(2), 4); !errors.Is(err, context.Canceled) {

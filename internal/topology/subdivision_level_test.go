@@ -74,21 +74,24 @@ func TestSDSParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSDSStructuredMatchesLegacy checks the retained (u, S) construction
-// structure of the arena builder against the string-keyed oracle's.
+// TestSDSStructuredMatchesLegacy checks the (u, S) construction structure
+// the arena builder keeps in its provenance against the string-keyed
+// oracle's.
 func TestSDSStructuredMatchesLegacy(t *testing.T) {
 	c := SDS(Simplex(2))
-	got, want := SDSStructured(c), legacySDSStructured(c)
-	complexesIdentical(t, want.Complex, got.Complex)
-	if len(got.U) != len(want.U) || len(got.S) != len(want.S) {
-		t.Fatalf("U/S length: %d/%d vs %d/%d", len(got.U), len(got.S), len(want.U), len(want.S))
+	got := SDS(c)
+	want, wantU, wantS := legacySDSStructured(c)
+	complexesIdentical(t, want, got)
+	gotU, gotS := levelStructure(got)
+	if len(gotU) != len(wantU) || len(gotS) != len(wantS) {
+		t.Fatalf("U/S length: %d/%d vs %d/%d", len(gotU), len(gotS), len(wantU), len(wantS))
 	}
-	for i := range want.U {
-		if got.U[i] != want.U[i] {
-			t.Fatalf("U[%d]: %v vs %v", i, got.U[i], want.U[i])
+	for i := range wantU {
+		if gotU[i] != wantU[i] {
+			t.Fatalf("U[%d]: %v vs %v", i, gotU[i], wantU[i])
 		}
-		if fmt.Sprint(got.S[i]) != fmt.Sprint(want.S[i]) {
-			t.Fatalf("S[%d]: %v vs %v", i, got.S[i], want.S[i])
+		if fmt.Sprint(gotS[i]) != fmt.Sprint(wantS[i]) {
+			t.Fatalf("S[%d]: %v vs %v", i, gotS[i], wantS[i])
 		}
 	}
 }

@@ -176,21 +176,26 @@ func run(baselinePath, currentPath string, threshold float64, stdout *strings.Bu
 			fmt.Fprintf(stdout, "SKIP %s: not in baseline (refresh the baseline to arm the gate)\n", name)
 			continue
 		}
-		limit := base.NsPerOp * (1 + threshold)
-		switch {
-		case cur.NsPerOp > limit:
-			failed = true
+		// Every gate is checked, so one failure never hides another on
+		// the same line.
+		lineFailed := false
+		if limit := base.NsPerOp * (1 + threshold); cur.NsPerOp > limit {
+			lineFailed = true
 			fmt.Fprintf(stdout, "FAIL %s: %.0f ns/op, baseline %.0f (+%.1f%% > %.0f%% allowed)\n",
 				name, cur.NsPerOp, base.NsPerOp, 100*(cur.NsPerOp/base.NsPerOp-1), 100*threshold)
-		case cur.HasNodes && base.HasNodes && cur.NodesPerOp > base.NodesPerOp:
-			failed = true
+		}
+		if cur.HasNodes && base.HasNodes && cur.NodesPerOp > base.NodesPerOp {
+			lineFailed = true
 			fmt.Fprintf(stdout, "FAIL %s: %.0f nodes/op, baseline %.0f (search nodes are deterministic; any increase fails)\n",
 				name, cur.NodesPerOp, base.NodesPerOp)
-		case cur.HasAllocs && base.HasAllocs && cur.AllocsPerOp > base.AllocsPerOp:
-			failed = true
+		}
+		if cur.HasAllocs && base.HasAllocs && cur.AllocsPerOp > base.AllocsPerOp {
+			lineFailed = true
 			fmt.Fprintf(stdout, "FAIL %s: %d allocs/op, baseline %d (any increase fails)\n",
 				name, cur.AllocsPerOp, base.AllocsPerOp)
-		default:
+		}
+		failed = failed || lineFailed
+		if !lineFailed {
 			fmt.Fprintf(stdout, "ok   %s: %.0f ns/op (baseline %.0f)", name, cur.NsPerOp, base.NsPerOp)
 			if cur.HasNodes && base.HasNodes {
 				fmt.Fprintf(stdout, ", %.0f nodes/op (baseline %.0f)", cur.NodesPerOp, base.NodesPerOp)

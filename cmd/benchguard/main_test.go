@@ -111,6 +111,35 @@ func TestGateAllocRegressionIsExact(t *testing.T) {
 	}
 }
 
+// TestGateReportsEveryFailure: a line that fails two gates prints one FAIL
+// line per gate, so an ns/op failure cannot hide an allocs/op regression,
+// and a line failing none prints ok.
+func TestGateReportsEveryFailure(t *testing.T) {
+	base := write(t, "base.txt", "pkg: p\nBenchmarkX-4 10 1000 ns/op 500 B/op 40 allocs/op\nBenchmarkY-4 10 1000 ns/op 500 B/op 40 allocs/op\n")
+	cur := write(t, "cur.txt", "pkg: p\nBenchmarkX-4 10 1200 ns/op 500 B/op 41 allocs/op\nBenchmarkY-4 10 1000 ns/op 500 B/op 40 allocs/op\n")
+	var out strings.Builder
+	failed, err := run(base, cur, 0.10, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := out.String()
+	if !failed {
+		t.Fatalf("a line failing two gates passed; report:\n%s", report)
+	}
+	for _, want := range []string{
+		"FAIL p:BenchmarkX: 1200 ns/op",
+		"FAIL p:BenchmarkX: 41 allocs/op",
+		"ok   p:BenchmarkY",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	if n := strings.Count(report, "FAIL"); n != 2 {
+		t.Errorf("%d FAIL lines, want 2:\n%s", n, report)
+	}
+}
+
 // TestGateNodesRegressionIsExact pins the solver search-node gate: nodes/op
 // is ReportMetric output printed between ns/op and the -benchmem pair, it is
 // deterministic, and ANY increase fails regardless of timing headroom.

@@ -61,6 +61,7 @@ func cmdSolve(args []string) error {
 		{tasks.ApproxAgreement(2), *maxB},
 		{tasks.ApproxAgreement(4), *maxB},
 		{tasks.Consensus(2), *maxB},
+		{tasks.Consensus(3), min(*maxB, 2)},
 		{tasks.SetConsensus(3, 2), min(*maxB, 1)},
 	}
 	if spec.IsWaitFree() {
@@ -83,8 +84,11 @@ func cmdSolve(args []string) error {
 			continue
 		}
 		verdict := fmt.Sprintf("UNSOLVABLE for all b ≤ %d (proven by exhaustion)", res.Level)
-		if res.Certificate != nil {
+		switch res.CertificateKind {
+		case solver.CertificateSperner:
 			verdict = fmt.Sprintf("UNSOLVABLE at every b (Sperner certificate on a %d-vertex input face)", len(res.Certificate))
+		case solver.CertificatePath:
+			verdict = "UNSOLVABLE at every b (path certificate: one round connects two solo runs with different inputs)"
 		}
 		if res.Solvable {
 			verdict = fmt.Sprintf("SOLVABLE at b = %d", res.Level)

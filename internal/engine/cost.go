@@ -57,13 +57,22 @@ func chainCost(facets int64, m, maxLevel int) int64 {
 // facet keeps its full m vertices, so the per-level multiplier of R^b is
 // constant — the count of model-allowed ordered partitions of an m-set,
 // which for wait-free is exactly Fubini(m) via the same checked recurrence.
+//
+// The walk stops once the total saturates, which a multiplier of at least
+// 2 reaches within 63 levels; a multiplier of 1 (a one-vertex facet)
+// keeps every level at `facets`, so that sum is one product. Either way
+// the estimate takes as few steps at the largest level a peer key can name
+// as at b = 3.
 func chainCostModel(facets int64, m, maxLevel int, spec model.Spec) int64 {
 	branch, err := spec.CountAllowedPartitions(m)
 	if err != nil {
 		return CostUnbounded
 	}
+	if branch == 1 {
+		return satAdd(satMul(facets, int64(maxLevel)), facets)
+	}
 	var total, level int64 = 0, facets
-	for b := 0; b <= maxLevel; b++ {
+	for b := 0; b <= maxLevel && total < CostUnbounded; b++ {
 		total = satAdd(total, level)
 		level = satMul(level, int64(branch))
 	}

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -97,3 +99,54 @@ func TestSolveRecordsSearchCounters(t *testing.T) {
 		t.Errorf("solver_nodes_total = %d, want > 0", m.Counter("solver_nodes_total"))
 	}
 }
+
+// FuzzEstimateCost drives the admission estimate with arbitrary request
+// fields — task family and parameters, levels, node budget and the model
+// string — under a soft memory limit. No input may panic; each estimate is
+// either an ErrInvalid refusal or a cost ≥ 0; and no call may allocate
+// more than estimateAllocBound bytes, since admission prices a query
+// before the query is allowed to allocate anything proportional to it.
+func FuzzEstimateCost(f *testing.F) {
+	f.Add("consensus", 3, 0, 0, 0, 2, int64(0), "1-resilient", 2, 3, 1, 2)
+	f.Add("set-consensus", 4, 3, 0, 0, 1, int64(500000000), "3-set", 3, 1, 2, 3)
+	f.Add("approx-agreement", 0, 0, 32, 0, 4, int64(-1), "", 0, 0, 0, 0)
+	f.Add("renaming", 4, 0, 0, 8, 5, int64(1), "9-resilient", -1, 1<<40, -3, 1<<62)
+	f.Add("wsb", 1<<40, -1, -1, -1, -1, int64(0), "-1-concurrency", 1<<62, 1<<62, 1<<62, 1<<62)
+	// Levels a peer key can name: every estimate must stop as soon as
+	// its total saturates, or, for one-vertex facets (n = 0), sum in
+	// closed form.
+	f.Add("consensus", 2, 0, 0, 0, 1, int64(0), "", 0, 1<<62, 1<<62, 1<<62)
+	f.Add("consensus", 2, 0, 0, 0, 1, int64(0), "", 2, 1<<62, 1<<62, 1<<62)
+	prev := debug.SetMemoryLimit(64 << 20)
+	f.Cleanup(func() { debug.SetMemoryLimit(prev) })
+	f.Fuzz(func(t *testing.T, family string, procs, k, d, m, maxLevel int, maxNodes int64, modelName string, n, b, target, maxK int) {
+		estimates := []struct {
+			name     string
+			estimate func() (int64, error)
+		}{
+			{"solve", SolveRequest{Spec: TaskSpec{Family: family, Procs: procs, K: k, D: d, M: m}, MaxLevel: maxLevel, MaxNodes: maxNodes, Model: modelName}.EstimateCost},
+			{"complex", ComplexRequest{N: n, B: b}.EstimateCost},
+			{"converge", ConvergeRequest{N: n, Target: target, MaxK: maxK}.EstimateCost},
+		}
+		for _, e := range estimates {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cost, err := e.estimate()
+			runtime.ReadMemStats(&after)
+			if err != nil && !errors.Is(err, ErrInvalid) {
+				t.Fatalf("%s: error %v is not ErrInvalid", e.name, err)
+			}
+			if err == nil && cost < 0 {
+				t.Fatalf("%s: cost %d < 0", e.name, cost)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > estimateAllocBound {
+				t.Fatalf("%s: estimate allocated %d bytes", e.name, grew)
+			}
+		}
+	})
+}
+
+// estimateAllocBound bounds one estimate's allocation: counting the kept
+// partitions of at most 4 processes (75 of them) is the largest work an
+// estimate may do.
+const estimateAllocBound = 1 << 20

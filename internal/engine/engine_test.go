@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -309,37 +308,45 @@ func TestWarmSolveHitBuildsNoTask(t *testing.T) {
 	}
 }
 
-// TestCertifiedSolveBuildsNoLevel: the service's heavy query, consensus-4p
-// at b ≤ 2, is answered by its Sperner certificate. The response carries
-// the level's sizes from the closed form and 0 nodes; its trace has one
-// solver.obstruct span and no sds.subdivide or solver.search span; the
-// store holds no subdivision level. set-consensus-3p-2 at b = 2 and
-// set-consensus-4p-3 at b = 1, which exceed any search budget, answer too.
+// TestCertifiedSolveBuildsNoLevel: a certified query builds and searches
+// no level. The service's heavy query, consensus-4p at b ≤ 2, is answered
+// by its Sperner certificate, and consensus-3p at b ≤ 2 under 1-resilience
+// and under 2-concurrency by a path certificate. Each response carries the
+// level's sizes from the closed form and 0 nodes; each trace has one
+// solver.obstruct span naming its certificate and no sds.subdivide or
+// solver.search span. set-consensus-3p-2 at b = 2 and set-consensus-4p-3
+// at b = 1, which exceed any search budget, answer too.
 func TestCertifiedSolveBuildsNoLevel(t *testing.T) {
 	e := New(Options{})
-	tr := obs.NewTrace()
-	resp, err := e.Solve(obs.WithTrace(context.Background(), tr), SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 4}, MaxLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Solvable || resp.Level != 2 || resp.Nodes != 0 || resp.SubdivisionVertices != 15048 || resp.SubdivisionFacets != 90000 {
-		t.Fatalf("consensus-4p b≤2: %+v", resp)
-	}
-	if resp.Verdict != "UNSOLVABLE for all b ≤ 2 (proven by exhaustion)" {
-		t.Errorf("verdict %q", resp.Verdict)
-	}
-	snap := tr.Snapshot()
-	if spans := snap.Find("solver.obstruct"); len(spans) != 1 || spans[0].Ints["certified"] != 1 {
-		t.Fatalf("solver.obstruct spans: %+v", spans)
-	}
-	for _, name := range []string{"sds.subdivide", "solver.search"} {
-		if n := len(snap.Find(name)); n != 0 {
-			t.Errorf("certified solve recorded %d %s spans", n, name)
+	for _, tc := range []struct {
+		req              SolveRequest
+		vertices, facets int
+		certificate      string
+	}{
+		{SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 4}, MaxLevel: 2}, 15048, 90000, "sperner"},
+		{SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 3}, MaxLevel: 2, Model: "1-resilient"}, 126, 128, "path"},
+		{SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 3}, MaxLevel: 2, Model: "2-concurrency"}, 654, 1152, "path"},
+	} {
+		name := tc.req.Spec.Canonical() + "/" + tc.req.Model
+		tr := obs.NewTrace()
+		resp, err := e.Solve(obs.WithTrace(context.Background(), tr), tc.req)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, k := range e.cache.Keys() {
-		if strings.HasPrefix(k, "sds:") {
-			t.Errorf("certified solve stored subdivision level %q", k)
+		if resp.Solvable || resp.Level != 2 || resp.Nodes != 0 || resp.SubdivisionVertices != tc.vertices || resp.SubdivisionFacets != tc.facets {
+			t.Fatalf("%s b≤2: %+v", name, resp)
+		}
+		if resp.Verdict != "UNSOLVABLE for all b ≤ 2 (proven by exhaustion)" {
+			t.Errorf("%s: verdict %q", name, resp.Verdict)
+		}
+		snap := tr.Snapshot()
+		if spans := snap.Find("solver.obstruct"); len(spans) != 1 || spans[0].Ints["certified"] != 1 || spans[0].Strs["certificate"] != tc.certificate {
+			t.Fatalf("%s: solver.obstruct spans: %+v", name, spans)
+		}
+		for _, span := range []string{"sds.subdivide", "solver.search"} {
+			if n := len(snap.Find(span)); n != 0 {
+				t.Errorf("%s: certified solve recorded %d %s spans", name, n, span)
+			}
 		}
 	}
 	for _, req := range []SolveRequest{

@@ -181,16 +181,166 @@ func TestRandomTasksDifferential(t *testing.T) {
 }
 
 // FuzzSolverDifferential extends TestRandomTasksDifferential past its 40
-// seeds. The corpus seeds from 4 on have levels with dominated vertices
-// that carry a universal value, the case a vertex-elimination pass would
-// remove before searching.
+// seeds, and TestRandomModelDifferential past its 60. The corpus seeds
+// from 4 on have levels with dominated vertices that carry a universal
+// value, the case a vertex-elimination pass would remove before searching.
 func FuzzSolverDifferential(f *testing.F) {
 	for _, seed := range []int64{0, 1, 4, 5, 6, 9, 10, 13, 14, 25, 29, 30} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		randomTaskDifferential(t, seed)
+		randomModelDifferential(t, seed)
 	})
+}
+
+// TestRandomModelDifferential runs randomModelDifferential over 60 seeds
+// and requires the corpus to exercise both certificates.
+func TestRandomModelDifferential(t *testing.T) {
+	kinds := map[string]int{}
+	for seed := int64(0); seed < 60; seed++ {
+		kinds[randomModelDifferential(t, seed)]++
+	}
+	if kinds[solver.CertificateSperner] == 0 || kinds[solver.CertificatePath] == 0 || kinds[""] == 0 {
+		t.Fatalf("degenerate corpus: certificates fired %v", kinds)
+	}
+	t.Logf("certificates over 60 seeds: %v", kinds)
+}
+
+// randomModelDifferential draws a random agreement task and a random
+// model and checks the search against the oracle on the model's levels
+// R^0 and R^1. Where Certify answers, with either certificate, neither
+// may find a map. It returns the kind of certificate that fired, or "".
+func randomModelDifferential(t *testing.T, seed int64) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	task := randomAgreementTask(rng, seed)
+	specs := gridModels(task.Procs)
+	spec := specs[rng.Intn(len(specs))]
+	opts := solver.Options{Restrict: spec.Filter()}
+	if !spec.IsWaitFree() {
+		opts.Model = spec.Canonical()
+	}
+	ctx := context.Background()
+	cert, err := solver.Certify(ctx, task, 1, opts)
+	if err != nil {
+		t.Fatalf("seed %d: Certify: %v", seed, err)
+	}
+	sub := task.Inputs
+	for b := 0; b <= 1; b++ {
+		if b > 0 {
+			if sub, err = topology.Subdivide(ctx, sub, 1, spec.Filter()); err != nil {
+				t.Fatalf("seed %d %s: Subdivide: %v", seed, spec.Canonical(), err)
+			}
+		}
+		exh, err := solver.SolveExhaustive(ctx, task, b, sub)
+		if err != nil {
+			t.Fatalf("seed %d %s b=%d exhaustive: %v", seed, spec.Canonical(), b, err)
+		}
+		str, err := solver.SolveAtLevelOn(ctx, task, b, sub, opts)
+		if err != nil {
+			t.Fatalf("seed %d %s b=%d structured: %v", seed, spec.Canonical(), b, err)
+		}
+		if str.Solvable != exh.Solvable {
+			t.Fatalf("seed %d %s b=%d: verdicts differ: structured %v, oracle %v", seed, spec.Canonical(), b, str.Solvable, exh.Solvable)
+		}
+		if cert != nil && str.Solvable {
+			t.Fatalf("seed %d %s b=%d: a %s certificate fired, but a map exists", seed, spec.Canonical(), b, cert.CertificateKind)
+		}
+		if str.Solvable {
+			if err := solver.VerifyDecisionMap(task, str); err != nil {
+				t.Errorf("seed %d %s b=%d: VerifyDecisionMap: %v", seed, spec.Canonical(), b, err)
+			}
+		}
+	}
+	if cert == nil {
+		return ""
+	}
+	if cert.Vertices != sub.NumVertices() || cert.Facets != len(sub.Facets()) {
+		t.Errorf("seed %d %s: certified sizes %d, %d; built level %d, %d", seed, spec.Canonical(), cert.Vertices, cert.Facets, sub.NumVertices(), len(sub.Facets()))
+	}
+	return cert.CertificateKind
+}
+
+// randomAgreementTask is a consensus-like task over 2 or 3 processes:
+// every input facet assigns each process a value in {0, 1, 2} (a random
+// nonempty set of the 27 or 9 assignments, so the input complex is pure),
+// a decision must be an input of its carrier (validity, in Allowed), and
+// the output complex holds exactly the assignments on which a set of
+// agreeing color pairs decide equal values — all pairs in half the tasks
+// (consensus with three values), a random set in the rest.
+func randomAgreementTask(rng *rand.Rand, seed int64) *tasks.Task {
+	n := 2 + rng.Intn(2)
+	var assignments [][]int
+	var build func(cur []int)
+	build = func(cur []int) {
+		if len(cur) == n {
+			assignments = append(assignments, append([]int(nil), cur...))
+			return
+		}
+		for val := 0; val < 3; val++ {
+			build(append(cur, val))
+		}
+	}
+	build(nil)
+	agree := make(map[[2]int]bool)
+	all := rng.Intn(2) == 0
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			agree[[2]int{a, b}] = all || rng.Intn(2) == 0
+		}
+	}
+	in, out := topology.NewComplex(), topology.NewComplex()
+	inVal := map[topology.Vertex]string{}
+	outVal := map[topology.Vertex]string{}
+	add := func(c *topology.Complex, vals map[topology.Vertex]string, prefix string, a []int) {
+		facet := make([]topology.Vertex, n)
+		for p, val := range a {
+			facet[p] = c.MustAddVertex(fmt.Sprintf("%s%d=%d", prefix, p, val), p)
+			vals[facet[p]] = strconv.Itoa(val)
+		}
+		c.MustAddSimplex(facet...)
+	}
+	picked := false
+	for _, a := range assignments {
+		if rng.Intn(3) == 0 {
+			add(in, inVal, "P", a)
+			picked = true
+		}
+	}
+	if !picked {
+		add(in, inVal, "P", assignments[len(assignments)-1])
+	}
+	for _, a := range assignments {
+		ok := true
+		for pair, must := range agree {
+			ok = ok && (!must || a[pair[0]] == a[pair[1]])
+		}
+		if ok {
+			add(out, outVal, "D", a)
+		}
+	}
+	inputs := in.Seal()
+	return &tasks.Task{
+		Name:    fmt.Sprintf("random-agreement-%d", seed),
+		Procs:   n,
+		Inputs:  inputs,
+		Outputs: out.Seal(),
+		Allowed: func(inS, outS []topology.Vertex) bool {
+			valid := make(map[string]bool, len(inS))
+			for _, v := range inS {
+				valid[inVal[v]] = true
+			}
+			for _, w := range outS {
+				if !valid[outVal[w]] {
+					return false
+				}
+			}
+			return true
+		},
+		InputValue:  func(v topology.Vertex) string { return inVal[v] },
+		OutputValue: func(w topology.Vertex) string { return outVal[w] },
+	}
 }
 
 // randomTaskDifferential checks the search against the oracle on

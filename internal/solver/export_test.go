@@ -6,6 +6,10 @@ var SolveExhaustive = solveExhaustive
 // SolveExhaustiveWithin is the oracle under a caller-chosen node budget.
 var SolveExhaustiveWithin = solveExhaustiveWithin
 
+// PathObstruct exposes the path certificate, which Certify tries only
+// under a model that drops an ordered partition.
+var PathObstruct = pathObstruct
+
 // KeepsAllPartitions exposes the certificate's model gate.
 var KeepsAllPartitions = keepsAllPartitions
 

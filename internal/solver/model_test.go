@@ -274,7 +274,8 @@ func TestModelThreeWayDifferential(t *testing.T) {
 			// Per-level verdicts feed the SolveUpToCtx expectation below.
 			verdicts := map[int]bool{}
 			const maxB = 2
-			certified := solver.Obstruct(task, spec.Filter()) != nil
+			pq, _ := solver.PathObstruct(task, spec.Filter())
+			certified := solver.Obstruct(task, spec.Filter()) != nil || pq != nil
 			for b := 0; b <= maxB; b++ {
 				maxNodes := int64(solver.DefaultMaxNodes)
 				mayExhaust := certified && task.Name == "set-consensus-3p-2" && b == 2
@@ -323,7 +324,7 @@ func TestModelThreeWayDifferential(t *testing.T) {
 						switch {
 						case r.err == nil:
 							if certified && r.res.Solvable {
-								t.Fatalf("%s found a map where the Sperner certificate fired", r.plane)
+								t.Fatalf("%s found a map where a certificate fired", r.plane)
 							}
 						case mayExhaust && errors.Is(r.err, solver.ErrBudget):
 							undecided = true

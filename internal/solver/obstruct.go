@@ -32,7 +32,34 @@ import (
 // The argument needs the level over σ to be all of SDS^b(σ). An affine
 // model's level is R^b(I), which is SDS^b(I) exactly when its filter keeps
 // every ordered partition of every input facet (keepsAllPartitions); other
-// models fall through to the search.
+// models try the path certificate below, and otherwise fall through to the
+// search.
+//
+// Path certificates: deciding consensus-type tasks under an affine model
+// from one round. Let the input complex be pure with m-vertex facets,
+// 2 ≤ m ≤ 4, and
+//
+//	(a) restrict keeps an ordered partition of an m-set whose first block
+//	    is one process — for every process, since filters read block
+//	    sizes only;
+//	(b) R(s^{m−1}) is connected;
+//	(c) some input facet τ holds vertices p and q with different inputs,
+//	    every decision allowed for p alone carries p's input and every one
+//	    allowed for q alone carries q's, and every facet of the output
+//	    complex carries a single value on τ's colors.
+//
+// Then R^b(τ) is connected for every b, by induction: each R(φ) over a
+// facet φ of R^{b−1}(τ) is a relabeled R(s^{m−1}), and two facets sharing
+// a vertex v both hold v's solo vertex (v, {v}), which (a) keeps. The
+// iterated solo vertices of p and q lie in R^b(τ) with carriers {p} and
+// {q}, so a decision map sends them to p's and q's different inputs; but
+// it maps every edge of R^b(τ) into an output facet, which carries one
+// value on τ's colors, so it is constant along a path between them. So no
+// decision map exists at any level (Gafni–Kuznetsov–Manolescu read a
+// model as a set of IIS runs; (a) and (b) say the runs of one round
+// connect the solo runs). Consensus is the case the service meets: under
+// t-resilience with 0 < t < m − 1 and under k-concurrency with k < m (at
+// m ≥ 3 for k = 1), where no Sperner certificate applies.
 
 // Obstruct returns a Sperner certificate for task — the vertices of an
 // input simplex σ meeting both conditions above, smallest dimension first —
@@ -184,10 +211,111 @@ func (o *obstruction) panchromaticAllowed(sigma []topology.Vertex, values map[st
 	return false
 }
 
+// pathObstruct returns a path certificate for task under restrict — the
+// vertices p and q of condition (c) — and the one-round complex
+// R(s^{m−1}) of condition (b), from which the level's sizes follow; or
+// nils when any condition fails or the task carries no input or output
+// values.
+func pathObstruct(task *tasks.Task, restrict topology.FacetFilter) ([]topology.Vertex, *topology.Complex) {
+	in := task.Inputs
+	if task.InputValue == nil || task.OutputValue == nil || len(in.Facets()) == 0 || !in.IsPure() {
+		return nil, nil
+	}
+	m := len(in.Facets()[0])
+	if m < 2 || m > 4 || !keepsSoloFirst(m, restrict) {
+		return nil, nil
+	}
+	o := obstruction{task: task, labeled: make(map[string]bool)}
+	for _, tau := range in.Facets() {
+		pq := o.soloPair(tau)
+		if pq == nil || !o.agreesOn(tau) {
+			continue
+		}
+		// One restricted level over one simplex, at most 75 facets: built
+		// under a bare context, so a traced query records no sds.subdivide.
+		round, err := topology.Subdivide(context.Background(), topology.Simplex(m-1), 1, restrict)
+		if err != nil || !round.IsConnected() {
+			return nil, nil
+		}
+		return pq, round
+	}
+	return nil, nil
+}
+
+// keepsSoloFirst is condition (a): restrict keeps some ordered partition
+// of an m-set whose first block has one element.
+func keepsSoloFirst(m int, restrict topology.FacetFilter) bool {
+	kept := false
+	sizes := make([]int, 0, m)
+	topology.ForEachOrderedPartition(m, func(blocks [][]int) {
+		if kept || len(blocks[0]) != 1 {
+			return
+		}
+		sizes = sizes[:0]
+		for _, b := range blocks {
+			sizes = append(sizes, len(b))
+		}
+		kept = restrict == nil || restrict(sizes)
+	})
+	return kept
+}
+
+// soloPair returns the first two vertices of tau, in facet order, with
+// different inputs whose solo decisions each carry their own input.
+func (o *obstruction) soloPair(tau []topology.Vertex) []topology.Vertex {
+	for i, p := range tau {
+		if !o.spernerLabeled(tau[i : i+1]) {
+			continue
+		}
+		for j := i + 1; j < len(tau); j++ {
+			q := tau[j]
+			if o.task.InputValue(p) != o.task.InputValue(q) && o.spernerLabeled(tau[j:j+1]) {
+				return []topology.Vertex{p, q}
+			}
+		}
+	}
+	return nil
+}
+
+// agreesOn reports whether every output facet carries a single value on
+// tau's colors: agreement lives in the output complex, since Allowed checks
+// validity only.
+func (o *obstruction) agreesOn(tau []topology.Vertex) bool {
+	in, out := o.task.Inputs, o.task.Outputs
+	colors := make(map[int]bool, len(tau))
+	for _, v := range tau {
+		colors[in.Color(v)] = true
+	}
+	for _, f := range out.Facets() {
+		value, seen := "", false
+		for _, w := range f {
+			if !colors[out.Color(w)] {
+				continue
+			}
+			if val := o.task.OutputValue(w); !seen {
+				value, seen = val, true
+			} else if val != value {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Certificate kinds, as Result.CertificateKind and the solver.obstruct
+// span's certificate attribute name them.
+const (
+	CertificateSperner = "sperner"
+	CertificatePath    = "path"
+)
+
 // Certify is the solver's first step when it may walk a whole subdivision
-// chain: when Obstruct finds a certificate under opts.Restrict, it returns
-// the unsolvable Result at maxLevel — Nodes 0, no Subdivision, the level's
-// sizes from topology.SDSLevelSize — without building any level. It returns
+// chain: when Obstruct finds a Sperner certificate under opts.Restrict, or,
+// under a model that drops an ordered partition, pathObstruct finds a path
+// certificate, it returns the unsolvable Result at maxLevel — Nodes 0, no
+// Subdivision, the level's sizes from the closed form
+// (topology.SDSLevelSize, or topology.RestrictedFVector over the path
+// certificate's one-round complex) — without building any level. It returns
 // (nil, nil) when there is no certificate or the closed form cannot size
 // the level (inputs of more than 4 processes, or counts past int), so the
 // chain answers as it would without one; it records one solver.obstruct
@@ -202,21 +330,38 @@ func Certify(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) 
 		span.SetStr("model", opts.Model)
 	}
 	defer span.Finish()
-	sigma := Obstruct(task, opts.Restrict)
-	var vertices, facets int
-	if sigma != nil {
-		var err error
-		if vertices, facets, err = topology.SDSLevelSize(task.Inputs, maxLevel); err != nil {
-			sigma = nil
-		}
-	}
-	span.SetInt("certified", boolInt(sigma != nil))
-	if sigma == nil {
+	res := certify(task, maxLevel, opts.Restrict)
+	span.SetInt("certified", boolInt(res != nil))
+	if res == nil {
 		return nil, nil
 	}
-	span.SetInt("face_vertices", int64(len(sigma)))
+	span.SetStr("certificate", res.CertificateKind)
+	span.SetInt("face_vertices", int64(len(res.Certificate)))
 	span.SetInt("level", int64(maxLevel))
-	span.SetInt("vertices", int64(vertices))
-	span.SetInt("facets", int64(facets))
-	return &Result{Task: task, Level: maxLevel, Certificate: sigma, Vertices: vertices, Facets: facets}, nil
+	span.SetInt("vertices", int64(res.Vertices))
+	span.SetInt("facets", int64(res.Facets))
+	return res, nil
+}
+
+// certify is Certify without the span.
+func certify(task *tasks.Task, maxLevel int, restrict topology.FacetFilter) *Result {
+	if sigma := Obstruct(task, restrict); sigma != nil {
+		vertices, facets, err := topology.SDSLevelSize(task.Inputs, maxLevel)
+		if err != nil {
+			return nil
+		}
+		return &Result{Task: task, Level: maxLevel, Certificate: sigma, CertificateKind: CertificateSperner, Vertices: vertices, Facets: facets}
+	}
+	if keepsAllPartitions(task.Inputs, restrict) {
+		return nil
+	}
+	pq, round := pathObstruct(task, restrict)
+	if pq == nil {
+		return nil
+	}
+	f, err := topology.RestrictedFVector(task.Inputs.FVector(), round, maxLevel)
+	if err != nil {
+		return nil
+	}
+	return &Result{Task: task, Level: maxLevel, Certificate: pq, CertificateKind: CertificatePath, Vertices: f[0], Facets: f[len(f)-1]}
 }

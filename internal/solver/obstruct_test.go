@@ -83,16 +83,17 @@ func soundnessBudget() int64 {
 	return 100_000
 }
 
-// TestObstructSoundness is the certificate's soundness grid: for every
-// family at 1–4 processes, under every model whose filter keeps all
-// partitions, wherever Obstruct fires, neither the search nor (on levels
-// small enough to enumerate) the exhaustive oracle finds a decision map at
-// any level b ≤ 2 (b ≤ 1 at 4 processes, b ≤ 2 for consensus-4p). It also
-// pins where the certificate fires: exactly consensus at 2–4 processes, set
-// consensus with k < procs, and one-process weak symmetry breaking.
+// TestObstructSoundness is the certificates' soundness grid: for every
+// family at 1–4 processes, under every model, wherever a certificate fires
+// — the Sperner certificate under a model whose filter keeps all
+// partitions, the path certificate under one that does not — neither the
+// search nor (on levels small enough to enumerate) the exhaustive oracle
+// finds a decision map on the model's level R^b, b ≤ 2 (b ≤ 1 at 4
+// processes, and b ≤ 2 for wait-free consensus-4p). It also pins where the
+// Sperner certificate fires: exactly consensus at 2–4 processes, set
+// consensus with k < procs, and one-process weak symmetry breaking
+// (TestPathCertificateFires pins the path certificate).
 func TestObstructSoundness(t *testing.T) {
-	ctx := context.Background()
-	budget := soundnessBudget()
 	for _, tc := range soundnessTasks() {
 		task := tc.task
 		var sigma []topology.Vertex
@@ -100,7 +101,14 @@ func TestObstructSoundness(t *testing.T) {
 		for _, spec := range gridModels(task.Procs) {
 			if !solver.KeepsAllPartitions(task.Inputs, spec.Filter()) {
 				if solver.Obstruct(task, spec.Filter()) != nil {
-					t.Errorf("%s/%s: certificate fired past the model gate", task.Name, spec.Canonical())
+					t.Errorf("%s/%s: Sperner certificate fired past the model gate", task.Name, spec.Canonical())
+				}
+				if pq, _ := solver.PathObstruct(task, spec.Filter()); pq != nil {
+					maxB := tc.maxB
+					if task.Procs == 4 {
+						maxB = 1
+					}
+					checkNoMap(t, task, spec, maxB, pq)
 				}
 				continue
 			}
@@ -122,32 +130,93 @@ func TestObstructSoundness(t *testing.T) {
 		if fires != want {
 			t.Errorf("%s: certificate fires = %v, want %v", task.Name, fires, want)
 		}
-		if !fires {
-			continue
+		if fires {
+			// Every gated model's level is SDS^b(I): check it once.
+			checkNoMap(t, task, model.WaitFree(), tc.maxB, sigma)
 		}
-		sub := task.Inputs
-		for b := 0; b <= tc.maxB; b++ {
-			if b > 0 {
-				sub = topology.SDS(sub)
-			}
-			str, err := solver.SolveAtLevelOn(ctx, task, b, sub, solver.Options{MaxNodes: budget})
-			if err != nil && !errors.Is(err, solver.ErrBudget) {
-				t.Fatalf("%s b=%d: search: %v", task.Name, b, err)
-			}
-			if err == nil && str.Solvable {
-				t.Errorf("%s b=%d: certificate %v fired, but the search found a map", task.Name, b, sigma)
-			}
-			if len(sub.Facets()) > 2000 {
-				continue // the oracle enumerates every simplex of the level
-			}
-			exh, err := solver.SolveExhaustiveWithin(ctx, task, b, sub, budget)
-			if err != nil && !errors.Is(err, solver.ErrBudget) {
-				t.Fatalf("%s b=%d: oracle: %v", task.Name, b, err)
-			}
-			if err == nil && exh.Solvable {
-				t.Errorf("%s b=%d: certificate %v fired, but the oracle found a map", task.Name, b, sigma)
+	}
+}
+
+// checkNoMap checks that neither the search nor, on levels of at most
+// 2,000 facets, the exhaustive oracle finds a decision map for task on
+// R^b(I) under spec at any b ≤ maxB. A search may exhaust its budget —
+// set-consensus-3p-2 at b = 2 and set-consensus-4p-3 at b = 1 exceed any
+// budget the search can afford — but it must never find a map.
+func checkNoMap(t *testing.T, task *tasks.Task, spec model.Spec, maxB int, certificate []topology.Vertex) {
+	t.Helper()
+	ctx := context.Background()
+	budget := soundnessBudget()
+	sub := task.Inputs
+	for b := 0; b <= maxB; b++ {
+		if b > 0 {
+			var err error
+			if sub, err = topology.Subdivide(ctx, sub, 1, spec.Filter()); err != nil {
+				t.Fatalf("%s/%s b=%d: Subdivide: %v", task.Name, spec.Canonical(), b, err)
 			}
 		}
+		str, err := solver.SolveAtLevelOn(ctx, task, b, sub, solver.Options{MaxNodes: budget})
+		if err != nil && !errors.Is(err, solver.ErrBudget) {
+			t.Fatalf("%s/%s b=%d: search: %v", task.Name, spec.Canonical(), b, err)
+		}
+		if err == nil && str.Solvable {
+			t.Errorf("%s/%s b=%d: certificate %v fired, but the search found a map", task.Name, spec.Canonical(), b, certificate)
+		}
+		if len(sub.Facets()) > 2000 {
+			continue // the oracle enumerates every simplex of the level
+		}
+		exh, err := solver.SolveExhaustiveWithin(ctx, task, b, sub, budget)
+		if err != nil && !errors.Is(err, solver.ErrBudget) {
+			t.Fatalf("%s/%s b=%d: oracle: %v", task.Name, spec.Canonical(), b, err)
+		}
+		if err == nil && exh.Solvable {
+			t.Errorf("%s/%s b=%d: certificate %v fired, but the oracle found a map", task.Name, spec.Canonical(), b, certificate)
+		}
+	}
+}
+
+// TestPathCertificateFires pins where Certify answers with a path
+// certificate over the soundness grid's tasks and every model: consensus
+// (and set consensus with k = 1, the same task over distinct inputs) at 3
+// and 4 processes, under t-resilience with 0 < t < procs − 1 and under
+// k-concurrency with k < procs. Elsewhere it must not fire:
+//   - 0-resilience and k-set memory with k < procs keep no partition whose
+//     first block is one process;
+//   - 1-concurrency at 2 processes makes R(s¹) two disjoint edges, and
+//     consensus-2p is solvable there;
+//   - the other models keep every partition, where the Sperner certificate
+//     answers instead;
+//   - set consensus with k ≥ 2, approximate agreement, renaming and the
+//     rest fail the agreement condition.
+func TestPathCertificateFires(t *testing.T) {
+	want := []string{
+		"consensus-3p/1-resilient", "consensus-3p/1-concurrency", "consensus-3p/2-concurrency",
+		"set-consensus-3p-1/1-resilient", "set-consensus-3p-1/1-concurrency", "set-consensus-3p-1/2-concurrency",
+		"consensus-4p/1-resilient", "consensus-4p/2-resilient",
+		"consensus-4p/1-concurrency", "consensus-4p/2-concurrency", "consensus-4p/3-concurrency",
+		"set-consensus-4p-1/1-resilient", "set-consensus-4p-1/2-resilient",
+		"set-consensus-4p-1/1-concurrency", "set-consensus-4p-1/2-concurrency", "set-consensus-4p-1/3-concurrency",
+	}
+	var got []string
+	for _, tc := range soundnessTasks() {
+		for _, spec := range gridModels(tc.task.Procs) {
+			opts := solver.Options{Restrict: spec.Filter()}
+			if !spec.IsWaitFree() {
+				opts.Model = spec.Canonical()
+			}
+			res, err := solver.Certify(context.Background(), tc.task, 1, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != nil && res.CertificateKind == solver.CertificatePath {
+				got = append(got, tc.task.Name+"/"+spec.Canonical())
+				if len(res.Certificate) != 2 {
+					t.Errorf("%s/%s: path certificate %v, want two vertices", tc.task.Name, spec.Canonical(), res.Certificate)
+				}
+			}
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("path certificate fires on\n %v\nwant\n %v", got, want)
 	}
 }
 

@@ -111,10 +111,13 @@ type Result struct {
 	// certificate decided the task without building it.
 	Vertices, Facets int
 
-	// Certificate, when non-nil, is the input simplex σ whose Sperner
-	// obstruction (Obstruct) proves the task unsolvable at every level;
-	// Subdivision is then nil and Nodes 0.
-	Certificate []topology.Vertex
+	// Certificate, when non-nil, is the input simplex that proves the task
+	// unsolvable at every level: σ of a Sperner certificate (Obstruct), or
+	// the two vertices p, q of a path certificate. CertificateKind names
+	// which (CertificateSperner or CertificatePath). Subdivision is then
+	// nil and Nodes 0.
+	Certificate     []topology.Vertex
+	CertificateKind string
 
 	Nodes int64 // assignment nodes explored
 	Stats Stats // pruning telemetry

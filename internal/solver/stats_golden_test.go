@@ -123,7 +123,8 @@ func TestStructuredStatsGolden(t *testing.T) {
 }
 
 // TestCertifiedStatsGolden pins what SolveUpToCtx reports on the rows of
-// TestStructuredStatsGolden that a Sperner certificate decides: unsolvable
+// TestStructuredStatsGolden that a certificate decides, and on the model
+// matrix's rows that a path certificate decides: unsolvable
 // at the deepest level asked, no search nodes and no search telemetry, and
 // that level's sizes from the closed form, equal to the built level's.
 func TestCertifiedStatsGolden(t *testing.T) {
@@ -147,6 +148,14 @@ func TestCertifiedStatsGolden(t *testing.T) {
 			"solvable=false level=2 nodes=0 pruned=0 components=0 component_nodes=[] vertices=36 facets=36"},
 		{"set-consensus-3-2/b=2", tasks.SetConsensus(3, 2), model.WaitFree(), 2,
 			"solvable=false level=2 nodes=0 pruned=0 components=0 component_nodes=[] vertices=99 facets=169"},
+		// Path certificates: the model drops an ordered partition, and
+		// the level's sizes come from the restricted closed form.
+		{"matrix/consensus-3p/1-resilient", tasks.Consensus(3), model.TResilient(1), 2,
+			"solvable=false level=2 nodes=0 pruned=0 components=0 component_nodes=[] vertices=126 facets=128"},
+		{"matrix/consensus-3p/2-concurrency", tasks.Consensus(3), model.KConcurrency(2), 2,
+			"solvable=false level=2 nodes=0 pruned=0 components=0 component_nodes=[] vertices=654 facets=1152"},
+		{"consensus-4p/1-resilient", tasks.Consensus(4), model.TResilient(1), 2,
+			"solvable=false level=2 nodes=0 pruned=0 components=0 component_nodes=[] vertices=392 facets=400"},
 	}
 	for _, tc := range cases {
 		opts := solver.Options{Restrict: tc.spec.Filter()}
@@ -161,8 +170,12 @@ func TestCertifiedStatsGolden(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s:\n got: %s\nwant: %s", tc.name, got, tc.want)
 		}
-		if res.Certificate == nil || res.Subdivision != nil {
-			t.Errorf("%s: certificate %v, level built: %v", tc.name, res.Certificate, res.Subdivision != nil)
+		wantKind := solver.CertificateSperner
+		if !solver.KeepsAllPartitions(tc.task.Inputs, tc.spec.Filter()) {
+			wantKind = solver.CertificatePath
+		}
+		if res.Certificate == nil || res.CertificateKind != wantKind || res.Subdivision != nil {
+			t.Errorf("%s: %s certificate %v (want %s), level built: %v", tc.name, res.CertificateKind, res.Certificate, wantKind, res.Subdivision != nil)
 		}
 		built, err := topology.Subdivide(context.Background(), tc.task.Inputs, tc.maxB, tc.spec.Filter())
 		if err != nil {

@@ -152,17 +152,24 @@ type sdsBuilder struct {
 	facetBuf  []Vertex // current partition's facet under construction
 	faceBuf   []Vertex
 	encBuf    []byte
+	flat      []Vertex // the level's facets, each carved from it in turn
 }
 
 func newSDSBuilder(c *Complex) *sdsBuilder {
 	out := newArenaComplex(c, provSDS)
-	out.facets = make([][]Vertex, 0, sdsFacetCount(c.Facets()))
+	facets, slots := sdsFacetCount(c.Facets())
+	out.facets = make([][]Vertex, 0, facets)
+	faces, verts := sdsInternBounds(c.Facets())
+	out.verts = make([]vertexAttr, 0, verts)
+	out.prov.u = make([]Vertex, 0, verts)
+	out.prov.face = make([]int32, 0, verts)
 	return &sdsBuilder{
 		c:       c,
 		out:     out,
 		prov:    out.prov,
-		faceIDs: make(map[string]int32),
-		vertIDs: make(map[uint64]Vertex),
+		faceIDs: make(map[string]int32, faces),
+		vertIDs: make(map[uint64]Vertex, verts),
+		flat:    make([]Vertex, 0, slots),
 	}
 }
 
@@ -173,30 +180,52 @@ func newSDSBuilder(c *Complex) *sdsBuilder {
 const maxPresizeFacets = 1 << 20
 
 // sdsFacetCount is the facet count of SDS over the given facets, Lemma 3.3:
-// Σ CountOrderedPartitions(|t|), evaluated once per distinct facet size. It
-// returns 0 (no presizing) past maxPresizeFacets.
-func sdsFacetCount(facets [][]Vertex) int {
+// Σ CountOrderedPartitions(|t|), evaluated once per distinct facet size,
+// and the vertex slots those facets hold, Σ |t|·CountOrderedPartitions(|t|).
+// It returns 0, 0 (no presizing) past maxPresizeFacets.
+func sdsFacetCount(facets [][]Vertex) (total, slots int) {
 	var perSize [MaxOrderedPartitionsN + 1]int
 	for _, t := range facets {
 		if len(t) > MaxOrderedPartitionsN {
-			return 0
+			return 0, 0
 		}
 		perSize[len(t)]++
 	}
-	total := 0
 	for k, n := range perSize {
 		if n == 0 {
 			continue
 		}
 		per := CountOrderedPartitions(k)
 		if per > maxPresizeFacets {
-			return 0
+			return 0, 0
 		}
 		if total += n * per; total > maxPresizeFacets {
-			return 0
+			return 0, 0
+		}
+		slots += n * per * k
+	}
+	return total, slots
+}
+
+// sdsInternBounds bounds the intern tables of SDS over the given facets:
+// a facet t has 2^|t| − 1 faces and |t|·2^(|t|−1) vertices (u, S), and
+// facets share some of both, so the sums over the facets bound the level's
+// distinct faces and vertices. Either bound past maxPresizeFacets is 0 (no
+// presizing), so an oversized level grows its tables as it goes, the way
+// sdsFacetCount leaves its facet list.
+func sdsInternBounds(facets [][]Vertex) (faces, verts int) {
+	for _, t := range facets {
+		k := len(t)
+		if k > MaxOrderedPartitionsN {
+			return 0, 0
+		}
+		faces += 1<<k - 1
+		verts += k << k >> 1
+		if faces > maxPresizeFacets || verts > maxPresizeFacets {
+			return 0, 0
 		}
 	}
-	return total
+	return faces, verts
 }
 
 // subdivide adds the one-shot IS subdivision of source facet t.
@@ -222,7 +251,9 @@ func (b *sdsBuilder) subdivide(t []Vertex) {
 
 func (b *sdsBuilder) rec(t []Vertex, remaining, prefixMask uint32, k int) {
 	if remaining == 0 {
-		f := slices.Clone(b.facetBuf)
+		start := len(b.flat)
+		b.flat = append(b.flat, b.facetBuf...)
+		f := b.flat[start:len(b.flat):len(b.flat)]
 		slices.Sort(f)
 		b.out.facets = append(b.out.facets, f)
 		return

@@ -424,8 +424,15 @@ func (c *Complex) AllSimplices() [][][]Vertex {
 func (c *Complex) FVector() []int {
 	c.mustBeSealed("FVector")
 	f := make([]int, c.Dimension()+1)
-	if len(f) == 0 {
-		return f
+	c.forEachFace(func(_ []Vertex, m uint32) { f[bits.OnesCount32(m)-1]++ })
+	return f
+}
+
+// forEachFace calls fn once per simplex of the sealed complex, as the
+// position mask m over the first facet t in facet order that holds it.
+func (c *Complex) forEachFace(fn func(t []Vertex, m uint32)) {
+	if len(c.facets) == 0 {
+		return
 	}
 	c.ensureIncidence()
 	var shared []uint32 // position masks over t of t ∩ t', one per earlier t'
@@ -452,10 +459,9 @@ func (c *Complex) FVector() []int {
 					continue face
 				}
 			}
-			f[bits.OnesCount32(m)-1]++
+			fn(t, m)
 		}
 	}
-	return f
 }
 
 // meetMask returns the positions in t of t ∩ u as a bitmask, and the

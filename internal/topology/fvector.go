@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Closed-form sizes of standard chromatic subdivisions (paper Lemma 3.3,
 // by simplex rather than by facet). Every simplex of SDS(K) lies in the
@@ -25,8 +28,58 @@ func SDSFVector(f []int, b int) ([]int, error) {
 	if len(f) > len(sdsInterior) {
 		return nil, fmt.Errorf("topology: SDSFVector of a %d-dimensional complex: the closed form covers dimension ≤ %d", len(f)-1, len(sdsInterior)-1)
 	}
+	return iterateFVector(f, sdsInterior, b)
+}
+
+// RestrictedFVector returns the f-vector of R^b(K) for a pure complex K
+// whose facets have m = len(f) vertices, where round = R(s^{m−1}) is one
+// restricted level over the standard (m−1)-simplex (Subdivide(ctx,
+// Simplex(m−1), 1, keep)). A filter reads block sizes only, so R treats
+// every j-face of every facet of K alike, and a simplex of R(K) lies over
+// exactly one face of K, its carrier; so f(R(K)) = M·f(K) with
+//
+//	M[k][j] = #{j-simplices of round carried by one fixed k-face of s^{m−1}},
+//
+// the count over all k-faces divided by C(m, k+1), and R(K) is again pure
+// with m-vertex facets. With a nil keep M is sdsInterior's first m rows.
+// It errors when round is not such a level, when K's dimension exceeds 3,
+// or when a count overflows int.
+func RestrictedFVector(f []int, round *Complex, b int) ([]int, error) {
+	m := len(f)
+	base := round.Base()
+	if m == 0 || m > len(sdsInterior) || base == nil || base.NumVertices() != m || base.Dimension() != m-1 {
+		return nil, fmt.Errorf("topology: RestrictedFVector needs one level over s^%d for a pure complex of dimension ≤ %d", m-1, len(sdsInterior)-1)
+	}
+	M := make([][]int, m)
+	for k := range M {
+		M[k] = make([]int, k+1)
+	}
+	round.forEachFace(func(t []Vertex, mask uint32) {
+		var carrier uint32
+		for r := mask; r != 0; r &= r - 1 {
+			for _, v := range round.verts[t[bits.TrailingZeros32(r)]].carrier {
+				carrier |= 1 << v
+			}
+		}
+		M[bits.OnesCount32(carrier)-1][bits.OnesCount32(mask)-1]++
+	})
+	for k, row := range M {
+		faces := binomial(m, k+1)
+		for j := range row {
+			if row[j]%faces != 0 {
+				return nil, fmt.Errorf("topology: RestrictedFVector: the %d-faces of s^%d carry unequal counts of %d-simplices", k, m-1, j)
+			}
+			row[j] /= faces
+		}
+	}
+	return iterateFVector(f, M, b)
+}
+
+// iterateFVector applies f ← M·f b times, M lower triangular by carrier
+// dimension (M[k][j] for j ≤ k), with every product and sum checked.
+func iterateFVector(f []int, M [][]int, b int) ([]int, error) {
 	if b < 0 {
-		return nil, fmt.Errorf("topology: SDSFVector level %d is negative", b)
+		return nil, fmt.Errorf("topology: closed-form level %d is negative", b)
 	}
 	cur := append([]int(nil), f...)
 	// A vertex subdivides into itself (M[0][0] = 1), so a complex of
@@ -34,13 +87,13 @@ func SDSFVector(f []int, b int) ([]int, error) {
 	for ; b > 0 && len(cur) > 1; b-- {
 		next := make([]int, len(cur))
 		for k, fk := range cur {
-			for j, m := range sdsInterior[k] {
+			for j, m := range M[k] {
 				p, ok := mulNonNeg(m, fk)
 				if ok {
 					next[j], ok = addNonNeg(next[j], p)
 				}
 				if !ok {
-					return nil, fmt.Errorf("topology: SDSFVector overflows int at dimension %d", j)
+					return nil, fmt.Errorf("topology: closed-form f-vector overflows int at dimension %d", j)
 				}
 			}
 		}

@@ -5,6 +5,7 @@
 package waitfree_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -191,7 +192,7 @@ func BenchmarkSolverConsensus(b *testing.B) {
 func BenchmarkSolverSetConsensus(b *testing.B) {
 	task := tasks.SetConsensus(3, 2)
 	for i := 0; i < b.N; i++ {
-		res, err := solver.SolveAtLevel(task, 1, solver.Options{})
+		res, err := solver.SolveAtLevelOn(context.Background(), task, 1, topology.SDSPow(task.Inputs, 1), solver.Options{})
 		if err != nil || res.Solvable {
 			b.Fatalf("unexpected: %v %v", res.Solvable, err)
 		}
@@ -313,7 +314,7 @@ func BenchmarkLoopAgreement(b *testing.B) {
 	b.Run("contractible", func(b *testing.B) {
 		task := mk(false)
 		for i := 0; i < b.N; i++ {
-			res, err := solver.SolveAtLevel(task, 0, solver.Options{})
+			res, err := solver.SolveAtLevelOn(context.Background(), task, 0, topology.SDSPow(task.Inputs, 0), solver.Options{})
 			if err != nil || !res.Solvable {
 				b.Fatalf("unexpected: %v %v", res.Solvable, err)
 			}
@@ -322,7 +323,7 @@ func BenchmarkLoopAgreement(b *testing.B) {
 	b.Run("noncontractible", func(b *testing.B) {
 		task := mk(true)
 		for i := 0; i < b.N; i++ {
-			res, err := solver.SolveAtLevel(task, 1, solver.Options{})
+			res, err := solver.SolveAtLevelOn(context.Background(), task, 1, topology.SDSPow(task.Inputs, 1), solver.Options{})
 			if err != nil || res.Solvable {
 				b.Fatalf("unexpected: %v %v", res.Solvable, err)
 			}
@@ -378,21 +379,27 @@ func BenchmarkConvergenceMapSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkCSASSRuntime runs chromatic simplex agreement on SDS(s²) with
+// the solver's decision map for it (solver.Execute), and validates each
+// run.
 func BenchmarkCSASSRuntime(b *testing.B) {
-	base := topology.Simplex(2)
-	a := topology.SDS(base)
-	phi, k, err := converge.FindChromaticMap(base, a, 2)
+	task, err := tasks.SimplexAgreement(topology.SDS(topology.Simplex(2)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	all := []topology.Vertex{0, 1, 2}
+	res, err := solver.SolveUpTo(task, 2, solver.Options{})
+	if err != nil || !res.Solvable {
+		b.Fatalf("unexpected: %v %v", res.Solvable, err)
+	}
+	inputs := []topology.Vertex{0, 1, 2}
+	all := []int{0, 1, 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := converge.RunSimplexAgreement(phi, k, 3, nil)
+		out, err := solver.Execute(task, res, inputs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := converge.ValidateAgreement(a, res, all); err != nil {
+		if err := solver.ValidateExecution(task, inputs, out, all); err != nil {
 			b.Fatal(err)
 		}
 	}

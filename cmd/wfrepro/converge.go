@@ -6,14 +6,17 @@ import (
 
 	"waitfree/internal/converge"
 	"waitfree/internal/engine"
+	"waitfree/internal/solver"
+	"waitfree/internal/tasks"
 	"waitfree/internal/topology"
 )
 
 // cmdConverge reproduces Theorem 5.1: find a color- and carrier-preserving
-// simplicial map SDS^k(sⁿ) → A for a sample chromatic subdivision A, then
-// run distributed chromatic simplex agreement (CSASS) over the real IIS
-// runtime using that map. With -json it answers the map-search query through
-// the engine and emits exactly the /v1/converge response bytes.
+// simplicial map SDS^k(sⁿ) → A for a sample chromatic subdivision A — the
+// solver's decision map for chromatic simplex agreement on A — then run
+// that task (CSASS) over the real IIS runtime with solver.Execute. With
+// -json it answers the map-search query through the engine and emits
+// exactly the /v1/converge response bytes.
 func cmdConverge(args []string) error {
 	fs := newFlagSet("converge")
 	n := fs.Int("n", 2, "dimension (processes − 1)")
@@ -42,25 +45,34 @@ func cmdConverge(args []string) error {
 	base := topology.Simplex(*n)
 	a := topology.SDSPow(base, *target)
 	fmt.Printf("Theorem 5.1: searching for SDS^k(s%d) → SDS^%d(s%d), k ≤ %d\n", *n, *target, *n, *maxK)
-	phi, k, err := converge.FindChromaticMapCtx(ctx, base, a, *maxK)
+	task, err := tasks.SimplexAgreement(a)
 	if err != nil {
 		return err
 	}
+	res, err := solver.SolveUpToCtx(ctx, task, *maxK, solver.Options{})
+	if err != nil {
+		return err
+	}
+	if !res.Solvable {
+		return fmt.Errorf("%w (maxK=%d)", converge.ErrNotFound, *maxK)
+	}
+	phi, k := res.Map, res.Level
 	fmt.Printf("  found at k = %d: simplicial=%v colorPreserving=%v carrierRespecting=%v\n",
 		k, phi.Validate() == nil, phi.ColorPreserving(), phi.CarrierRespecting())
 
 	procs := *n + 1
-	all := make([]topology.Vertex, procs)
-	for i := range all {
-		all[i] = topology.Vertex(i)
+	inputs := make([]topology.Vertex, procs)
+	all := make([]int, procs)
+	for i := range inputs {
+		inputs[i], all[i] = topology.Vertex(i), i
 	}
 	fmt.Printf("CSASS runtime: %d processes converge on a simplex of A via %d IIS rounds\n", procs, k)
 	for t := 0; t < *trials; t++ {
-		res, err := converge.RunSimplexAgreement(phi, k, procs, nil)
+		out, err := solver.Execute(task, res, inputs, nil)
 		if err != nil {
 			return err
 		}
-		if err := converge.ValidateAgreement(a, res, all); err != nil {
+		if err := solver.ValidateExecution(task, inputs, out, all); err != nil {
 			return fmt.Errorf("trial %d: %w", t, err)
 		}
 	}

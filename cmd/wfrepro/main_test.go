@@ -30,6 +30,7 @@ func TestSubcommandsRun(t *testing.T) {
 		{"modelcheck", "-n", "3"},
 		{"sperner", "-n", "2", "-b", "1", "-samples", "5"},
 		{"ncsac", "-path", "3", "-trials", "2"},
+		{"ncsac", "-path", "5", "-trials", "2"},
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, "_"), func(t *testing.T) {

@@ -1,17 +1,19 @@
 // Convergence: Theorem 5.1 and chromatic simplex agreement, end to end.
 //
 // A non-standard chromatic subdivision A of the edge s¹ is built by hand (a
-// 5-edge alternating path). The Theorem 5.1 search finds the level k and the
-// color- and carrier-preserving simplicial map SDS^k(s¹) → A; two concurrent
+// 5-edge alternating path). The solver finds the level k and the color- and
+// carrier-preserving simplicial map SDS^k(s¹) → A of Theorem 5.1, which is
+// its decision map for chromatic simplex agreement on A; two concurrent
 // processes then run k rounds of iterated immediate snapshots and apply the
-// map, converging onto a single edge (or vertex) of A.
+// map (solver.Execute), converging onto a single edge (or vertex) of A.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"waitfree/internal/converge"
+	"waitfree/internal/solver"
+	"waitfree/internal/tasks"
 	"waitfree/internal/topology"
 )
 
@@ -47,22 +49,32 @@ func run() error {
 	a.Seal()
 	fmt.Printf("target A: a %d-edge chromatic subdivision of s¹\n", len(a.Facets()))
 
-	phi, k, err := converge.FindChromaticMap(base, a, 3)
+	// The Theorem 5.1 map is the solver's decision map for chromatic simplex
+	// agreement on A.
+	task, err := tasks.SimplexAgreement(a)
 	if err != nil {
 		return err
 	}
+	res, err := solver.SolveUpTo(task, 3, solver.Options{})
+	if err != nil {
+		return err
+	}
+	if !res.Solvable {
+		return fmt.Errorf("no map SDS^k(s¹) → A for k ≤ 3")
+	}
+	k := res.Level
 	fmt.Printf("Theorem 5.1 map found at k = %d (SDS^%d has %d edges)\n", k, k, pow(3, k))
 
+	inputs := []topology.Vertex{0, 1}
 	for trial := 0; trial < 5; trial++ {
-		res, err := converge.RunSimplexAgreement(phi, k, 2, nil)
+		out, err := solver.Execute(task, res, inputs, nil)
 		if err != nil {
 			return err
 		}
-		if err := converge.ValidateAgreement(a, res, []topology.Vertex{0, 1}); err != nil {
+		if err := solver.ValidateExecution(task, inputs, out, []int{0, 1}); err != nil {
 			return err
 		}
-		fmt.Printf("  trial %d: P0 → %s, P1 → %s\n",
-			trial, a.Key(res.Outputs[0]), a.Key(res.Outputs[1]))
+		fmt.Printf("  trial %d: P0 → %s, P1 → %s\n", trial, a.Key(out[0]), a.Key(out[1]))
 	}
 	fmt.Println("every pair of outputs spans an edge of A — chromatic simplex agreement")
 	return nil

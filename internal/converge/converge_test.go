@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"waitfree/internal/solver"
+	"waitfree/internal/tasks"
 	"waitfree/internal/topology"
 )
 
@@ -186,6 +188,18 @@ func TestFindMapNotFound(t *testing.T) {
 	}
 }
 
+// csass returns chromatic simplex agreement on a with phi, the map
+// FindChromaticMap found at level k, as its decision map, for
+// solver.Execute.
+func csass(t *testing.T, a *topology.Complex, phi *topology.SimplicialMap, k int) (*tasks.Task, *solver.Result) {
+	t.Helper()
+	task, err := tasks.SimplexAgreement(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return task, &solver.Result{Task: task, Level: k, Solvable: true, Map: phi, Subdivision: phi.From}
+}
+
 // TestCSASSRuntime runs distributed chromatic simplex agreement over the
 // real IIS runtime, targeting A = SDS(s²), with and without crashes.
 func TestCSASSRuntime(t *testing.T) {
@@ -196,17 +210,18 @@ func TestCSASSRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	task, res := csass(t, a, phi, k)
 
-	all := []topology.Vertex{0, 1, 2}
+	inputs := []topology.Vertex{0, 1, 2}
 	for trial := 0; trial < 30; trial++ {
-		res, err := RunSimplexAgreement(phi, k, procs, nil)
+		out, err := solver.Execute(task, res, inputs, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := ValidateAgreement(a, res, all); err != nil {
+		if err := solver.ValidateExecution(task, inputs, out, []int{0, 1, 2}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for i, v := range res.Outputs {
+		for i, v := range out {
 			if v < 0 {
 				t.Fatalf("trial %d: P%d did not decide", trial, i)
 			}
@@ -222,17 +237,19 @@ func TestCSASSRuntimeWithCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	task, res := csass(t, a, phi, k)
+	inputs := []topology.Vertex{0, 1, 2}
 	for trial := 0; trial < 20; trial++ {
-		res, err := RunSimplexAgreement(phi, k, procs, []int{0, -1, -1})
+		out, err := solver.Execute(task, res, inputs, []int{0, -1, -1})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// P0 took no steps: not participating; survivors' outputs must be
 		// carried by {1, 2}.
-		if err := ValidateAgreement(a, res, []topology.Vertex{1, 2}); err != nil {
+		if err := solver.ValidateExecution(task, inputs, out, []int{1, 2}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if res.Outputs[0] != -1 {
+		if out[0] != -1 {
 			t.Fatal("crashed process decided")
 		}
 	}
@@ -246,16 +263,46 @@ func TestCSASSSoloRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSimplexAgreement(phi, k, 2, []int{-1, 0})
+	task, res := csass(t, a, phi, k)
+	inputs := []topology.Vertex{0, 1}
+	out, err := solver.Execute(task, res, inputs, []int{-1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateAgreement(a, res, []topology.Vertex{0}); err != nil {
+	if err := solver.ValidateExecution(task, inputs, out, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	out := res.Outputs[0]
-	car := a.Carrier(out)
+	car := a.Carrier(out[0])
 	if len(car) != 1 || car[0] != 0 {
 		t.Fatalf("solo P0 decided vertex with carrier %v, want its own corner", car)
+	}
+}
+
+// TestAdmittedQueries pins the level of every converge query the service
+// admits (1 ≤ n ≤ 2, 1 ≤ target ≤ 2, 0 ≤ maxK ≤ 4): A = SDS^target(sⁿ) is
+// first reached at k = target, so the search answers target when maxK
+// reaches it and ErrNotFound otherwise.
+func TestAdmittedQueries(t *testing.T) {
+	for n := 1; n <= 2; n++ {
+		base := topology.Simplex(n)
+		for target := 1; target <= 2; target++ {
+			a := topology.SDSPow(base, target)
+			for maxK := 0; maxK <= 4; maxK++ {
+				phi, k, err := FindChromaticMap(base, a, maxK)
+				if maxK < target {
+					if !errors.Is(err, ErrNotFound) {
+						t.Errorf("n=%d target=%d maxK=%d: err = %v, want ErrNotFound", n, target, maxK, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("n=%d target=%d maxK=%d: %v", n, target, maxK, err)
+					continue
+				}
+				if k != target || phi.Validate() != nil || !phi.ColorPreserving() || !phi.CarrierRespecting() {
+					t.Errorf("n=%d target=%d maxK=%d: k = %d, want %d with a valid map", n, target, maxK, k, target)
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package converge
 
 import (
-	"context"
 	"fmt"
 
-	"waitfree/internal/protocol"
+	"waitfree/internal/solver"
+	"waitfree/internal/tasks"
 	"waitfree/internal/topology"
 )
 
@@ -18,12 +18,9 @@ type NCSACSolution struct {
 	I   *topology.Complex // the input complex
 	Phi *topology.SimplicialMap
 	K   int
-}
 
-// ncsacInputKey names input-complex vertices from C's own vertex keys, so
-// runtime initial states and SDS^K(I) vertex keys line up.
-func ncsacInputKey(proc int, cKey string) string {
-	return fmt.Sprintf("in(P%d=%s)", proc, cKey)
+	colored *tasks.ColoredCopy // the outputs of tasks.NCSAC over C
+	solved  *solver.Result     // its decision map, into the copy
 }
 
 // SolveNCSACTwoProcess compiles the two-process NCSAC task over c: each
@@ -32,12 +29,11 @@ func ncsacInputKey(proc int, cKey string) string {
 //
 // For two processes the paper's "no holes of dimension < n+1" hypothesis is
 // connectivity (every image of an S⁰ — two points — has a fill-in, i.e. a
-// path). The search finds the decision map at increasing levels; it fails
+// path). The solver finds the decision map at increasing levels; it fails
 // with ErrNotFound if c is disconnected (the task is then unsolvable: a
 // solo-started pair with inputs in different components has no joint
 // simplex reachable without violating the solo condition).
 func SolveNCSACTwoProcess(c *topology.Complex, maxK int) (*NCSACSolution, error) {
-	const procs = 2
 	if !c.IsConnected() {
 		// Fail fast with the topological reason rather than exhausting the
 		// level search: two solo-constrained inputs in different components
@@ -45,109 +41,74 @@ func SolveNCSACTwoProcess(c *topology.Complex, maxK int) (*NCSACSolution, error)
 		return nil, fmt.Errorf("%w: target complex is disconnected (%d components) — the no-holes hypothesis fails",
 			ErrNotFound, len(c.ConnectedComponents()))
 	}
-	// Build the input complex: every pair of C-vertices is a legal input.
-	in := topology.NewComplex()
-	var cOf []topology.Vertex // input vertex → C vertex
-	for v := 0; v < c.NumVertices(); v++ {
-		for p := 0; p < procs; p++ {
-			iv := in.MustAddVertex(ncsacInputKey(p, c.Key(topology.Vertex(v))), p)
-			for len(cOf) <= int(iv) {
-				cOf = append(cOf, 0)
-			}
-			cOf[iv] = topology.Vertex(v)
-		}
-	}
-	for v0 := 0; v0 < c.NumVertices(); v0++ {
-		for v1 := 0; v1 < c.NumVertices(); v1++ {
-			a, _ := in.VertexByKey(ncsacInputKey(0, c.Key(topology.Vertex(v0))))
-			b, _ := in.VertexByKey(ncsacInputKey(1, c.Key(topology.Vertex(v1))))
-			in.MustAddSimplex(a, b)
-		}
-	}
-	in.Seal()
-
-	// Domain of a subdivision vertex: if its carrier is a single input
-	// vertex (a solo view), it must decide that input's C-vertex; otherwise
-	// any vertex of C.
-	domainFor := func(sub *topology.Complex, v topology.Vertex) []topology.Vertex {
-		carrier := sub.Carrier(v)
-		if len(carrier) == 1 {
-			return []topology.Vertex{cOf[carrier[0]]}
-		}
-		all := make([]topology.Vertex, c.NumVertices())
-		for w := range all {
-			all[w] = topology.Vertex(w)
-		}
-		return all
-	}
-
-	sub := in
-	for k := 0; k <= maxK; k++ {
-		if k > 0 {
-			sub = topology.SDS(sub)
-		}
-		m, ok, err := searchMap(context.Background(), sub, c, domainFor)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return &NCSACSolution{C: c, I: in, Phi: m, K: k}, nil
-		}
-	}
-	return nil, fmt.Errorf("%w (maxK=%d)", ErrNotFound, maxK)
-}
-
-// RunNCSAC executes the compiled solution for real: both processes run K
-// rounds of iterated immediate snapshots starting from their input vertex
-// keys and decide through the map. inputs are vertices of C; crashAfter as
-// usual. Outputs are vertices of C (-1 for crashed processes).
-func RunNCSAC(sol *NCSACSolution, inputs [2]topology.Vertex, crashAfter []int) ([]topology.Vertex, error) {
-	keys := make([]string, 2)
-	for p := 0; p < 2; p++ {
-		if inputs[p] < 0 || int(inputs[p]) >= sol.C.NumVertices() {
-			return nil, fmt.Errorf("converge: input %d is not a vertex of C", inputs[p])
-		}
-		keys[p] = ncsacInputKey(p, sol.C.Key(inputs[p]))
-		if _, ok := sol.I.VertexByKey(keys[p]); !ok {
-			return nil, fmt.Errorf("converge: input %d is not a vertex of C", inputs[p])
-		}
-	}
-	res, err := protocol.RunFullInfoWithInputs(keys, sol.K, crashAfter)
+	task, cp := tasks.NCSAC(c)
+	res, err := solver.SolveUpTo(task, maxK, solver.Options{})
 	if err != nil {
 		return nil, err
 	}
-	out := []topology.Vertex{-1, -1}
-	for p, key := range res.Keys {
-		if key == "" {
-			continue
+	if !res.Solvable {
+		return nil, fmt.Errorf("%w (maxK=%d)", ErrNotFound, maxK)
+	}
+	return &NCSACSolution{C: c, I: task.Inputs, Phi: cp.ProjectMap(res.Map), K: res.Level, colored: cp, solved: res}, nil
+}
+
+// RunNCSAC executes the compiled solution for real (solver.Execute): both
+// processes run K rounds of iterated immediate snapshots starting from
+// their inputs and decide through the map. inputs are vertices of C;
+// crashAfter as usual. Outputs are vertices of C (-1 for crashed
+// processes).
+func RunNCSAC(sol *NCSACSolution, inputs [2]topology.Vertex, crashAfter []int) ([]topology.Vertex, error) {
+	in, err := sol.taskVertices(inputs[:])
+	if err != nil {
+		return nil, err
+	}
+	out, err := solver.Execute(sol.solved.Task, sol.solved, in, crashAfter)
+	if err != nil {
+		return nil, err
+	}
+	for p, w := range out {
+		if w >= 0 {
+			out[p] = sol.colored.Project(w)
 		}
-		v, ok := sol.Phi.From.VertexByKey(key)
-		if !ok {
-			return nil, fmt.Errorf("converge: P%d view %q not a vertex of SDS^%d(I)", p, key, sol.K)
-		}
-		out[p] = sol.Phi.Image[v]
 	}
 	return out, nil
 }
 
-// ValidateNCSAC checks the task conditions on a run: finisher outputs span a
-// simplex of C, and a process that ran entirely solo decided its input.
+// ValidateNCSAC checks the task conditions on a run (solver.
+// ValidateExecution): finisher outputs span a simplex of C, and soloProc,
+// when ≥ 0, ran entirely solo and decided its input.
 func ValidateNCSAC(sol *NCSACSolution, inputs [2]topology.Vertex, outputs []topology.Vertex, soloProc int) error {
-	var w []topology.Vertex
-	for p, v := range outputs {
-		if v < 0 {
-			continue
+	in, err := sol.taskVertices(inputs[:])
+	if err != nil {
+		return err
+	}
+	out, err := sol.taskVertices(outputs)
+	if err != nil {
+		return err
+	}
+	if soloProc >= 0 {
+		solo := []topology.Vertex{-1, -1}
+		solo[soloProc] = out[soloProc]
+		if err := solver.ValidateExecution(sol.solved.Task, in, solo, []int{soloProc}); err != nil {
+			return fmt.Errorf("converge: solo P%d: %w", soloProc, err)
 		}
-		w = append(w, v)
-		if soloProc == p && v != inputs[p] {
-			return fmt.Errorf("converge: solo P%d decided %d, want own input %d", p, v, inputs[p])
+	}
+	return solver.ValidateExecution(sol.solved.Task, in, out, []int{0, 1})
+}
+
+// taskVertices translates process p's vertex of C into the task's vertex
+// (p, w); a negative entry (no vertex) stays negative.
+func (sol *NCSACSolution) taskVertices(vs []topology.Vertex) ([]topology.Vertex, error) {
+	out := make([]topology.Vertex, len(vs))
+	for p, w := range vs {
+		switch {
+		case w < 0:
+			out[p] = w
+		case int(w) >= sol.C.NumVertices():
+			return nil, fmt.Errorf("converge: %d is not a vertex of C", w)
+		default:
+			out[p] = sol.colored.Vertex(p, w)
 		}
 	}
-	if len(w) == 0 {
-		return nil
-	}
-	if !sol.C.HasSimplex(dedupe(w)) {
-		return fmt.Errorf("converge: outputs %v do not span a simplex of C", w)
-	}
-	return nil
+	return out, nil
 }

@@ -114,6 +114,31 @@ func TestNCSACSameInputs(t *testing.T) {
 	}
 }
 
+// TestNCSACLongPaths pins NCSAC over 5- and 9-vertex paths, which the
+// plain backtracking search this package once ran did not finish: both are
+// solved at level 2, and 20 runs from opposite ends validate.
+func TestNCSACLongPaths(t *testing.T) {
+	for _, n := range []int{5, 9} {
+		sol, err := SolveNCSACTwoProcess(pathComplex(n), 3)
+		if err != nil {
+			t.Fatalf("path %d: %v", n, err)
+		}
+		if sol.K != 2 {
+			t.Fatalf("path %d: solved at level %d, want 2", n, sol.K)
+		}
+		inputs := [2]topology.Vertex{0, topology.Vertex(n - 1)}
+		for trial := 0; trial < 20; trial++ {
+			out, err := RunNCSAC(sol, inputs, nil)
+			if err != nil {
+				t.Fatalf("path %d trial %d: %v", n, trial, err)
+			}
+			if err := ValidateNCSAC(sol, inputs, out, -1); err != nil {
+				t.Fatalf("path %d trial %d: %v", n, trial, err)
+			}
+		}
+	}
+}
+
 func TestNCSACRejectsForeignInput(t *testing.T) {
 	c := pathComplex(3)
 	sol, err := SolveNCSACTwoProcess(c, 2)

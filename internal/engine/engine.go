@@ -355,7 +355,12 @@ func (e *Engine) ComplexInfo(ctx context.Context, req ComplexRequest) (*ComplexR
 		if err != nil {
 			return nil, err
 		}
-		fv := sub.FVector()
+		// The shape comes from the closed form that answersKey checks peer
+		// answers against; the built level gives the rest.
+		fv, err := topology.SDSFVector(topology.SimplexFVector(req.N), req.B)
+		if err != nil {
+			return nil, err
+		}
 		return &ComplexResponse{
 			N:         req.N,
 			B:         req.B,

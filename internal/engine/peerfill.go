@@ -136,7 +136,7 @@ func answersKey(key string, v any) bool {
 		if err != nil {
 			return false
 		}
-		fv, err := topology.SDSFVector(base.FVector(), req.B)
+		fv, err := topology.SDSFVector(topology.SimplexFVector(req.N), req.B)
 		return err == nil && r.Vertices == vertices && r.Facets == facets && slices.Equal(r.FVector, fv) &&
 			r.Euler == 1 && r.Chromatic && r.Pure
 	case *ConvergeResponse:

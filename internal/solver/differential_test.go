@@ -597,3 +597,112 @@ func TestSolverDifferentialDTORoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestConvergeTasksDifferential runs the differential over the tasks whose
+// decision maps internal/converge asks the search for: chromatic simplex
+// agreement over SDS^t(sⁿ) (Theorem 5.1's map) and over a hand-built
+// 5-edge subdivision of s¹, and two-process NCSAC over paths and over two
+// components. At every level up to the first solvable one the oracle must
+// finish within its budget, the verdicts must match, and the search may
+// use no more nodes.
+func TestConvergeTasksDifferential(t *testing.T) {
+	var cases []*tasks.Task
+	for n := 1; n <= 2; n++ {
+		for target := 1; target <= 2; target++ {
+			task, err := tasks.SimplexAgreement(topology.SDSPow(topology.Simplex(n), target))
+			if err != nil {
+				t.Fatal(err)
+			}
+			task.Name = fmt.Sprintf("csass-n%d-t%d", n, target)
+			cases = append(cases, task)
+		}
+	}
+	path, err := tasks.SimplexAgreement(fiveEdgeSubdivision())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path.Name = "csass-5-edge"
+	cases = append(cases, path)
+	for _, c := range []*topology.Complex{pathComplex(2), pathComplex(3), pathComplex(4), twoEdges()} {
+		task, _ := tasks.NCSAC(c)
+		task.Name = fmt.Sprintf("ncsac-%dv-%dc", c.NumVertices(), len(c.ConnectedComponents()))
+		cases = append(cases, task)
+	}
+	ctx := context.Background()
+	for _, task := range cases {
+		sub := task.Inputs
+		for b := 0; b <= 2; b++ {
+			if b > 0 {
+				sub = topology.SDS(sub)
+			}
+			exh, err := solver.SolveExhaustiveWithin(ctx, task, b, sub, 2_000_000)
+			if err != nil {
+				t.Fatalf("%s b=%d exhaustive: %v", task.Name, b, err)
+			}
+			str, err := solver.SolveAtLevelOn(ctx, task, b, sub, solver.Options{})
+			if err != nil {
+				t.Fatalf("%s b=%d structured: %v", task.Name, b, err)
+			}
+			t.Logf("%s b=%d: solvable=%v nodes %d (oracle %d)", task.Name, b, str.Solvable, str.Nodes, exh.Nodes)
+			if str.Solvable != exh.Solvable {
+				t.Fatalf("%s b=%d: verdicts differ: structured %v, oracle %v", task.Name, b, str.Solvable, exh.Solvable)
+			}
+			if str.Nodes > exh.Nodes {
+				t.Errorf("%s b=%d: structured explored %d nodes, oracle %d", task.Name, b, str.Nodes, exh.Nodes)
+			}
+			if str.Solvable {
+				if err := solver.VerifyDecisionMap(task, str); err != nil {
+					t.Errorf("%s b=%d: VerifyDecisionMap: %v", task.Name, b, err)
+				}
+				break
+			}
+		}
+	}
+}
+
+// fiveEdgeSubdivision is the chromatic subdivision c0—x1—x2—x3—x4—c1 of s¹:
+// colors alternate, the corners sit on the base vertices and the interior
+// vertices on the whole edge.
+func fiveEdgeSubdivision() *topology.Complex {
+	a := topology.NewSubdivision(topology.Simplex(1))
+	var prev topology.Vertex
+	for i := 0; i <= 5; i++ {
+		v := a.MustAddVertex(fmt.Sprintf("p%d", i), i%2)
+		switch i {
+		case 0:
+			a.SetCarrier(v, []topology.Vertex{0})
+		case 5:
+			a.SetCarrier(v, []topology.Vertex{1})
+		default:
+			a.SetCarrier(v, []topology.Vertex{0, 1})
+		}
+		if i > 0 {
+			a.MustAddSimplex(prev, v)
+		}
+		prev = v
+	}
+	return a.Seal()
+}
+
+// pathComplex is the uncolored path a0—a1—…—a(n−1).
+func pathComplex(n int) *topology.Complex {
+	c := topology.NewComplex()
+	for i := 0; i < n; i++ {
+		v := c.MustAddVertex(fmt.Sprintf("a%d", i), topology.Uncolored)
+		if i > 0 {
+			c.MustAddSimplex(v-1, v)
+		}
+	}
+	return c.Seal()
+}
+
+// twoEdges is two disjoint uncolored edges: a disconnected complex.
+func twoEdges() *topology.Complex {
+	c := topology.NewComplex()
+	for i := 0; i < 4; i++ {
+		c.MustAddVertex(fmt.Sprintf("e%d", i), topology.Uncolored)
+	}
+	c.MustAddSimplex(0, 1)
+	c.MustAddSimplex(2, 3)
+	return c.Seal()
+}

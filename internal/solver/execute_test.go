@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 
 	"waitfree/internal/tasks"
@@ -80,7 +81,7 @@ func TestExecuteWithCrash(t *testing.T) {
 
 func TestExecuteLevelZeroTask(t *testing.T) {
 	task := tasks.SetConsensus(3, 3)
-	res, err := SolveAtLevel(task, 0, Options{})
+	res, err := SolveAtLevelOn(context.Background(), task, 0, topology.SDSPow(task.Inputs, 0), Options{})
 	if err != nil || !res.Solvable {
 		t.Fatal("solve failed")
 	}
@@ -129,8 +130,9 @@ func TestExecuteRejectsBadInputs(t *testing.T) {
 		t.Fatal("solve failed")
 	}
 	// Unsolvable result.
-	bad, _ := SolveAtLevel(tasks.Consensus(2), 0, Options{})
-	if _, err := Execute(tasks.Consensus(2), bad, nil, nil); err == nil {
+	consensus := tasks.Consensus(2)
+	bad, _ := SolveAtLevelOn(context.Background(), consensus, 0, topology.SDSPow(consensus.Inputs, 0), Options{})
+	if _, err := Execute(consensus, bad, nil, nil); err == nil {
 		t.Error("executing an unsolvable result must fail")
 	}
 	// Wrong arity.

@@ -5,7 +5,7 @@
 //	there is a color-preserving simplicial map δ : SDS^b(I) → O with
 //	δ(s) ∈ Δ(carrier(s)) for every simplex s.
 //
-// SolveAtLevel decides whether such a map exists at a fixed subdivision
+// SolveAtLevelOn decides whether such a map exists at a fixed subdivision
 // level b, so "no map exists at level b" is a proof, not a timeout (unless
 // the node budget is exceeded, which is reported as ErrBudget). Full
 // solvability checking is undecidable for three or more processes
@@ -14,10 +14,12 @@
 // The level is decided by one search path: an AC-3 arc-consistency pass
 // over the 1-skeleton, a split of the constraint graph into connected
 // components, and a sequential forward-checking backtracking search per
-// component that stops at the first component without a map. The original
-// plain backtracking search is kept in oracle_test.go as the differential
-// oracle (differential_test.go requires identical verdicts and node counts
-// no larger than the oracle's).
+// component that stops at the first component without a map. It is the
+// one decision-map search in production: Theorem 5.1's convergence map
+// and §5's NCSAC map (internal/converge) are decision maps of tasks too.
+// The original plain backtracking search is kept in oracle_test.go as the
+// differential oracle (differential_test.go requires identical verdicts
+// and node counts no larger than the oracle's).
 package solver
 
 import (
@@ -123,17 +125,11 @@ type Result struct {
 	Stats Stats // pruning telemetry
 }
 
-// SolveAtLevel decides whether the task has a decision map at subdivision
-// level b.
-func SolveAtLevel(task *tasks.Task, b int, opts Options) (*Result, error) {
-	return SolveAtLevelOn(context.Background(), task, b, topology.SDSPow(task.Inputs, b), opts)
-}
-
-// SolveAtLevelOn is SolveAtLevel with the subdivision supplied by the
-// caller: sub must be SDS^b(task.Inputs) — R^b under opts.Restrict — or a
-// vertex-for-vertex identical complex. The engine's level loop builds each
-// level once, with one topology.Subdivide step on the previous one, and
-// searches it here.
+// SolveAtLevelOn decides whether the task has a decision map at
+// subdivision level b, on the level sub supplied by the caller: sub must be
+// SDS^b(task.Inputs) — R^b under opts.Restrict — or a vertex-for-vertex
+// identical complex. The engine's level loop builds each level once, with
+// one topology.Subdivide step on the previous one, and searches it here.
 //
 // The search honors ctx cooperatively: the backtracking loop checks for
 // cancellation every cancelCheckInterval nodes (amortized — the checkpoint

@@ -11,7 +11,8 @@ import (
 )
 
 func TestIdentitySolvableAtLevelZero(t *testing.T) {
-	res, err := SolveAtLevel(tasks.IdentityTask(3), 0, Options{})
+	task := tasks.IdentityTask(3)
+	res, err := SolveAtLevelOn(context.Background(), task, 0, topology.SDSPow(task.Inputs, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestRenamingSolvableWithLargeNamespace(t *testing.T) {
 	// With ids usable directly and M ≥ procs the complex-level task is
 	// trivially solvable (see the Renaming doc comment).
 	task := tasks.Renaming(2, 3)
-	res, err := SolveAtLevel(task, 0, Options{})
+	res, err := SolveAtLevelOn(context.Background(), task, 0, topology.SDSPow(task.Inputs, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRenamingSolvableWithLargeNamespace(t *testing.T) {
 func TestConsensusUnsolvable(t *testing.T) {
 	task := tasks.Consensus(2)
 	for b := 0; b <= 3; b++ {
-		res, err := SolveAtLevel(task, b, Options{})
+		res, err := SolveAtLevelOn(context.Background(), task, b, topology.SDSPow(task.Inputs, b), Options{})
 		if err != nil {
 			t.Fatalf("level %d: %v", b, err)
 		}
@@ -56,7 +57,8 @@ func TestConsensusUnsolvable(t *testing.T) {
 }
 
 func TestThreeProcConsensusUnsolvable(t *testing.T) {
-	res, err := SolveAtLevel(tasks.Consensus(3), 1, Options{})
+	task := tasks.Consensus(3)
+	res, err := SolveAtLevelOn(context.Background(), task, 1, topology.SDSPow(task.Inputs, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestThreeProcConsensusUnsolvable(t *testing.T) {
 func TestSetConsensusUnsolvable(t *testing.T) {
 	task := tasks.SetConsensus(3, 2)
 	for b := 0; b <= 1; b++ {
-		res, err := SolveAtLevel(task, b, Options{})
+		res, err := SolveAtLevelOn(context.Background(), task, b, topology.SDSPow(task.Inputs, b), Options{})
 		if err != nil {
 			t.Fatalf("level %d: %v", b, err)
 		}
@@ -83,7 +85,7 @@ func TestSetConsensusUnsolvable(t *testing.T) {
 func TestTrivialSetConsensusSolvable(t *testing.T) {
 	// k = procs: decide your own id.
 	task := tasks.SetConsensus(3, 3)
-	res, err := SolveAtLevel(task, 0, Options{})
+	res, err := SolveAtLevelOn(context.Background(), task, 0, topology.SDSPow(task.Inputs, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,8 @@ func TestThreeProcApproxAgreementSolvable(t *testing.T) {
 }
 
 func TestApproxAgreementUnsolvableBelowLevel(t *testing.T) {
-	res, err := SolveAtLevel(tasks.ApproxAgreement(4), 1, Options{})
+	task := tasks.ApproxAgreement(4)
+	res, err := SolveAtLevelOn(context.Background(), task, 1, topology.SDSPow(task.Inputs, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +162,7 @@ func TestApproxAgreementUnsolvableBelowLevel(t *testing.T) {
 func TestWeakSymmetryBreaking(t *testing.T) {
 	for _, procs := range []int{2, 3} {
 		task := tasks.WeakSymmetryBreaking(procs)
-		res, err := SolveAtLevel(task, 0, Options{})
+		res, err := SolveAtLevelOn(context.Background(), task, 0, topology.SDSPow(task.Inputs, 0), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +214,7 @@ func TestLoopAgreementContractibility(t *testing.T) {
 	}
 
 	solid := mk(false)
-	res, err := SolveAtLevel(solid, 0, Options{})
+	res, err := SolveAtLevelOn(context.Background(), solid, 0, topology.SDSPow(solid.Inputs, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +227,7 @@ func TestLoopAgreementContractibility(t *testing.T) {
 
 	hollowTask := mk(true)
 	for b := 0; b <= 1; b++ {
-		res, err := SolveAtLevel(hollowTask, b, Options{})
+		res, err := SolveAtLevelOn(context.Background(), hollowTask, b, topology.SDSPow(hollowTask.Inputs, b), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +238,8 @@ func TestLoopAgreementContractibility(t *testing.T) {
 }
 
 func TestBudgetExceeded(t *testing.T) {
-	_, err := SolveAtLevel(tasks.SetConsensus(3, 2), 1, Options{MaxNodes: 3})
+	task := tasks.SetConsensus(3, 2)
+	_, err := SolveAtLevelOn(context.Background(), task, 1, topology.SDSPow(task.Inputs, 1), Options{MaxNodes: 3})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -274,7 +278,8 @@ func TestSolveUpToReturnsLastUnsolvable(t *testing.T) {
 }
 
 func TestVerifyDecisionMapRejectsUnsolvable(t *testing.T) {
-	res, err := SolveAtLevel(tasks.Consensus(2), 0, Options{})
+	task := tasks.Consensus(2)
+	res, err := SolveAtLevelOn(context.Background(), task, 0, topology.SDSPow(task.Inputs, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

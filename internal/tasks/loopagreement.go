@@ -44,31 +44,9 @@ func LoopAgreement(k *topology.Complex, corners [3]topology.Vertex, paths [3][]t
 	ids := []string{"0", "1", "2"}
 	inputs, inVals := buildAssignments(procs, inKey, [][]string{ids})
 
-	// Output complex: vertices (process, K-vertex); a tuple is a facet when
-	// its K-parts span a simplex of K.
-	out := topology.NewComplex()
-	kv := make([][]topology.Vertex, procs) // [proc][kvertex] -> out vertex
-	outToK := make(map[topology.Vertex]topology.Vertex)
-	for p := 0; p < procs; p++ {
-		kv[p] = make([]topology.Vertex, k.NumVertices())
-		for v := 0; v < k.NumVertices(); v++ {
-			ov := out.MustAddVertex(outKey(p, k.Key(topology.Vertex(v))), p)
-			kv[p][v] = ov
-			outToK[ov] = topology.Vertex(v)
-		}
-	}
-	for x := 0; x < k.NumVertices(); x++ {
-		for y := 0; y < k.NumVertices(); y++ {
-			for z := 0; z < k.NumVertices(); z++ {
-				parts := dedupeVerts([]topology.Vertex{topology.Vertex(x), topology.Vertex(y), topology.Vertex(z)})
-				if !k.HasSimplex(parts) {
-					continue
-				}
-				out.MustAddSimplex(kv[0][x], kv[1][y], kv[2][z])
-			}
-		}
-	}
-	out.Seal()
+	// Output complex: vertices (process, K-vertex); a tuple is a simplex when
+	// its K-parts span a simplex of K — K's colored copy.
+	out := NewColoredCopy(k, procs)
 
 	pathSets := [3]map[topology.Vertex]bool{}
 	for pi, path := range paths {
@@ -83,7 +61,7 @@ func LoopAgreement(k *topology.Complex, corners [3]topology.Vertex, paths [3][]t
 		Name:    "loop-agreement",
 		Procs:   procs,
 		Inputs:  inputs,
-		Outputs: out,
+		Outputs: out.Complex,
 		Allowed: func(in, outSimplex []topology.Vertex) bool {
 			// Participating processes (input vertices are one per color).
 			var participants []int
@@ -94,7 +72,7 @@ func LoopAgreement(k *topology.Complex, corners [3]topology.Vertex, paths [3][]t
 			case 1:
 				corner := corners[participants[0]]
 				for _, w := range outSimplex {
-					if outToK[w] != corner {
+					if out.Project(w) != corner {
 						return false
 					}
 				}
@@ -106,7 +84,7 @@ func LoopAgreement(k *topology.Complex, corners [3]topology.Vertex, paths [3][]t
 				}
 				set := pathSets[pairPath[[2]int{a, b}]]
 				for _, w := range outSimplex {
-					if !set[outToK[w]] {
+					if !set[out.Project(w)] {
 						return false
 					}
 				}
@@ -116,19 +94,7 @@ func LoopAgreement(k *topology.Complex, corners [3]topology.Vertex, paths [3][]t
 			}
 		},
 		InputValue:  inVals.get,
-		OutputValue: func(v topology.Vertex) string { return k.Key(outToK[v]) },
+		OutputValue: func(v topology.Vertex) string { return k.Key(out.Project(v)) },
 	}
 	return task, nil
-}
-
-func dedupeVerts(vs []topology.Vertex) []topology.Vertex {
-	seen := make(map[topology.Vertex]bool, len(vs))
-	out := vs[:0]
-	for _, v := range vs {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }

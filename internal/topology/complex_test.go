@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -44,6 +45,11 @@ func TestSimplexFVector(t *testing.T) {
 	}
 	if chi := s.EulerCharacteristic(); chi != 1 {
 		t.Errorf("Euler characteristic %d, want 1", chi)
+	}
+	for n := 0; n <= 4; n++ {
+		if closed, built := SimplexFVector(n), Simplex(n).FVector(); !slices.Equal(closed, built) {
+			t.Errorf("s%d: closed-form f-vector %v, built %v", n, closed, built)
+		}
 	}
 }
 

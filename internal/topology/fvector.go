@@ -31,6 +31,16 @@ func SDSFVector(f []int, b int) ([]int, error) {
 	return iterateFVector(f, sdsInterior, b)
 }
 
+// SimplexFVector returns the f-vector of the standard simplex sⁿ, C(n+1,
+// k+1) k-faces, without building it.
+func SimplexFVector(n int) []int {
+	f := make([]int, n+1)
+	for k := range f {
+		f[k] = binomial(n+1, k+1)
+	}
+	return f
+}
+
 // RestrictedFVector returns the f-vector of R^b(K) for a pure complex K
 // whose facets have m = len(f) vertices, where round = R(s^{m−1}) is one
 // restricted level over the standard (m−1)-simplex (Subdivide(ctx,

@@ -373,7 +373,7 @@ func BenchmarkConvergenceMapSearch(b *testing.B) {
 	base := topology.Simplex(2)
 	a := topology.SDS(base)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := converge.FindChromaticMap(base, a, 2); err != nil {
+		if _, _, err := converge.FindChromaticMapCtx(context.Background(), base, a, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,6 +57,9 @@ func TestJSONMatchesService(t *testing.T) {
 		{"converge",
 			[]string{"converge", "-json", "-n", "1", "-target", "1", "-maxk", "2"},
 			"/v1/converge?n=1&target=1&maxk=2"},
+		{"converge-no-map",
+			[]string{"converge", "-json", "-n", "2", "-target", "2", "-maxk", "1"},
+			"/v1/converge?n=2&target=2&maxk=1"},
 		{"adversary",
 			[]string{"adversary", "-json", "-algo", "commitadopt", "-adv", "random", "-seed", "42", "-n", "3", "-crash", "2,-1,-1"},
 			"/v1/adversary?algo=commitadopt&adversary=random&seed=42&procs=3&crash=2,-1,-1"},

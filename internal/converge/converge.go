@@ -29,18 +29,13 @@ import (
 // ErrNotFound reports that no map exists up to the given level.
 var ErrNotFound = errors.New("converge: no simplicial map found up to max level")
 
-// FindChromaticMap searches for a color-preserving, carrier-respecting
+// FindChromaticMapCtx searches for a color-preserving, carrier-respecting
 // simplicial map SDS^k(base) → a, trying k = 0 … maxK, and returns the map
-// and the level found. a must be a chromatic subdivision of base, and base
-// chromatic over the colors 0 … procs−1 with at most 64 vertices
-// (tasks.SimplexAgreement).
-func FindChromaticMap(base, a *topology.Complex, maxK int) (*topology.SimplicialMap, int, error) {
-	return FindChromaticMapCtx(context.Background(), base, a, maxK)
-}
-
-// FindChromaticMapCtx is FindChromaticMap honoring ctx: the per-level
-// search and the subdivision between levels stop cooperatively when ctx is
-// done, returning an error wrapping ctx.Err().
+// and the level found, or ErrNotFound. a must be a chromatic subdivision of
+// base, and base chromatic over the colors 0 … procs−1 with at most 64
+// vertices (tasks.SimplexAgreement). The per-level search and the
+// subdivision between levels stop cooperatively when ctx is done,
+// returning an error wrapping ctx.Err().
 func FindChromaticMapCtx(ctx context.Context, base, a *topology.Complex, maxK int) (*topology.SimplicialMap, int, error) {
 	if !a.IsChromatic() {
 		return nil, 0, fmt.Errorf("converge: target complex is not chromatic")
@@ -48,16 +43,11 @@ func FindChromaticMapCtx(ctx context.Context, base, a *topology.Complex, maxK in
 	return findMap(ctx, base, a, maxK, true)
 }
 
-// FindCarrierMap is the non-chromatic variant (Lemma 5.3): it searches for a
-// carrier-respecting simplicial map SDS^k(base) → a ignoring colors. Use it
-// with barycentric subdivisions and other uncolored targets; base is as for
-// FindChromaticMap. The search runs over a's colored copy
+// FindCarrierMapCtx is the non-chromatic variant (Lemma 5.3): it searches
+// for a carrier-respecting simplicial map SDS^k(base) → a ignoring colors.
+// Use it with barycentric subdivisions and other uncolored targets; base is
+// as for FindChromaticMapCtx. The search runs over a's colored copy
 // (tasks.ColoredCopy) and projects the map back.
-func FindCarrierMap(base, a *topology.Complex, maxK int) (*topology.SimplicialMap, int, error) {
-	return FindCarrierMapCtx(context.Background(), base, a, maxK)
-}
-
-// FindCarrierMapCtx is FindCarrierMap honoring ctx.
 func FindCarrierMapCtx(ctx context.Context, base, a *topology.Complex, maxK int) (*topology.SimplicialMap, int, error) {
 	return findMap(ctx, base, a, maxK, false)
 }

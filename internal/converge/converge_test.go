@@ -1,6 +1,7 @@
 package converge
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -15,7 +16,7 @@ func TestFindChromaticMapIdentityAtLevelZero(t *testing.T) {
 	// (the three corners of the base do not span a simplex of SDS).
 	base := topology.Simplex(2)
 	sds := topology.SDS(base)
-	m, k, err := FindChromaticMap(base, sds, 2)
+	m, k, err := FindChromaticMapCtx(context.Background(), base, sds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestTheorem51OnLongerPath(t *testing.T) {
 	}
 	a.Seal()
 
-	m, k, err := FindChromaticMap(base, a, 3)
+	m, k, err := FindChromaticMapCtx(context.Background(), base, a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestTheorem51LevelMatchesGeometryQuick(t *testing.T) {
 		for p := 1; p < edges; p *= 3 {
 			wantK++
 		}
-		m, k, err := FindChromaticMap(base, a, wantK+1)
+		m, k, err := FindChromaticMapCtx(context.Background(), base, a, wantK+1)
 		if err != nil {
 			t.Fatalf("edges=%d: %v", edges, err)
 		}
@@ -131,7 +132,7 @@ func TestLemma53CarrierMapToBsd(t *testing.T) {
 	for n := 1; n <= 2; n++ {
 		base := topology.Simplex(n)
 		bsd := topology.Bsd(base)
-		m, k, err := FindCarrierMap(base, bsd, 2)
+		m, k, err := FindCarrierMapCtx(context.Background(), base, bsd, 2)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -149,14 +150,14 @@ func TestLemma53CarrierMapToBsd(t *testing.T) {
 
 func TestFindChromaticMapRejectsNonChromaticTarget(t *testing.T) {
 	base := topology.Simplex(1)
-	if _, _, err := FindChromaticMap(base, topology.Bsd(base), 1); err == nil {
+	if _, _, err := FindChromaticMapCtx(context.Background(), base, topology.Bsd(base), 1); err == nil {
 		t.Fatal("Bsd target must be rejected for the chromatic search")
 	}
 }
 
 func TestFindMapRejectsForeignBase(t *testing.T) {
 	b1, b2 := topology.Simplex(1), topology.Simplex(1)
-	if _, _, err := FindCarrierMap(b1, topology.Bsd(b2), 1); err == nil {
+	if _, _, err := FindCarrierMapCtx(context.Background(), b1, topology.Bsd(b2), 1); err == nil {
 		t.Fatal("subdivision of a different base must be rejected")
 	}
 }
@@ -182,14 +183,14 @@ func TestFindMapNotFound(t *testing.T) {
 		a.MustAddSimplex(vs[i], vs[i+1])
 	}
 	a.Seal()
-	_, _, err := FindChromaticMap(base, a, 1)
+	_, _, err := FindChromaticMapCtx(context.Background(), base, a, 1)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
 
 // csass returns chromatic simplex agreement on a with phi, the map
-// FindChromaticMap found at level k, as its decision map, for
+// FindChromaticMapCtx found at level k, as its decision map, for
 // solver.Execute.
 func csass(t *testing.T, a *topology.Complex, phi *topology.SimplicialMap, k int) (*tasks.Task, *solver.Result) {
 	t.Helper()
@@ -206,7 +207,7 @@ func TestCSASSRuntime(t *testing.T) {
 	const procs = 3
 	base := topology.Simplex(procs - 1)
 	a := topology.SDS(base)
-	phi, k, err := FindChromaticMap(base, a, 2)
+	phi, k, err := FindChromaticMapCtx(context.Background(), base, a, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestCSASSRuntimeWithCrash(t *testing.T) {
 	const procs = 3
 	base := topology.Simplex(procs - 1)
 	a := topology.SDS(base)
-	phi, k, err := FindChromaticMap(base, a, 2)
+	phi, k, err := FindChromaticMapCtx(context.Background(), base, a, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestCSASSRuntimeWithCrash(t *testing.T) {
 func TestCSASSSoloRun(t *testing.T) {
 	base := topology.Simplex(1)
 	a := topology.SDS(base)
-	phi, k, err := FindChromaticMap(base, a, 1)
+	phi, k, err := FindChromaticMapCtx(context.Background(), base, a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestAdmittedQueries(t *testing.T) {
 		for target := 1; target <= 2; target++ {
 			a := topology.SDSPow(base, target)
 			for maxK := 0; maxK <= 4; maxK++ {
-				phi, k, err := FindChromaticMap(base, a, maxK)
+				phi, k, err := FindChromaticMapCtx(context.Background(), base, a, maxK)
 				if maxK < target {
 					if !errors.Is(err, ErrNotFound) {
 						t.Errorf("n=%d target=%d maxK=%d: err = %v, want ErrNotFound", n, target, maxK, err)

@@ -1,6 +1,7 @@
 package converge
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,7 +11,7 @@ import (
 
 // TestFindChromaticMapInvariants: for random chromatic base complexes C
 // (the seeded generator shared with internal/topology), every map produced
-// by FindChromaticMap onto A = SDS(C) must be simplicial, color-preserving,
+// by FindChromaticMapCtx onto A = SDS(C) must be simplicial, color-preserving,
 // and carrier-respecting — the three Theorem 5.1 conditions — on every
 // input, not just the standard simplices the service exposes.
 func TestFindChromaticMapInvariants(t *testing.T) {
@@ -19,7 +20,7 @@ func TestFindChromaticMapInvariants(t *testing.T) {
 		base := topology.RandomChromaticComplex(rng)
 		a := topology.SDS(base)
 
-		phi, k, err := FindChromaticMap(base, a, 2)
+		phi, k, err := FindChromaticMapCtx(context.Background(), base, a, 2)
 		if err != nil {
 			// A map always exists by k = 1 (SDS^1(C) → SDS(C) contains the
 			// identity), so any search failure is a real bug.
@@ -58,7 +59,7 @@ func TestFindCarrierMapInvariants(t *testing.T) {
 		base := topology.RandomChromaticComplex(rng)
 		bsd := topology.Bsd(base)
 
-		phi, k, err := FindCarrierMap(base, bsd, 3)
+		phi, k, err := FindCarrierMapCtx(context.Background(), base, bsd, 3)
 		if err != nil {
 			t.Logf("seed %d: no carrier map found: %v", seed, err)
 			return false

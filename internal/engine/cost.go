@@ -134,15 +134,15 @@ func (r AdversaryRequest) EstimateCost() (int64, error) {
 	return satMul(int64(r.Procs)+1, steps), nil
 }
 
-// recordSolve feeds one level's search result into the solver metrics.
-// Called for every level the engine searches, including levels that ended
-// in ErrBudget/ErrCanceled (their partial node counts are real work; res is
-// non-nil even on error).
+// recordSolve feeds one computed solve query's chain totals into the
+// solver metrics: every level the chain searched, including a level that
+// ended in ErrBudget or ErrCanceled, since its partial node count is real
+// work. res is nil only when the query was canceled before any level.
 func (e *Engine) recordSolve(res *solver.Result) {
 	if res == nil {
 		return
 	}
-	e.metrics.Add("solver_nodes_total", res.Nodes)
-	e.metrics.Add("solver_pruned_values_total", res.Stats.PrunedValues)
-	e.metrics.Add("solver_components_total", int64(res.Stats.Components))
+	e.metrics.Add("solver_nodes_total", res.Chain.Nodes)
+	e.metrics.Add("solver_pruned_values_total", res.Chain.PrunedValues)
+	e.metrics.Add("solver_components_total", int64(res.Chain.Components))
 }

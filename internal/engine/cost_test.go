@@ -6,6 +6,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"waitfree/internal/model"
+	"waitfree/internal/solver"
+	"waitfree/internal/topology"
 )
 
 // TestComplexCostMatchesGoldenTable pins the estimator against the same
@@ -75,29 +79,78 @@ func TestCostSaturates(t *testing.T) {
 	}
 }
 
-// TestSolveRecordsSearchCounters: every searched level feeds the solver
-// counters. Approximate agreement at d = 4 prunes domain values before its
-// search finds the level-2 map; 3-process approximate agreement at d = 4
-// burns real search nodes (678) before its level-2 map. Neither has a
-// Sperner certificate, which would answer before any search.
+// TestSolveRecordsSearchCounters: a computed solve query adds its chain's
+// search totals to the three solver counters — every level searched, the
+// one that found a map or ran out of budget included — and a certified one
+// adds nothing. The oracle sums SolveAtLevelOn over the same chain; nodes
+// pins its node total as well.
 func TestSolveRecordsSearchCounters(t *testing.T) {
-	e := New(Options{})
-	m := e.Metrics()
-	req := SolveRequest{Spec: TaskSpec{Family: "approx-agreement", D: 4}, MaxLevel: 2}
-	if _, err := e.Solve(context.Background(), req); err != nil {
-		t.Fatal(err)
+	sc := func(procs, k int) TaskSpec { return TaskSpec{Family: "set-consensus", Procs: procs, K: k} }
+	cases := []struct {
+		name      string
+		req       SolveRequest
+		certified bool
+		budget    bool  // the query ends in solver.ErrBudget
+		nodes     int64 // 0 + … over the levels searched
+	}{
+		{"solvable at b=1", SolveRequest{Spec: sc(3, 2), MaxLevel: 2, Model: "1-resilient"}, false, false, 3 + 6},
+		{"budget at b=1", SolveRequest{Spec: sc(4, 2), MaxLevel: 1, Model: "3-set", MaxNodes: 50}, false, true, 3 + 51},
+		{"certified", SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 3}, MaxLevel: 2}, true, false, 0},
+		{"searched at every level", SolveRequest{Spec: TaskSpec{Family: "approx-agreement-n", Procs: 3, D: 4}, MaxLevel: 2}, false, false, 0 + 0 + 678},
 	}
-	if m.Counter("solver_pruned_values_total") <= 0 {
-		t.Errorf("solver_pruned_values_total = %d, want > 0", m.Counter("solver_pruned_values_total"))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Options{})
+			_, err := e.Solve(context.Background(), tc.req)
+			if got := errors.Is(err, solver.ErrBudget); got != tc.budget || (err != nil && !got) {
+				t.Fatalf("err = %v, want budget error %v", err, tc.budget)
+			}
+			var want [3]int64
+			if !tc.certified {
+				want = chainTotals(t, tc.req)
+			}
+			m := e.Metrics()
+			got := [3]int64{m.Counter("solver_nodes_total"), m.Counter("solver_pruned_values_total"), m.Counter("solver_components_total")}
+			if got != want || got[0] != tc.nodes {
+				t.Errorf("nodes, pruned values, components = %v; the chain's levels sum to %v, nodes %d", got, want, tc.nodes)
+			}
+		})
 	}
+}
 
-	sc := SolveRequest{Spec: TaskSpec{Family: "approx-agreement-n", Procs: 3, D: 4}, MaxLevel: 2}
-	if _, err := e.Solve(context.Background(), sc); err != nil {
+// chainTotals walks R^0 … R^MaxLevel itself and sums each level's search
+// telemetry, up to the first level that finds a map or fails.
+func chainTotals(t *testing.T, req SolveRequest) (sum [3]int64) {
+	t.Helper()
+	ctx := context.Background()
+	task, err := req.Spec.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Counter("solver_nodes_total") <= 0 {
-		t.Errorf("solver_nodes_total = %d, want > 0", m.Counter("solver_nodes_total"))
+	spec, err := model.Parse(req.Model)
+	if err != nil {
+		t.Fatal(err)
 	}
+	opts := solver.Options{MaxNodes: req.MaxNodes, Restrict: spec.Filter()}
+	if opts.MaxNodes == 0 {
+		opts.MaxNodes = DefaultMaxNodes
+	}
+	sub := task.Inputs
+	for b := 0; b <= req.MaxLevel; b++ {
+		if b > 0 {
+			if sub, err = topology.Subdivide(ctx, sub, 1, opts.Restrict); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := solver.SolveAtLevelOn(ctx, task, b, sub, opts)
+		sum[0] += res.Nodes
+		sum[1] += res.Stats.PrunedValues
+		sum[2] += int64(res.Stats.Components)
+		if err != nil || res.Solvable {
+			break
+		}
+	}
+	return sum
 }
 
 // FuzzEstimateCost drives the admission estimate with arbitrary request

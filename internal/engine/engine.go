@@ -280,61 +280,31 @@ func (e *Engine) computeSolve(ctx context.Context, req SolveRequest, spec model.
 	if !spec.IsWaitFree() {
 		opts.Model = spec.Canonical()
 	}
-	// A Sperner certificate answers before any level is built or searched.
-	if res, err := solver.Certify(ctx, task, req.MaxLevel, opts); res != nil || err != nil {
-		if err != nil {
-			return nil, err
-		}
-		return solveResponse(req, spec, res, false), nil
+	res, err := solver.SolveUpToCtx(ctx, task, req.MaxLevel, opts)
+	e.recordSolve(res)
+	if err != nil {
+		return nil, err // solver.ErrBudget, solver.ErrCanceled or a failed subdivision step
 	}
-	// The chain R^0 … R^MaxLevel lives in this loop: each level is one
-	// Subdivide step on the last, restricted as it is built, and is dropped
-	// with the query. This loop and solver.searchChain walk the same chain;
-	// this one also counts each level's search and re-verifies a found map.
-	var last *solver.Result
-	sub := task.Inputs
-	for b := 0; b <= req.MaxLevel; b++ {
-		if b > 0 {
-			if sub, err = topology.Subdivide(ctx, sub, 1, opts.Restrict); err != nil {
-				return nil, err
-			}
-		}
-		res, err := solver.SolveAtLevelOn(ctx, task, b, sub, opts)
-		e.recordSolve(res)
-		if err != nil {
-			return nil, err // solver.ErrBudget or solver.ErrCanceled, wrapped with level and node count
-		}
-		if res.Solvable {
-			if err := solver.VerifyDecisionMap(task, res); err != nil {
-				return nil, fmt.Errorf("engine: found map fails verification: %w", err)
-			}
-			return solveResponse(req, spec, res, true), nil
-		}
-		last = res
-	}
-	return solveResponse(req, spec, last, false), nil
-}
-
-func solveResponse(req SolveRequest, spec model.Spec, res *solver.Result, verified bool) *SolveResponse {
-	resp := &SolveResponse{
-		Task:        res.Task.Name,
-		Spec:        req.Spec,
-		MaxLevel:    req.MaxLevel,
-		Level:       res.Level,
-		Solvable:    res.Solvable,
-		Nodes:       res.Nodes,
-		MapVerified: verified && res.Solvable,
-	}
-	if !spec.IsWaitFree() {
-		resp.Model = spec.Canonical()
-	}
-	resp.SubdivisionVertices, resp.SubdivisionFacets = res.Vertices, res.Facets
+	verdict := fmt.Sprintf("UNSOLVABLE for all b ≤ %d (proven by exhaustion)", res.Level)
 	if res.Solvable {
-		resp.Verdict = fmt.Sprintf("SOLVABLE at b = %d", res.Level)
-	} else {
-		resp.Verdict = fmt.Sprintf("UNSOLVABLE for all b ≤ %d (proven by exhaustion)", res.Level)
+		if err := solver.VerifyDecisionMap(task, res); err != nil {
+			return nil, fmt.Errorf("engine: found map fails verification: %w", err)
+		}
+		verdict = fmt.Sprintf("SOLVABLE at b = %d", res.Level)
 	}
-	return resp
+	return &SolveResponse{
+		Task:                res.Task.Name,
+		Spec:                req.Spec,
+		MaxLevel:            req.MaxLevel,
+		Level:               res.Level,
+		Solvable:            res.Solvable,
+		Verdict:             verdict,
+		Nodes:               res.Nodes,
+		SubdivisionVertices: res.Vertices,
+		SubdivisionFacets:   res.Facets,
+		MapVerified:         res.Solvable, // a found map was verified above
+		Model:               opts.Model,
+	}, nil
 }
 
 // validate bounds a complex query to the levels the engine enumerates.
@@ -379,17 +349,27 @@ func (e *Engine) ComplexInfo(ctx context.Context, req ComplexRequest) (*ComplexR
 	return v.(*ComplexResponse), nil
 }
 
+// validate bounds a converge query to the grid the engine answers.
+func (r ConvergeRequest) validate() error {
+	if r.N < 1 || r.N > 2 {
+		return fmt.Errorf("%w: converge needs 1 ≤ n ≤ 2, got %d", ErrInvalid, r.N)
+	}
+	if r.Target < 1 || r.Target > 2 {
+		return fmt.Errorf("%w: converge needs 1 ≤ target ≤ 2, got %d", ErrInvalid, r.Target)
+	}
+	if r.MaxK < 0 || r.MaxK > 4 {
+		return fmt.Errorf("%w: converge needs 0 ≤ max_k ≤ 4, got %d", ErrInvalid, r.MaxK)
+	}
+	return nil
+}
+
 // Converge answers a Theorem 5.1 query: the smallest k ≤ MaxK with a color-
-// and carrier-preserving simplicial map SDS^k(sⁿ) → SDS^target(sⁿ).
+// and carrier-preserving simplicial map SDS^k(sⁿ) → SDS^target(sⁿ). When
+// no k ≤ MaxK has one, the proof is the answer (NoMap), cached like any
+// other.
 func (e *Engine) Converge(ctx context.Context, req ConvergeRequest) (*ConvergeResponse, error) {
-	if req.N < 1 || req.N > 2 {
-		return nil, fmt.Errorf("%w: converge needs 1 ≤ n ≤ 2, got %d", ErrInvalid, req.N)
-	}
-	if req.Target < 1 || req.Target > 2 {
-		return nil, fmt.Errorf("%w: converge needs 1 ≤ target ≤ 2, got %d", ErrInvalid, req.Target)
-	}
-	if req.MaxK < 0 || req.MaxK > 4 {
-		return nil, fmt.Errorf("%w: converge needs 0 ≤ max_k ≤ 4, got %d", ErrInvalid, req.MaxK)
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
 	v, err := e.do(ctx, "converge", req.Key(), func(cctx context.Context) (any, error) {
 		base := topology.Simplex(req.N)
@@ -397,21 +377,22 @@ func (e *Engine) Converge(ctx context.Context, req ConvergeRequest) (*ConvergeRe
 		if err != nil {
 			return nil, err
 		}
+		resp := &ConvergeResponse{N: req.N, Target: req.Target, MaxK: req.MaxK, TargetVertices: a.NumVertices()}
 		phi, k, err := converge.FindChromaticMapCtx(cctx, base, a, req.MaxK)
+		if errors.Is(err, converge.ErrNotFound) {
+			resp.K, resp.NoMap = req.MaxK, true
+			resp.DomainVertices, _, err = topology.SDSLevelSize(base, req.MaxK)
+			return resp, err
+		}
 		if err != nil {
 			return nil, err
 		}
-		return &ConvergeResponse{
-			N:                 req.N,
-			Target:            req.Target,
-			MaxK:              req.MaxK,
-			K:                 k,
-			Simplicial:        phi.Validate() == nil,
-			ColorPreserving:   phi.ColorPreserving(),
-			CarrierRespecting: phi.CarrierRespecting(),
-			DomainVertices:    phi.From.NumVertices(),
-			TargetVertices:    phi.To.NumVertices(),
-		}, nil
+		resp.K = k
+		resp.Simplicial = phi.Validate() == nil
+		resp.ColorPreserving = phi.ColorPreserving()
+		resp.CarrierRespecting = phi.CarrierRespecting()
+		resp.DomainVertices = phi.From.NumVertices()
+		return resp, nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,12 +1,12 @@
 // Package engine is the concurrent solvability query engine behind
 // `wfrepro serve`: it canonically hashes every query (task specs reuse the
 // repository-wide canonical string encodings), content-addresses every
-// derived artifact — SDS^b(I) levels, solver results, convergence maps,
+// answer — solvability verdicts, subdivision shapes, convergence answers,
 // adversary replays — in an entry-bounded, cost-aware in-memory store (see
-// Cache) with optional gob
-// spill-to-disk, deduplicates identical in-flight queries singleflight-
-// style, and fans the subdivision and solver precomputation out over a
-// worker pool. N concurrent clients asking the same question cost one
+// Cache) with optional gob spill-to-disk, and deduplicates identical
+// in-flight queries singleflight-style. Subdivision levels are built inside
+// the query that needs them and never stored, and each query computes
+// sequentially. N concurrent clients asking the same question cost one
 // search.
 package engine
 

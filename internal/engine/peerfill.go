@@ -121,8 +121,9 @@ func (e *Engine) AdmitEncoded(key string, payload []byte) bool {
 // must echo the key's n and b and have the vertex, facet and f-vector
 // counts of SDS^b(sⁿ), Euler characteristic 1 (a subdivided simplex is
 // contractible), and be chromatic and pure. Its hash is not recomputed and
-// stays trusted-peer (DESIGN §13). A conv: answer must echo its key's
-// parameters. Both key kinds parse strictly, so an alias such as
+// stays trusted-peer (DESIGN §13). A conv: answer must equal its closed
+// form field for field (convergeClosedForm). Both key kinds parse strictly
+// and must lie in the box the engine answers, so an alias such as
 // "cx:n=2:b=1:junk" answers nothing. Other kinds pass unchecked.
 func answersKey(key string, v any) bool {
 	switch r := v.(type) {
@@ -141,9 +142,29 @@ func answersKey(key string, v any) bool {
 			r.Euler == 1 && r.Chromatic && r.Pure
 	case *ConvergeResponse:
 		req, ok := parseConvergeKey(key)
-		return ok && r.N == req.N && r.Target == req.Target && r.MaxK == req.MaxK
+		if !ok || req.validate() != nil {
+			return false
+		}
+		want, err := convergeClosedForm(req)
+		return err == nil && *r == *want
 	}
 	return true
+}
+
+// convergeClosedForm is the answer to every converge query the engine
+// admits: SDS^target(sⁿ) is first reached at k = target, by the identity,
+// so a map is found at k = target when MaxK reaches it and at no k ≤ MaxK
+// otherwise (converge's TestAdmittedQueries pins both).
+func convergeClosedForm(req ConvergeRequest) (*ConvergeResponse, error) {
+	base, found := topology.Simplex(req.N), req.MaxK >= req.Target
+	r := &ConvergeResponse{N: req.N, Target: req.Target, MaxK: req.MaxK, K: min(req.Target, req.MaxK),
+		Simplicial: found, ColorPreserving: found, CarrierRespecting: found, NoMap: !found}
+	var err error
+	if r.DomainVertices, _, err = topology.SDSLevelSize(base, r.K); err != nil {
+		return nil, err
+	}
+	r.TargetVertices, _, err = topology.SDSLevelSize(base, req.Target)
+	return r, err
 }
 
 // parseComplexKey parses a cx: key strictly: the key must be exactly what

@@ -364,6 +364,85 @@ func TestAdmitEncodedChecksComplexAnswers(t *testing.T) {
 	}
 }
 
+// TestConvergeAnswersMatchClosedForm: on every converge query the engine
+// admits, the computed answer is the closed form that answersKey holds peer
+// answers to, the six no-map answers included, and the encoded answer is
+// admitted under its own key on another node.
+func TestConvergeAnswersMatchClosedForm(t *testing.T) {
+	e := New(Options{})
+	noMap := 0
+	for n := 1; n <= 2; n++ {
+		for target := 1; target <= 2; target++ {
+			for maxK := 0; maxK <= 4; maxK++ {
+				req := ConvergeRequest{N: n, Target: target, MaxK: maxK}
+				got, err := e.Converge(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%+v: %v", req, err)
+				}
+				want, err := convergeClosedForm(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *got != *want {
+					t.Errorf("%+v: computed %+v, closed form %+v", req, *got, *want)
+				}
+				if got.NoMap {
+					noMap++
+				}
+				payload, _, ok := e.EncodedArtifact(req.Key())
+				if !ok || !New(Options{}).AdmitEncoded(req.Key(), payload) {
+					t.Errorf("%+v: own answer not admitted by a peer", req)
+				}
+			}
+		}
+	}
+	if noMap != 6 {
+		t.Errorf("%d no-map answers, want the 6 with max_k < target", noMap)
+	}
+}
+
+// TestPeerFillRejectsWrongConvergeAnswers: a peer that answers a conv: key
+// with "no map" where a map exists, or with a map found at the wrong k, is
+// refused by anti-entropy and by fill, counted, and the node computes the
+// true answer. At the parent both wrong answers echo their key's
+// parameters and were admitted.
+func TestPeerFillRejectsWrongConvergeAnswers(t *testing.T) {
+	req := ConvergeRequest{N: 2, Target: 1, MaxK: 2}
+	truth, err := convergeClosedForm(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noMap := *truth
+	noMap.K, noMap.NoMap = req.MaxK, true
+	noMap.Simplicial, noMap.ColorPreserving, noMap.CarrierRespecting = false, false, false
+	wrongK := *truth
+	wrongK.K = 2
+	for name, lie := range map[string]ConvergeResponse{"no map": noMap, "wrong k": wrongK} {
+		t.Run(name, func(t *testing.T) {
+			payload, err := gobEncode(&lie)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(Options{})
+			if e.AdmitEncoded(req.Key(), payload) {
+				t.Error("AdmitEncoded admitted the lie")
+			}
+			e.SetPeerFiller(&fakeFiller{payload: payload, source: "http://liar"})
+			got, err := e.Converge(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *truth {
+				t.Errorf("served %+v, want %+v", *got, *truth)
+			}
+			m := e.Metrics()
+			if m.Counter("cluster_peer_fill_rejected") != 2 || m.Counter("cluster_peer_fill_hit") != 0 {
+				t.Errorf("rejected=%d hit=%d; want 2, 0", m.Counter("cluster_peer_fill_rejected"), m.Counter("cluster_peer_fill_hit"))
+			}
+		})
+	}
+}
+
 // TestFetchByteLimitStrictKeys: keys that only resemble a cx: or conv: key
 // get the flat floor, not the bound of the key they resemble.
 func TestFetchByteLimitStrictKeys(t *testing.T) {

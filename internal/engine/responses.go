@@ -114,6 +114,9 @@ type ConvergeResponse struct {
 	CarrierRespecting bool `json:"carrier_respecting"`
 	DomainVertices    int  `json:"domain_vertices"`
 	TargetVertices    int  `json:"target_vertices"`
+	// NoMap is a proof that no k ≤ MaxK has a map; K is then MaxK, the last
+	// level searched. Omitted on found answers, which keep their bytes.
+	NoMap bool `json:"no_map,omitempty"`
 }
 
 // AdversaryRequest replays a deterministic (adversary, seed, crash) triple

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -216,5 +217,42 @@ func TestDegradedModeShedsButServesCachedAndCheap(t *testing.T) {
 	}
 	if hz["breaker_recoveries"] != float64(1) {
 		t.Fatalf("breaker_recoveries = %v, want 1", hz["breaker_recoveries"])
+	}
+}
+
+// TestConvergeNoMapIsAnAnswer: a converge query whose max_k is below its
+// target is answered 200 with a proof that no map exists, cached like any
+// answer, so repeating it neither recomputes it nor trips the breaker. At
+// the parent each of these answered 500, and five of them tripped the
+// breaker for every client.
+func TestConvergeNoMapIsAnAnswer(t *testing.T) {
+	s, ts := newTestServer(t, engine.Options{}, Options{})
+	queries := []struct{ n, target, maxk int }{{1, 1, 0}, {2, 1, 0}, {1, 2, 0}, {2, 2, 0}, {1, 2, 1}, {2, 2, 1}}
+	for _, q := range queries {
+		path := fmt.Sprintf("/v1/converge?n=%d&target=%d&maxk=%d", q.n, q.target, q.maxk)
+		for i := 0; i <= DefaultBreakerThreshold; i++ {
+			code, body := get(t, ts.URL+path)
+			var resp engine.ConvergeResponse
+			if code != http.StatusOK || json.Unmarshal(body, &resp) != nil {
+				t.Fatalf("%s, request %d: %d %s", path, i+1, code, body)
+			}
+			if !resp.NoMap || resp.K != q.maxk || resp.Simplicial {
+				t.Fatalf("%s: %s; want no map up to k = %d", path, body, q.maxk)
+			}
+		}
+	}
+	var hz map[string]any
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeJSON(resp, &hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz["status"] != "ok" || hz["breaker_trips"] != float64(0) {
+		t.Errorf("healthz status = %v, breaker_trips = %v; want ok, 0", hz["status"], hz["breaker_trips"])
+	}
+	if misses := s.eng.Metrics().CacheMisses.Load(); misses != int64(len(queries)) {
+		t.Errorf("cache_misses = %d, want one per query (%d)", misses, len(queries))
 	}
 }

@@ -6,6 +6,12 @@ var SolveExhaustive = solveExhaustive
 // SolveExhaustiveWithin is the oracle under a caller-chosen node budget.
 var SolveExhaustiveWithin = solveExhaustiveWithin
 
+// Certify exposes SolveUpToCtx's certificate step.
+var Certify = certify
+
+// Obstruct exposes the Sperner certificate.
+var Obstruct = obstruct
+
 // PathObstruct exposes the path certificate, which Certify tries only
 // under a model that drops an ordered partition.
 var PathObstruct = pathObstruct

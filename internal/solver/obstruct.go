@@ -61,11 +61,11 @@ import (
 // t-resilience with 0 < t < m − 1 and under k-concurrency with k < m (at
 // m ≥ 3 for k = 1), where no Sperner certificate applies.
 
-// Obstruct returns a Sperner certificate for task — the vertices of an
+// obstruct returns a Sperner certificate for task — the vertices of an
 // input simplex σ meeting both conditions above, smallest dimension first —
 // or nil when there is none, when restrict drops an ordered partition of an
 // input facet, or when the task carries no input or output values.
-func Obstruct(task *tasks.Task, restrict topology.FacetFilter) []topology.Vertex {
+func obstruct(task *tasks.Task, restrict topology.FacetFilter) []topology.Vertex {
 	if task.InputValue == nil || task.OutputValue == nil || !keepsAllPartitions(task.Inputs, restrict) {
 		return nil
 	}
@@ -309,8 +309,8 @@ const (
 	CertificatePath    = "path"
 )
 
-// Certify is the solver's first step when it may walk a whole subdivision
-// chain: when Obstruct finds a Sperner certificate under opts.Restrict, or,
+// certify is SolveUpToCtx's first step, before it walks the subdivision
+// chain: when obstruct finds a Sperner certificate under opts.Restrict, or,
 // under a model that drops an ordered partition, pathObstruct finds a path
 // certificate, it returns the unsolvable Result at maxLevel — Nodes 0, no
 // Subdivision, the level's sizes from the closed form
@@ -320,7 +320,7 @@ const (
 // the level (inputs of more than 4 processes, or counts past int), so the
 // chain answers as it would without one; it records one solver.obstruct
 // span either way.
-func Certify(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
+func certify(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
@@ -330,7 +330,7 @@ func Certify(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) 
 		span.SetStr("model", opts.Model)
 	}
 	defer span.Finish()
-	res := certify(task, maxLevel, opts.Restrict)
+	res := certificateFor(task, maxLevel, opts.Restrict)
 	span.SetInt("certified", boolInt(res != nil))
 	if res == nil {
 		return nil, nil
@@ -343,9 +343,9 @@ func Certify(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) 
 	return res, nil
 }
 
-// certify is Certify without the span.
-func certify(task *tasks.Task, maxLevel int, restrict topology.FacetFilter) *Result {
-	if sigma := Obstruct(task, restrict); sigma != nil {
+// certificateFor is certify without the span.
+func certificateFor(task *tasks.Task, maxLevel int, restrict topology.FacetFilter) *Result {
+	if sigma := obstruct(task, restrict); sigma != nil {
 		vertices, facets, err := topology.SDSLevelSize(task.Inputs, maxLevel)
 		if err != nil {
 			return nil

@@ -114,22 +114,30 @@ type Result struct {
 	Vertices, Facets int
 
 	// Certificate, when non-nil, is the input simplex that proves the task
-	// unsolvable at every level: σ of a Sperner certificate (Obstruct), or
+	// unsolvable at every level: σ of a Sperner certificate (obstruct), or
 	// the two vertices p, q of a path certificate. CertificateKind names
 	// which (CertificateSperner or CertificatePath). Subdivision is then
 	// nil and Nodes 0.
 	Certificate     []topology.Vertex
 	CertificateKind string
 
-	Nodes int64 // assignment nodes explored
-	Stats Stats // pruning telemetry
+	Nodes int64 // assignment nodes explored at Level
+	Stats Stats // pruning telemetry at Level
+
+	// Chain sums Nodes, Stats.PrunedValues and Stats.Components over every
+	// level SolveUpToCtx searched, Level included, even one that ended in
+	// ErrBudget or ErrCanceled; zero for a certified result.
+	Chain struct {
+		Nodes, PrunedValues int64
+		Components          int
+	}
 }
 
 // SolveAtLevelOn decides whether the task has a decision map at
 // subdivision level b, on the level sub supplied by the caller: sub must be
 // SDS^b(task.Inputs) — R^b under opts.Restrict — or a vertex-for-vertex
-// identical complex. The engine's level loop builds each level once, with
-// one topology.Subdivide step on the previous one, and searches it here.
+// identical complex. SolveUpToCtx's chain walk searches each level it
+// builds here.
 //
 // The search honors ctx cooperatively: the backtracking loop checks for
 // cancellation every cancelCheckInterval nodes (amortized — the checkpoint
@@ -321,13 +329,20 @@ var subdivide = topology.Subdivide
 // subdivision step between levels stop cooperatively when the caller goes
 // away, returning ErrCanceled.
 //
-// A task with a Sperner certificate (Certify) is answered unsolvable at
-// maxLevel before any level is built. Otherwise the subdivision chain is
-// built incrementally — level b's SDS^b(I) is one subdivision of level
-// b−1's complex, not a recomputation from scratch — so the total
-// subdivision cost is that of the last level alone.
+// A task with a certificate (certify) is answered unsolvable at maxLevel
+// before any level is built. Otherwise the subdivision chain is built
+// incrementally — level b's SDS^b(I) is one subdivision of level b−1's
+// complex, not a recomputation from scratch — so the total subdivision
+// cost is that of the last level alone.
+//
+// A Result comes back with every nil error, and with an error once a level
+// was searched: the failed level, or the last one searched when a
+// subdivision step failed. A negative maxLevel is an error.
 func SolveUpToCtx(ctx context.Context, task *tasks.Task, maxLevel int, opts Options) (*Result, error) {
-	if res, err := Certify(ctx, task, maxLevel, opts); res != nil || err != nil {
+	if maxLevel < 0 {
+		return nil, fmt.Errorf("solver: max level %d is negative", maxLevel)
+	}
+	if res, err := certify(ctx, task, maxLevel, opts); res != nil || err != nil {
 		return res, err
 	}
 	return searchChain(ctx, task, maxLevel, opts)
@@ -354,11 +369,14 @@ func searchChain(ctx context.Context, task *tasks.Task, maxLevel int, opts Optio
 			sub = next
 		}
 		res, err := SolveAtLevelOn(ctx, task, b, sub, opts)
-		if err != nil {
-			return res, err
+		if last != nil {
+			res.Chain = last.Chain
 		}
-		if res.Solvable {
-			return res, nil
+		res.Chain.Nodes += res.Nodes
+		res.Chain.PrunedValues += res.Stats.PrunedValues
+		res.Chain.Components += res.Stats.Components
+		if err != nil || res.Solvable {
+			return res, err
 		}
 		last = res
 	}

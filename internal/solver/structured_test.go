@@ -58,6 +58,74 @@ func TestSubdivisionErrorNotMisclassified(t *testing.T) {
 	}
 }
 
+// TestChainTotals: SolveUpToCtx's Result.Chain sums the per-level search
+// telemetry of every level it searched — the level that found a map or ran
+// out of budget included — is zero for a certified result, and when a
+// subdivision step fails the returned level carries the totals so far.
+func TestChainTotals(t *testing.T) {
+	ctx := context.Background()
+	perLevel := func(task *tasks.Task, upTo int, opts Options) (nodes, pruned int64, components int) {
+		for b := 0; b <= upTo; b++ {
+			res, _ := SolveAtLevelOn(ctx, task, b, topology.SDSPow(task.Inputs, b), opts)
+			nodes, pruned, components = nodes+res.Nodes, pruned+res.Stats.PrunedValues, components+res.Stats.Components
+		}
+		return nodes, pruned, components
+	}
+	check := func(name string, res *Result, task *tasks.Task, upTo int, opts Options) {
+		t.Helper()
+		nodes, pruned, components := perLevel(task, upTo, opts)
+		if res.Chain.Nodes != nodes || res.Chain.PrunedValues != pruned || res.Chain.Components != components {
+			t.Errorf("%s: chain %+v; levels 0…%d sum to nodes %d, pruned %d, components %d",
+				name, res.Chain, upTo, nodes, pruned, components)
+		}
+	}
+
+	approxN := tasks.ApproxAgreementN(3, 4)
+	res, err := SolveUpToCtx(ctx, approxN, 2, Options{})
+	if err != nil || !res.Solvable || res.Level != 2 {
+		t.Fatalf("approx-agreement-n: %+v, %v; want solvable at level 2", res, err)
+	}
+	check("solvable", res, approxN, 2, Options{})
+
+	budget := Options{MaxNodes: 100}
+	res, err = SolveUpToCtx(ctx, approxN, 2, budget)
+	if !errors.Is(err, ErrBudget) || res == nil || res.Level != 2 {
+		t.Fatalf("budget: %+v, %v; want ErrBudget at level 2", res, err)
+	}
+	check("budget", res, approxN, 2, budget)
+
+	res, err = SolveUpToCtx(ctx, tasks.Consensus(3), 2, Options{})
+	if err != nil || res.Certificate == nil || res.Chain.Nodes != 0 || res.Chain.PrunedValues != 0 || res.Chain.Components != 0 {
+		t.Fatalf("consensus-3p: %+v, %v; want a certificate and zero totals", res, err)
+	}
+
+	// Poison the step to level 2 only: level 1's result comes back with the
+	// totals of levels 0 and 1.
+	defer func() { subdivide = topology.Subdivide }()
+	subdivide = func(ctx context.Context, c *topology.Complex, b int, keep topology.FacetFilter) (*topology.Complex, error) {
+		if c.NumVertices() > approxN.Inputs.NumVertices() {
+			return nil, errors.New("subdivision exploded")
+		}
+		return topology.Subdivide(ctx, c, b, keep)
+	}
+	res, err = SolveUpToCtx(ctx, approxN, 2, Options{})
+	if err == nil || res == nil || res.Level != 1 {
+		t.Fatalf("poisoned level 2: %+v, %v; want level 1's result and an error", res, err)
+	}
+	check("subdivision failure", res, approxN, 1, Options{})
+}
+
+// TestSolveUpToRejectsNegativeLevel: a negative max level searches nothing
+// and is an error. It used to return a nil Result with a nil error, which
+// `wfrepro converge -maxk -1` and `wfrepro solve -maxb -1` dereferenced.
+func TestSolveUpToRejectsNegativeLevel(t *testing.T) {
+	for _, task := range []*tasks.Task{tasks.ApproxAgreement(2), tasks.Consensus(2)} {
+		if res, err := SolveUpTo(task, -1, Options{}); res != nil || err == nil {
+			t.Errorf("%s at max level -1: %+v, %v; want an error", task.Name, res, err)
+		}
+	}
+}
+
 // TestConsistentAllocFree pins the satellite-2 fix: the per-node consistency
 // check reuses a caller-owned scratch buffer (and an allocation-free
 // insertion sort in dedupe), where it used to allocate a fresh image slice

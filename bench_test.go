@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"waitfree/internal/bg"
@@ -476,7 +475,7 @@ func BenchmarkRenaming(b *testing.B) {
 	for _, n := range []int{4, 8} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := tasks.RunRenaming(n, nil, nil)
+				res, err := tasks.RunRenaming(core.NewDirectMemory(n), n, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -490,7 +489,7 @@ func BenchmarkRenaming(b *testing.B) {
 	// model.
 	b.Run("n=3/emulated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := tasks.RunRenamingOver(core.NewEmulatedMemory(3), 3, nil, nil)
+			res, err := tasks.RunRenaming(core.NewEmulatedMemory(3), 3, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -546,56 +545,6 @@ func BenchmarkSnapshotScan(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- Ablations (design choices called out in DESIGN.md) ---------------------
-
-// BenchmarkScanAblation contrasts the wait-free Afek et al. scan with the
-// naive unbounded double collect, both under adversarial writers. The naive
-// scan frequently exhausts its collect budget; the wait-free one never
-// exceeds n+2 collects.
-func BenchmarkScanAblation(b *testing.B) {
-	const n = 8
-	run := func(b *testing.B, scan func(s *register.Snapshot[int]) int) {
-		s := register.NewSnapshot[int](n)
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < n-1; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for u := 0; ; u++ {
-					select {
-					case <-stop:
-						return
-					default:
-						s.Update(i, u)
-					}
-				}
-			}(i)
-		}
-		b.ResetTimer()
-		var collects int
-		for i := 0; i < b.N; i++ {
-			collects += scan(s)
-		}
-		b.StopTimer()
-		close(stop)
-		wg.Wait()
-		b.ReportMetric(float64(collects)/float64(b.N), "collects/op")
-	}
-	b.Run("waitfree", func(b *testing.B) {
-		run(b, func(s *register.Snapshot[int]) int {
-			_, c := s.ScanWithStats()
-			return c
-		})
-	})
-	b.Run("doublecollect", func(b *testing.B) {
-		run(b, func(s *register.Snapshot[int]) int {
-			_, c, _ := s.ScanDoubleCollect(64)
-			return c
-		})
-	})
 }
 
 func BenchmarkSnapshotUpdate(b *testing.B) {

@@ -67,3 +67,12 @@ func TestGuardsRejectExplosiveParameters(t *testing.T) {
 		t.Error("out-of-range solo adversary should be rejected")
 	}
 }
+
+// TestSolveLabelsOnlyBudgetOverruns: a refused level is an error of its
+// own, not a search that ran out of nodes.
+func TestSolveLabelsOnlyBudgetOverruns(t *testing.T) {
+	out := captureStdout(t, func() error { return run([]string{"solve", "-maxb", "-1"}) })
+	if strings.Contains(string(out), "budget exceeded") {
+		t.Fatalf("solve -maxb -1 labels a refused level a budget overrun:\n%s", out)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"waitfree/internal/bg"
+	"waitfree/internal/core"
 	"waitfree/internal/tasks"
 )
 
@@ -19,7 +20,7 @@ func cmdRename(args []string) error {
 	fmt.Printf("wait-free snapshot renaming, %d processes, target name space [1, %d]\n", *procs, 2**procs-1)
 	maxName, maxSteps := 0, 0
 	for t := 0; t < *trials; t++ {
-		res, err := tasks.RunRenaming(*procs, nil, nil)
+		res, err := tasks.RunRenaming(core.NewDirectMemory(*procs), *procs, nil, nil)
 		if err != nil {
 			return err
 		}

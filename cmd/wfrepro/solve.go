@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -79,8 +80,12 @@ func cmdSolve(args []string) error {
 			continue
 		}
 		res, err := solver.SolveUpToCtx(ctx, j.task, j.maxB, opts)
-		if err != nil {
+		if errors.Is(err, solver.ErrBudget) {
 			fmt.Printf("  %-24s budget exceeded: %v\n", j.task.Name, err)
+			continue
+		}
+		if err != nil {
+			fmt.Printf("  %-24s %v\n", j.task.Name, err)
 			continue
 		}
 		verdict := fmt.Sprintf("UNSOLVABLE for all b ≤ %d (proven by exhaustion)", res.Level)

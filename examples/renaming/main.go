@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"waitfree/internal/core"
 	"waitfree/internal/tasks"
 )
 
@@ -23,7 +24,7 @@ func run() error {
 	const procs = 5
 
 	// All participate.
-	res, err := tasks.RunRenaming(procs, nil, nil)
+	res, err := tasks.RunRenaming(core.NewDirectMemory(procs), procs, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -35,7 +36,7 @@ func run() error {
 	// Sparse participation: only processes 1 and 4 show up; with p = 2
 	// participants the bound tightens to 3.
 	participate := []bool{false, true, false, false, true}
-	res, err = tasks.RunRenaming(procs, participate, nil)
+	res, err = tasks.RunRenaming(core.NewDirectMemory(procs), procs, participate, nil)
 	if err != nil {
 		return err
 	}
@@ -45,7 +46,7 @@ func run() error {
 	fmt.Printf("only P1 and P4: names %v (bound %d)\n", res.Names, 3)
 
 	// Crash: P0 stops after its first scan; the survivors still rename.
-	res, err = tasks.RunRenaming(procs, nil, []int{1, -1, -1, -1, -1})
+	res, err = tasks.RunRenaming(core.NewDirectMemory(procs), procs, nil, []int{1, -1, -1, -1, -1})
 	if err != nil {
 		return err
 	}

@@ -338,60 +338,6 @@ func (s *Simulation) recordAgreed(p, step int, agreed string) {
 	s.audit[key] = agreed
 }
 
-// ValidateSimulatedExecution checks that the agreed snapshots recorded
-// during a run form a legal atomic snapshot execution of the simulated
-// processes:
-//
-//   - read-own-write: the step-s snapshot of p shows p's cell at step ≥ s;
-//   - per-process monotonicity: later steps of p see ≥ step vectors;
-//   - global comparability: all agreed snapshots are totally ordered under
-//     componentwise ≤ of their step vectors.
-func (s *Simulation) ValidateSimulatedExecution() error {
-	s.auditMu.Lock()
-	defer s.auditMu.Unlock()
-
-	type rec struct {
-		p, step int
-		steps   []int
-	}
-	var recs []rec
-	for key, enc := range s.audit {
-		cells := decodeCells(enc)
-		steps := make([]int, len(cells))
-		for i, c := range cells {
-			steps[i] = c.Step
-		}
-		recs = append(recs, rec{p: key[0], step: key[1], steps: steps})
-	}
-	for _, r := range recs {
-		if r.p < len(r.steps) && r.steps[r.p] < r.step {
-			return fmt.Errorf("bg: snapshot (%d,%d) misses own write: %v", r.p, r.step, r.steps)
-		}
-	}
-	for i := 0; i < len(recs); i++ {
-		for j := i + 1; j < len(recs); j++ {
-			a, b := recs[i], recs[j]
-			le, ge := true, true
-			for k := range a.steps {
-				if a.steps[k] < b.steps[k] {
-					ge = false
-				}
-				if a.steps[k] > b.steps[k] {
-					le = false
-				}
-			}
-			if !le && !ge {
-				return fmt.Errorf("bg: incomparable simulated snapshots (%d,%d)=%v and (%d,%d)=%v",
-					a.p, a.step, a.steps, b.p, b.step, b.steps)
-			}
-			if a.p == b.p && a.step < b.step && !le {
-				return fmt.Errorf("bg: simulated process %d went backwards between steps %d and %d", a.p, a.step, b.step)
-			}
-		}
-	}
-	return nil
-}
-
 // encodeCells canonically encodes a simulated memory view for agreement.
 // Values are strconv-quoted so any value string round-trips.
 func encodeCells(cells []Cell) string {

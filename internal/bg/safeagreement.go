@@ -10,8 +10,6 @@
 package bg
 
 import (
-	"runtime"
-
 	"waitfree/internal/register"
 	"waitfree/internal/sched"
 )
@@ -71,24 +69,6 @@ func (sa *SafeAgreement[T]) settle(i int, v T) {
 		}
 	}
 	sa.snap.Update(i, saState[T]{val: v, level: level})
-}
-
-// Resolve blocks (by spinning with yields) until the object resolves or
-// stop is closed. ok=false reports cancellation — the caller observed the
-// blocking behaviour safe agreement is allowed to have when a proposer
-// crashed in its window.
-func (sa *SafeAgreement[T]) Resolve(stop <-chan struct{}) (v T, ok bool) {
-	for {
-		if v, ok := sa.TryResolve(); ok {
-			return v, true
-		}
-		select {
-		case <-stop:
-			return v, false
-		default:
-			runtime.Gosched()
-		}
-	}
 }
 
 // TryResolve returns the agreed value if the object is resolved: no visible

@@ -268,9 +268,6 @@ func (c *Cluster) Self() string { return c.self }
 // with exchanges and fills so connection pools are reused).
 func (c *Cluster) Client() *http.Client { return c.client }
 
-// Metrics returns the counter set receiving the cluster metrics.
-func (c *Cluster) Metrics() *engine.Metrics { return c.metrics }
-
 // Ring exposes the current placement ring (tests, healthz). The returned
 // ring is immutable; membership changes swap in a new one.
 func (c *Cluster) Ring() *Ring {

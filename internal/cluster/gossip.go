@@ -58,13 +58,6 @@ func (c *Cluster) gossipMsgLocked() GossipMsg {
 	return msg
 }
 
-// GossipView returns this node's current membership view (tests, debug).
-func (c *Cluster) GossipView() GossipMsg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gossipMsgLocked()
-}
-
 // Merge folds a remote view into the local one under SWIM precedence,
 // rebuilding the ring if the eligible set changed. Records about self are
 // never adopted — they are refuted (incarnation bump) when they claim

@@ -150,7 +150,7 @@ func TestGossipExchangeConverges(t *testing.T) {
 	if a.MembersHash() != b.MembersHash() {
 		t.Fatalf("members hash diverged after exchange: %s vs %s", a.MembersHash(), b.MembersHash())
 	}
-	if got := b.Metrics().Counter("cluster_gossip_rx_total"); got != 1 {
+	if got := b.metrics.Counter("cluster_gossip_rx_total"); got != 1 {
 		t.Fatalf("cluster_gossip_rx_total = %d, want 1", got)
 	}
 }
@@ -313,4 +313,11 @@ func TestFetchLimitBounds(t *testing.T) {
 	if st := c.State(NormalizeAddr(ts.URL)); st != PeerUp {
 		t.Fatalf("peer state after over-limit = %s, want up", st)
 	}
+}
+
+// GossipView returns this node's current membership view (tests, debug).
+func (c *Cluster) GossipView() GossipMsg {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gossipMsgLocked()
 }

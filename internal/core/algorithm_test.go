@@ -1,9 +1,17 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
+
+	"waitfree/internal/core"
+	"waitfree/internal/tasks"
 )
+
+// validate checks outputs with the one ε-agreement validator.
+func validate(inputs, outputs []float64, eps float64) error {
+	return tasks.ValidateApprox(inputs, &tasks.ApproxResult{Outputs: outputs}, eps)
+}
 
 func TestApproxAgreementOnDirectMemory(t *testing.T) {
 	cases := []struct {
@@ -17,11 +25,11 @@ func TestApproxAgreementOnDirectMemory(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for trial := 0; trial < 10; trial++ {
-			out, err := RunApproxAgreement(NewDirectMemory(len(tc.inputs)), tc.inputs, tc.eps, nil)
+			out, err := core.RunApproxAgreement(core.NewDirectMemory(len(tc.inputs)), tc.inputs, tc.eps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := CheckApproxOutputs(tc.inputs, out, tc.eps); err != nil {
+			if err := validate(tc.inputs, out, tc.eps); err != nil {
 				t.Fatalf("inputs %v eps %g: %v", tc.inputs, tc.eps, err)
 			}
 		}
@@ -34,11 +42,11 @@ func TestApproxAgreementOnEmulatedMemory(t *testing.T) {
 	inputs := []float64{0, 1, 0.25}
 	const eps = 0.125
 	for trial := 0; trial < 10; trial++ {
-		out, err := RunApproxAgreement(NewEmulatedMemory(len(inputs)), inputs, eps, nil)
+		out, err := core.RunApproxAgreement(core.NewEmulatedMemory(len(inputs)), inputs, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckApproxOutputs(inputs, out, eps); err != nil {
+		if err := validate(inputs, out, eps); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -47,11 +55,11 @@ func TestApproxAgreementOnEmulatedMemory(t *testing.T) {
 func TestApproxAgreementEmulatedWithCrash(t *testing.T) {
 	inputs := []float64{0, 1}
 	for trial := 0; trial < 10; trial++ {
-		out, err := RunApproxAgreement(NewEmulatedMemory(2), inputs, 0.25, []int{1, -1})
+		out, err := core.RunApproxAgreement(core.NewEmulatedMemory(2), inputs, 0.25, []int{1, -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckApproxOutputs(inputs, out, 0.25); err != nil {
+		if err := validate(inputs, out, 0.25); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !math.IsNaN(out[0]) {
@@ -65,7 +73,7 @@ func TestApproxAgreementEmulatedWithCrash(t *testing.T) {
 
 func TestApproxAgreementAlreadyAgreed(t *testing.T) {
 	inputs := []float64{5, 5, 5}
-	out, err := RunApproxAgreement(NewDirectMemory(3), inputs, 0.01, nil)
+	out, err := core.RunApproxAgreement(core.NewDirectMemory(3), inputs, 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,45 +85,10 @@ func TestApproxAgreementAlreadyAgreed(t *testing.T) {
 }
 
 func TestApproxAgreementErrors(t *testing.T) {
-	if _, err := RunApproxAgreement(NewDirectMemory(1), nil, 0.1, nil); err == nil {
+	if _, err := core.RunApproxAgreement(core.NewDirectMemory(1), nil, 0.1, nil); err == nil {
 		t.Error("empty inputs should fail")
 	}
-	if _, err := RunApproxAgreement(NewDirectMemory(1), []float64{1}, 0, nil); err == nil {
+	if _, err := core.RunApproxAgreement(core.NewDirectMemory(1), []float64{1}, 0, nil); err == nil {
 		t.Error("eps=0 should fail")
-	}
-}
-
-func TestHistoryEncodingRoundTrip(t *testing.T) {
-	h := map[int]float64{0: 0.5, 3: -1.25, 7: 1e-9}
-	got, err := decodeHistory(encodeHistory(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(h) {
-		t.Fatalf("round trip length %d, want %d", len(got), len(h))
-	}
-	for k, v := range h {
-		if got[k] != v {
-			t.Fatalf("h[%d] = %g, want %g", k, got[k], v)
-		}
-	}
-	if _, err := decodeHistory("garbage"); err == nil {
-		t.Error("garbage should fail to decode")
-	}
-	if h, err := decodeHistory(""); err != nil || len(h) != 0 {
-		t.Error("empty history should decode to empty map")
-	}
-}
-
-func TestCheckApproxOutputsDetectsViolations(t *testing.T) {
-	inputs := []float64{0, 1}
-	if err := CheckApproxOutputs(inputs, []float64{0, 0.9}, 0.5); err == nil {
-		t.Error("disagreement beyond eps not detected")
-	}
-	if err := CheckApproxOutputs(inputs, []float64{-0.5, 0}, 1); err == nil {
-		t.Error("out-of-range output not detected")
-	}
-	if err := CheckApproxOutputs(inputs, []float64{math.NaN(), 0.5}, 0.1); err != nil {
-		t.Errorf("NaN should be skipped: %v", err)
 	}
 }

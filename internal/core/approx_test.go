@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"testing"
 )
 
 // RunApproxAgreement runs wait-free ε-approximate agreement directly on a
@@ -32,6 +33,10 @@ import (
 // a tag ≥ target, all within ε.
 //
 // crashAfter[i] ≥ 0 crashes process i after that many rounds.
+//
+// No production path runs it (tasks.RunApproxAgreement is the service's
+// runtime), so it lives in a test file; core_test validates its outputs
+// with tasks.ValidateApprox.
 func RunApproxAgreement(mem ShotMemory, inputs []float64, eps float64, crashAfter []int) ([]float64, error) {
 	n := len(inputs)
 	if n == 0 {
@@ -170,32 +175,24 @@ func decodeHistory(s string) (map[int]float64, error) {
 	return h, nil
 }
 
-// CheckApproxOutputs validates ε-agreement outputs against the inputs:
-// survivors pairwise within eps and inside [min(inputs), max(inputs)].
-// NaN outputs (crashed processes) are skipped.
-func CheckApproxOutputs(inputs, outputs []float64, eps float64) error {
-	lo, hi := inputs[0], inputs[0]
-	for _, x := range inputs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
+func TestHistoryEncodingRoundTrip(t *testing.T) {
+	h := map[int]float64{0: 0.5, 3: -1.25, 7: 1e-9}
+	got, err := decodeHistory(encodeHistory(h))
+	if err != nil {
+		t.Fatal(err)
 	}
-	const slack = 1e-9
-	for i, x := range outputs {
-		if math.IsNaN(x) {
-			continue
-		}
-		if x < lo-slack || x > hi+slack {
-			return fmt.Errorf("core: output %g of P%d outside [%g,%g]", x, i, lo, hi)
-		}
-		for j := i + 1; j < len(outputs); j++ {
-			y := outputs[j]
-			if math.IsNaN(y) {
-				continue
-			}
-			if math.Abs(x-y) > eps+slack {
-				return fmt.Errorf("core: outputs %g and %g differ by more than ε=%g", x, y, eps)
-			}
+	if len(got) != len(h) {
+		t.Fatalf("round trip length %d, want %d", len(got), len(h))
+	}
+	for k, v := range h {
+		if got[k] != v {
+			t.Fatalf("h[%d] = %g, want %g", k, got[k], v)
 		}
 	}
-	return nil
+	if _, err := decodeHistory("garbage"); err == nil {
+		t.Error("garbage should fail to decode")
+	}
+	if h, err := decodeHistory(""); err != nil || len(h) != 0 {
+		t.Error("empty history should decode to empty map")
+	}
 }

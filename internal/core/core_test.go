@@ -303,3 +303,12 @@ func TestTraceValidateDetectsBackwardsPerProcessViews(t *testing.T) {
 		t.Error("backwards per-process view not detected")
 	}
 }
+
+// Clone returns a copy.
+func (s TupleSet) Clone() TupleSet {
+	out := make(TupleSet, len(s))
+	for t := range s {
+		out[t] = struct{}{}
+	}
+	return out
+}

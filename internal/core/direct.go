@@ -8,8 +8,9 @@ import (
 )
 
 // ShotMemory is the memory interface consumed by the k-shot full-information
-// protocol of Figure 1: alternating writes of a process's cell and atomic
-// snapshot reads of all cells.
+// protocol of Figure 1 and by tasks.RunRenaming: alternating writes of a
+// process's cell and atomic snapshot reads of all cells. By Proposition 4.1
+// one protocol runs unchanged on DirectMemory or EmulatedMemory.
 //
 // Write publishes the process's seq-th value. SnapshotRead returns, for every
 // process p, the latest value and write sequence number visible (seq 0 and

@@ -49,15 +49,6 @@ func (s TupleSet) Has(t Tuple) bool {
 	return ok
 }
 
-// Clone returns a copy.
-func (s TupleSet) Clone() TupleSet {
-	out := make(TupleSet, len(s))
-	for t := range s {
-		out[t] = struct{}{}
-	}
-	return out
-}
-
 // Add inserts t.
 func (s TupleSet) Add(t Tuple) { s[t] = struct{}{} }
 

@@ -21,6 +21,17 @@ func AdversaryAlgos() []string {
 	return []string{"commitadopt", "setconsensus", "renaming", "renaming-emulated", "approx", "fullinfo", "bg"}
 }
 
+// validate bounds a replay's step budget. RunAdversary takes a negative
+// budget as unlimited and ignores its caller's context, so an unbounded
+// replay would outlive any deadline; the largest admitted budget,
+// sched.DefaultMaxSteps, ends in about a second.
+func (r AdversaryRequest) validate() error {
+	if r.MaxSteps < 0 || r.MaxSteps > sched.DefaultMaxSteps {
+		return fmt.Errorf("%w: max_steps=%d out of range [0,%d]", ErrInvalid, r.MaxSteps, sched.DefaultMaxSteps)
+	}
+	return nil
+}
+
 // RunAdversary replays one concurrent runtime under a deterministic
 // adversary schedule with optional crash injection and validates the
 // outcome. The same request always reproduces the same execution — which is
@@ -90,7 +101,7 @@ func RunAdversary(req AdversaryRequest) (*AdversaryResponse, error) {
 		memories = "1 atomic snapshot object (register granularity)"
 	case "renaming":
 		var res *tasks.RenamingResult
-		res, runErr = tasks.RunRenaming(n, nil, nil, sched.Under(ctl))
+		res, runErr = tasks.RunRenaming(core.NewDirectMemory(n), n, nil, nil, sched.Under(ctl))
 		if runErr == nil {
 			if err := tasks.ValidateRenaming(res, n); err != nil {
 				return nil, err
@@ -100,7 +111,7 @@ func RunAdversary(req AdversaryRequest) (*AdversaryResponse, error) {
 		memories = "1 atomic snapshot object (register granularity)"
 	case "renaming-emulated":
 		var res *tasks.RenamingResult
-		res, runErr = tasks.RunRenamingOver(core.NewEmulatedMemory(n), n, nil, nil, sched.Under(ctl))
+		res, runErr = tasks.RunRenaming(core.NewEmulatedMemory(n), n, nil, nil, sched.Under(ctl))
 		if runErr == nil {
 			if err := tasks.ValidateRenaming(res, n); err != nil {
 				return nil, err

@@ -127,6 +127,9 @@ func (r ConvergeRequest) EstimateCost() (int64, error) {
 // per budgeted step per process — far below any facet-denominated budget,
 // which is the point: replays are always cheap to admit.
 func (r AdversaryRequest) EstimateCost() (int64, error) {
+	if err := r.validate(); err != nil {
+		return 0, err
+	}
 	steps := int64(r.MaxSteps)
 	if steps <= 0 {
 		steps = 1024 // the replay's own default budget bounds it

@@ -403,6 +403,9 @@ func (e *Engine) Converge(ctx context.Context, req ConvergeRequest) (*ConvergeRe
 // Adversary replays a deterministic schedule (cached — the replay is a pure
 // function of the request).
 func (e *Engine) Adversary(ctx context.Context, req AdversaryRequest) (*AdversaryResponse, error) {
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
 	v, err := e.do(ctx, "adversary", req.Key(), func(cctx context.Context) (any, error) {
 		if err := cctx.Err(); err != nil {
 			return nil, err

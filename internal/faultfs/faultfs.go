@@ -166,10 +166,6 @@ func New(inner FS, seed int64, rate float64) *Faulty {
 	return f
 }
 
-// Seed returns the schedule seed (embedded in failure messages so a chaos
-// failure is self-reproducing).
-func (f *Faulty) Seed() int64 { return f.seed }
-
 // Injected returns how many faults have actually been injected so far.
 func (f *Faulty) Injected() int64 { return f.injected.Load() }
 

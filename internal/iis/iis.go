@@ -49,13 +49,6 @@ func NewMemory[T any](n int) *Memory[T] {
 // Processes returns the number of process slots.
 func (m *Memory[T]) Processes() int { return m.n }
 
-// Rounds returns how many memories have been materialized so far.
-func (m *Memory[T]) Rounds() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.ms)
-}
-
 // memory returns M_j, materializing it and any predecessors if needed, and
 // atomically checks-and-advances the caller's round discipline.
 func (m *Memory[T]) memory(proc, round int) (*immediate.OneShot[T], error) {
@@ -90,11 +83,4 @@ func (m *Memory[T]) WriteRead(proc, round int, v T) (immediate.View[T], error) {
 		return nil, fmt.Errorf("iis: M_%d: %w", round, err)
 	}
 	return view, nil
-}
-
-// NextRound returns the next memory index process proc will access.
-func (m *Memory[T]) NextRound(proc int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.next[proc]
 }

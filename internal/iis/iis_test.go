@@ -159,3 +159,17 @@ func TestCrashedProcessNeverBlocksOthers(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// NextRound returns the next memory index process proc will access.
+func (m *Memory[T]) NextRound(proc int) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.next[proc]
+}
+
+// Rounds returns how many memories have been materialized so far.
+func (m *Memory[T]) Rounds() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.ms)
+}

@@ -45,14 +45,8 @@ type OneShot[T any] struct {
 }
 
 // SetGate installs the immediate-level step-point gate. Call before sharing
-// the object; the underlying register keeps its own (separate) gate — see
-// GateRegisters for the finer granularity.
+// the object; the underlying register keeps its own gate, which stays nil.
 func (o *OneShot[T]) SetGate(g sched.Gate) { o.gate = g }
-
-// GateRegisters additionally gates the underlying atomic snapshot object at
-// register granularity (one step per collect and per store), for schedules
-// that interleave inside Scan/Update.
-func (o *OneShot[T]) GateRegisters(g sched.Gate) { o.snap.SetGate(g) }
 
 // New returns a one-shot immediate snapshot object for n processes.
 func New[T any](n int) *OneShot[T] {
@@ -62,9 +56,6 @@ func New[T any](n int) *OneShot[T] {
 		used: make([]bool, n),
 	}
 }
-
-// Processes returns the number of process slots.
-func (o *OneShot[T]) Processes() int { return o.n }
 
 // Slot is one component of an immediate snapshot view.
 type Slot[T any] struct {

@@ -160,10 +160,6 @@ func New(inner http.RoundTripper, src string, o Options) *Transport {
 	return t
 }
 
-// Seed returns the schedule seed (embedded in failure reports so a churn-soak
-// failure is self-reproducing).
-func (t *Transport) Seed() int64 { return t.seed }
-
 // Injected returns how many faults (scheduled or partition) have been
 // injected so far.
 func (t *Transport) Injected() int64 { return t.injected.Load() }
@@ -255,13 +251,6 @@ func (t *Transport) SetPartition(spec string) error {
 	t.spec = spec
 	t.mu.Unlock()
 	return nil
-}
-
-// Partitioned reports whether the standing rules block src → dst.
-func (t *Transport) Partitioned(src, dst string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.blocked[pairKey(normalize(src), normalize(dst))]
 }
 
 // entry derives plan entry i for the directed pair (src, dst): a pure

@@ -297,3 +297,10 @@ func TestSnapshotShape(t *testing.T) {
 		t.Fatalf("blocked_pairs: %v", pairs)
 	}
 }
+
+// Partitioned reports whether the standing rules block src → dst.
+func (t *Transport) Partitioned(src, dst string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.blocked[pairKey(normalize(src), normalize(dst))]
+}

@@ -183,15 +183,6 @@ func OrderedPartitionOutputs(m int) []ISAssignment {
 	return out
 }
 
-// Key canonically encodes an assignment for set comparison.
-func (a ISAssignment) Key() string {
-	parts := make([]string, a.M)
-	for i, v := range a.Views {
-		parts[i] = fmt.Sprintf("%d:%b", i, v)
-	}
-	return strings.Join(parts, ";")
-}
-
 // RunResult is the outcome of a real concurrent full-information run.
 type RunResult struct {
 	N int // processes = N (ids 0…N−1)
@@ -199,6 +190,10 @@ type RunResult struct {
 	// Keys[i] is the canonical SDS^B vertex key of process i's final view,
 	// or "" if the process crashed before finishing.
 	Keys []string
+	// Views[r][i] is process i's one-shot view at round r (nil if the
+	// process crashed before that round), so the execution can be
+	// reconstructed as a sequence of ordered partitions (§3.5).
+	Views [][]immediate.View[string]
 }
 
 // RunFullInfo executes the b-round iterated immediate snapshot
@@ -226,7 +221,10 @@ func RunFullInfoWithInputs(inputs []string, b int, crashAfter []int, opts ...sch
 	ro := sched.BuildOpts(opts)
 	mem := iis.NewMemory[string](procs)
 	mem.SetGate(ro.GateOf())
-	res := &RunResult{N: procs, B: b, Keys: make([]string, procs)}
+	res := &RunResult{N: procs, B: b, Keys: make([]string, procs), Views: make([][]immediate.View[string], b)}
+	for r := range res.Views {
+		res.Views[r] = make([]immediate.View[string], procs)
+	}
 	errs := make([]error, procs)
 
 	grp := sched.NewGroup(ro.Controller)
@@ -243,6 +241,7 @@ func RunFullInfoWithInputs(inputs []string, b int, crashAfter []int, opts ...sch
 					errs[i] = err
 					return
 				}
+				res.Views[r][i] = view
 				var seen []string
 				for _, slot := range view {
 					if slot.Present {
@@ -265,87 +264,6 @@ func RunFullInfoWithInputs(inputs []string, b int, crashAfter []int, opts ...sch
 		}
 	}
 	return res, nil
-}
-
-// RecordedRun extends RunResult with the raw immediate snapshot views of
-// every round, for execution reconstruction.
-type RecordedRun struct {
-	RunResult
-	// Views[r][i] is process i's one-shot view at round r (nil if the
-	// process crashed before that round).
-	Views [][]immediate.View[string]
-}
-
-// RunFullInfoRecorded is RunFullInfoWithInputs, additionally capturing every
-// round's views so the execution can be reconstructed as a sequence of
-// ordered partitions (an execution in the formal sense of §3.5).
-func RunFullInfoRecorded(inputs []string, b int, crashAfter []int, opts ...sched.RunOption) (*RecordedRun, error) {
-	procs := len(inputs)
-	ro := sched.BuildOpts(opts)
-	mem := iis.NewMemory[string](procs)
-	mem.SetGate(ro.GateOf())
-	rec := &RecordedRun{
-		RunResult: RunResult{N: procs, B: b, Keys: make([]string, procs)},
-		Views:     make([][]immediate.View[string], b),
-	}
-	for r := range rec.Views {
-		rec.Views[r] = make([]immediate.View[string], procs)
-	}
-	errs := make([]error, procs)
-
-	grp := sched.NewGroup(ro.Controller)
-	for i := 0; i < procs; i++ {
-		grp.Go(i, func() {
-			rounds := b
-			if crashAfter != nil && i < len(crashAfter) && crashAfter[i] >= 0 && crashAfter[i] < b {
-				rounds = crashAfter[i]
-			}
-			state := inputs[i]
-			for r := 0; r < rounds; r++ {
-				view, err := mem.WriteRead(i, r, state)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				rec.Views[r][i] = view
-				var seen []string
-				for _, slot := range view {
-					if slot.Present {
-						seen = append(seen, slot.Val)
-					}
-				}
-				state = ViewKey(state, seen)
-			}
-			if rounds == b {
-				rec.Keys[i] = state
-			}
-		})
-	}
-	if err := grp.Wait(); err != nil {
-		return rec, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rec, nil
-}
-
-// Partitions reconstructs the execution as a sequence of ordered partitions,
-// one per round, from the recorded views (possible only for complete rounds:
-// rounds where some participant's view mentions a process that produced no
-// view are rejected by immediate.OrderedPartitionOf).
-func (r *RecordedRun) Partitions() ([][][]int, error) {
-	out := make([][][]int, len(r.Views))
-	for round, views := range r.Views {
-		blocks, err := immediate.OrderedPartitionOf(views)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: round %d: %w", round, err)
-		}
-		out[round] = blocks
-	}
-	return out, nil
 }
 
 // LocateRun maps a run's finisher views to vertices of the given complex

@@ -1,11 +1,23 @@
 package protocol
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"waitfree/internal/homology"
+	"waitfree/internal/immediate"
 	"waitfree/internal/topology"
 )
+
+// key canonically encodes an assignment for set comparison.
+func (a ISAssignment) key() string {
+	parts := make([]string, a.M)
+	for i, v := range a.Views {
+		parts[i] = fmt.Sprintf("%d:%b", i, v)
+	}
+	return strings.Join(parts, ";")
+}
 
 // TestLemma32OneShotComplexIsSDS is experiment E3: the one-shot immediate
 // snapshot view complex equals the standard chromatic subdivision, exactly.
@@ -64,11 +76,11 @@ func TestISOutputsAreExactlyOrderedPartitions(t *testing.T) {
 
 		propKeys := make(map[string]struct{}, len(byProps))
 		for _, a := range byProps {
-			propKeys[a.Key()] = struct{}{}
+			propKeys[a.key()] = struct{}{}
 		}
 		partKeys := make(map[string]struct{}, len(byParts))
 		for _, a := range byParts {
-			partKeys[a.Key()] = struct{}{}
+			partKeys[a.key()] = struct{}{}
 		}
 		if len(propKeys) != len(partKeys) {
 			t.Fatalf("m=%d: %d property-satisfying outcomes vs %d partition outcomes",
@@ -140,6 +152,22 @@ func TestRunFullInfoWithCrashes(t *testing.T) {
 	}
 }
 
+// partitions reconstructs a run as a sequence of ordered partitions, one per
+// round, from its recorded views (possible only for complete rounds: rounds
+// where some participant's view mentions a process that produced no view
+// are rejected by immediate.OrderedPartitionOf).
+func partitions(res *RunResult) ([][][]int, error) {
+	out := make([][][]int, len(res.Views))
+	for round, views := range res.Views {
+		blocks, err := immediate.OrderedPartitionOf(views)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: round %d: %w", round, err)
+		}
+		out[round] = blocks
+	}
+	return out, nil
+}
+
 // TestRecordedRunPartitionsRegenerateViews is the formal §3.5 execution
 // extracted from a live run: each round's views reconstruct to an ordered
 // partition, and replaying the partitions regenerates the final view keys.
@@ -150,11 +178,11 @@ func TestRecordedRunPartitionsRegenerateViews(t *testing.T) {
 		inputs[i] = InputKey(i)
 	}
 	for trial := 0; trial < 25; trial++ {
-		rec, err := RunFullInfoRecorded(inputs, b, nil)
+		rec, err := RunFullInfoWithInputs(inputs, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, err := rec.Partitions()
+		parts, err := partitions(rec)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -184,11 +212,11 @@ func TestRecordedRunPartitionsRegenerateViews(t *testing.T) {
 
 func TestRecordedRunSequentialPartitions(t *testing.T) {
 	// Solo process: each round's partition is the singleton block.
-	rec, err := RunFullInfoRecorded([]string{InputKey(0)}, 2, nil)
+	rec, err := RunFullInfoWithInputs([]string{InputKey(0)}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := rec.Partitions()
+	parts, err := partitions(rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,26 +18,6 @@ import (
 	"waitfree/internal/sched"
 )
 
-// Register is a single-writer multi-reader atomic register. The zero value
-// is an empty (unwritten) register. Only one goroutine may call Write.
-type Register[T any] struct {
-	p atomic.Pointer[T]
-}
-
-// Write stores v. Only the owning writer may call Write.
-func (r *Register[T]) Write(v T) {
-	r.p.Store(&v)
-}
-
-// Read returns the last written value, or ok=false if never written.
-func (r *Register[T]) Read() (v T, ok bool) {
-	p := r.p.Load()
-	if p == nil {
-		return v, false
-	}
-	return *p, true
-}
-
 // Entry is one component of a snapshot view.
 type Entry[T any] struct {
 	Val     T      // last written value; zero if !Present
@@ -79,13 +59,6 @@ func NewSnapshot[T any](n int) *Snapshot[T] {
 	return &Snapshot[T]{cells: make([]atomic.Pointer[cell[T]], n)}
 }
 
-// Components returns the number of components.
-func (s *Snapshot[T]) Components() int { return len(s.cells) }
-
-// Collects returns the total number of primitive collects performed, across
-// all operations. Tests use it to audit the wait-freedom step bound.
-func (s *Snapshot[T]) Collects() uint64 { return s.collects.Load() }
-
 // Update atomically sets component i to v. Only process i may call it.
 // Update embeds a Scan (the Afek et al. handshake), so it costs O(n) per
 // collect with at most n+2 collects.
@@ -104,47 +77,6 @@ func (s *Snapshot[T]) Update(i int, v T) {
 func (s *Snapshot[T]) Scan() []Entry[T] {
 	view, _ := s.scan()
 	return view
-}
-
-// ScanWithStats is Scan, additionally reporting how many collects the scan
-// used (for the wait-freedom bound ≤ n+2).
-func (s *Snapshot[T]) ScanWithStats() ([]Entry[T], int) {
-	return s.scan()
-}
-
-// ScanDoubleCollect is the ablation variant of Scan: it repeats double
-// collects until two agree, WITHOUT the embedded-view borrowing that makes
-// Scan wait-free. It is linearizable but only obstruction-free — under
-// continuous writers it can run an unbounded number of collects (the
-// "double collect until one succeeds" of the paper's §4 remark). maxCollects
-// bounds the attempt; ok=false reports giving up. Kept to quantify what the
-// Afek et al. mechanism buys; production code uses Scan.
-func (s *Snapshot[T]) ScanDoubleCollect(maxCollects int) (view []Entry[T], collects int, ok bool) {
-	n := len(s.cells)
-	first := s.collect()
-	collects = 1
-	for collects < maxCollects {
-		second := s.collect()
-		collects++
-		same := true
-		for j := 0; j < n; j++ {
-			if seqOf(first[j]) != seqOf(second[j]) {
-				same = false
-				break
-			}
-		}
-		if same {
-			out := make([]Entry[T], n)
-			for j, c := range second {
-				if c != nil {
-					out[j] = Entry[T]{Val: c.val, Seq: c.seq, Present: true}
-				}
-			}
-			return out, collects, true
-		}
-		first = second
-	}
-	return nil, collects, false
 }
 
 func (s *Snapshot[T]) scan() ([]Entry[T], int) {
@@ -199,40 +131,4 @@ func seqOf[T any](c *cell[T]) uint64 {
 		return 0
 	}
 	return c.seq
-}
-
-// SeqVector extracts the per-component sequence numbers of a view. Two
-// atomic snapshot views are always comparable under componentwise ≤ of their
-// sequence vectors; tests use this to validate linearizability.
-func SeqVector[T any](view []Entry[T]) []uint64 {
-	out := make([]uint64, len(view))
-	for i, e := range view {
-		out[i] = e.Seq
-	}
-	return out
-}
-
-// CompareSeqVectors returns -1, 0, or +1 when a ≤ b, a = b, or a ≥ b
-// componentwise, and ok=false if the vectors are incomparable (which would
-// violate snapshot atomicity).
-func CompareSeqVectors(a, b []uint64) (cmp int, ok bool) {
-	le, ge := true, true
-	for i := range a {
-		if a[i] < b[i] {
-			ge = false
-		}
-		if a[i] > b[i] {
-			le = false
-		}
-	}
-	switch {
-	case le && ge:
-		return 0, true
-	case le:
-		return -1, true
-	case ge:
-		return 1, true
-	default:
-		return 0, false
-	}
 }

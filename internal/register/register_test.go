@@ -2,9 +2,66 @@ package register
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
+
+// Register is a single-writer multi-reader atomic register. The zero value
+// is an empty (unwritten) register. Only one goroutine may call Write.
+type Register[T any] struct {
+	p atomic.Pointer[T]
+}
+
+// Write stores v. Only the owning writer may call Write.
+func (r *Register[T]) Write(v T) {
+	r.p.Store(&v)
+}
+
+// Read returns the last written value, or ok=false if never written.
+func (r *Register[T]) Read() (v T, ok bool) {
+	p := r.p.Load()
+	if p == nil {
+		return v, false
+	}
+	return *p, true
+}
+
+// SeqVector extracts the per-component sequence numbers of a view. Two
+// atomic snapshot views are always comparable under componentwise ≤ of their
+// sequence vectors; tests use this to validate linearizability.
+func SeqVector[T any](view []Entry[T]) []uint64 {
+	out := make([]uint64, len(view))
+	for i, e := range view {
+		out[i] = e.Seq
+	}
+	return out
+}
+
+// CompareSeqVectors returns -1, 0, or +1 when a ≤ b, a = b, or a ≥ b
+// componentwise, and ok=false if the vectors are incomparable (which would
+// violate snapshot atomicity).
+func CompareSeqVectors(a, b []uint64) (cmp int, ok bool) {
+	le, ge := true, true
+	for i := range a {
+		if a[i] < b[i] {
+			ge = false
+		}
+		if a[i] > b[i] {
+			le = false
+		}
+	}
+	switch {
+	case le && ge:
+		return 0, true
+	case le:
+		return -1, true
+	case ge:
+		return 1, true
+	default:
+		return 0, false
+	}
+}
 
 func TestRegisterBasics(t *testing.T) {
 	var r Register[int]

@@ -137,6 +137,3 @@ func (g *Group) Wait() error {
 	}
 	return nil
 }
-
-// Controller returns the controller driving this group (nil in live mode).
-func (g *Group) Controller() *Controller { return g.ctl }

@@ -245,3 +245,6 @@ func TestGroupLiveModeRunsPlainGoroutines(t *testing.T) {
 		t.Fatal("live group reports a controller")
 	}
 }
+
+// Controller returns the controller driving this group (nil in live mode).
+func (g *Group) Controller() *Controller { return g.ctl }

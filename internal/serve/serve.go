@@ -687,7 +687,8 @@ func parseAdversary(q url.Values) (engine.AdversaryRequest, error) {
 		return req, err
 	}
 	req.Seed = int64(seed)
-	// maxsteps < 0 is meaningful (= unlimited budget, mirroring the CLI).
+	// The engine bounds maxsteps to [0, sched.DefaultMaxSteps]; only the
+	// CLI, which calls RunAdversary directly, may run a replay unlimited.
 	if req.MaxSteps, err = intParam(q, "maxsteps", 0); err != nil {
 		return req, err
 	}

@@ -133,6 +133,39 @@ func TestComplexConvergeAdversaryEndpoints(t *testing.T) {
 	}
 }
 
+// TestAdversaryStepBudgetIsBounded: a replay's step budget is admitted
+// only inside [0, sched.DefaultMaxSteps]. A negative budget is unlimited to
+// the scheduler, and a replay ignores its context, so an admitted one would
+// spin a core for the life of the process after its client gave up. The
+// client deadline keeps this test from hanging where the bound is missing.
+func TestAdversaryStepBudgetIsBounded(t *testing.T) {
+	_, ts := newTestServer(t, engine.Options{}, Options{Timeout: time.Second})
+	client := &http.Client{Timeout: 5 * time.Second}
+	query := ts.URL + "/v1/adversary?algo=setconsensus&adversary=solo-0&maxsteps="
+	for _, steps := range []string{"-1", "1099511627776"} {
+		resp, err := client.Get(query + steps)
+		if err != nil {
+			t.Fatalf("maxsteps=%s: %v", steps, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("maxsteps=%s: status %d, want 400", steps, resp.StatusCode)
+		}
+	}
+	resp, err := client.Get(query + "2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"wait_free":false`) {
+		t.Fatalf("maxsteps=2000: status %d, body %s; want 200 with wait_free false", resp.StatusCode, body)
+	}
+}
+
 // TestConcurrentMixedLoad is the acceptance check: 100 concurrent mixed
 // queries against one server, all answers correct, dedup/caching visible in
 // the metrics afterwards.

@@ -126,12 +126,13 @@ func TestSolveUpToRejectsNegativeLevel(t *testing.T) {
 	}
 }
 
-// TestConsistentAllocFree pins the satellite-2 fix: the per-node consistency
-// check reuses a caller-owned scratch buffer (and an allocation-free
-// insertion sort in dedupe), where it used to allocate a fresh image slice
-// per check item per search node. Renaming's Allowed is a pure function of
-// nothing, so with singleton check items the whole call must be
-// allocation-free.
+// TestConsistentAllocFree pins that the per-node consistency check
+// allocates nothing: it reuses a caller-owned scratch buffer (and an
+// allocation-free insertion sort in dedupe), where it used to allocate a
+// fresh image slice per check item per search node, and the edge items make
+// it ask Outputs.HasSimplex, which sorts a small simplex in place.
+// Renaming's Allowed is a pure function of nothing, so the whole call must
+// be allocation-free.
 func TestConsistentAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under -race")
@@ -139,13 +140,27 @@ func TestConsistentAllocFree(t *testing.T) {
 	task := tasks.Renaming(2, 3)
 	sub := task.Inputs
 	nv := sub.NumVertices()
+	// Every input facet maps onto one output facet, color by color, so the
+	// image of each input edge is an output edge.
+	target := task.Outputs.Facets()[0]
 	assign := make([]topology.Vertex, nv)
 	var items []checkItem
 	for v := 0; v < nv; v++ {
-		w := task.Outputs.VerticesOfColor(sub.Color(topology.Vertex(v)))[0]
-		assign[v] = w
+		for _, w := range target {
+			if task.Outputs.Color(w) == sub.Color(topology.Vertex(v)) {
+				assign[v] = w
+			}
+		}
 		s := []topology.Vertex{topology.Vertex(v)}
 		items = append(items, checkItem{simplex: s, carrier: sub.CarrierOfSimplex(s)})
+	}
+	for _, f := range sub.Facets() {
+		if len(f) < 2 {
+			continue
+		}
+		// Reversed, so HasSimplex has to sort it.
+		edge := []topology.Vertex{f[1], f[0]}
+		items = append(items, checkItem{simplex: edge, carrier: sub.CarrierOfSimplex(edge)})
 	}
 	var scratch []topology.Vertex
 	if !consistent(task, items, assign, &scratch) {

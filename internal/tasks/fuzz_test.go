@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"waitfree/internal/core"
 	"waitfree/internal/sched"
 )
 
@@ -65,7 +66,7 @@ func FuzzScheduledTasks(f *testing.F) {
 			t.Fatalf("adversary=%s seed=%d crash=%v: commit-adopt: %v", name, seed, crashAt, verr)
 		}
 
-		res, err := RunRenaming(procs, nil, nil, sched.Under(ctlFor()))
+		res, err := RunRenaming(core.NewDirectMemory(procs), procs, nil, nil, sched.Under(ctlFor()))
 		if err != nil {
 			t.Fatalf("adversary=%s seed=%d crash=%v: renaming: %v", name, seed, crashAt, err)
 		}

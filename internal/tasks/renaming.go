@@ -3,17 +3,12 @@ package tasks
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
-	"waitfree/internal/register"
+	"waitfree/internal/core"
 	"waitfree/internal/sched"
 )
-
-// renameState is what a process publishes while renaming: its original id
-// and its current name proposal (0 = no proposal yet).
-type renameState struct {
-	id       int
-	proposal int
-}
 
 // RenamingResult reports the outcome of a renaming run.
 type RenamingResult struct {
@@ -23,10 +18,15 @@ type RenamingResult struct {
 
 // RunRenaming executes the classic wait-free snapshot-based renaming
 // algorithm (Attiya–Bar-Noy–Dolev–Peleg–Reischuk style, the task discussed
-// in the paper's §1): each process repeatedly publishes a name proposal and
-// scans; if its proposal is not contested it decides, otherwise it proposes
-// the r-th name not proposed by others, where r is the rank of its id among
-// the participants it sees.
+// in the paper's §1) on a ShotMemory: each process repeatedly publishes a
+// name proposal and scans; if its proposal is not contested it decides,
+// otherwise it proposes the r-th name not proposed by others, where r is the
+// rank of its id among the participants it sees.
+//
+// Proposition 4.1 lets the one protocol run unchanged on either memory:
+// core.NewDirectMemory is the atomic snapshot object itself, and
+// core.NewEmulatedMemory runs it through the Figure 2 emulation on iterated
+// immediate snapshots, with a shot count that depends on the run.
 //
 // With p participants all decided names are distinct and lie in
 // {1, …, 2p−1}. participate[i] = false models a process that crashed before
@@ -34,12 +34,16 @@ type RenamingResult struct {
 // iterations.
 //
 // sched.Under(ctl) runs the processes under a deterministic adversarial
-// schedule; controller-injected crashes leave Names[i] = 0, like the other
-// crash knobs.
-func RunRenaming(procs int, participate []bool, crashAfter []int, opts ...sched.RunOption) (*RenamingResult, error) {
+// schedule, gating the memory when it supports core.GatedMemory (both
+// built-in memories do); controller-injected crashes leave Names[i] = 0,
+// like the other crash knobs.
+func RunRenaming(mem core.ShotMemory, procs int, participate []bool, crashAfter []int, opts ...sched.RunOption) (*RenamingResult, error) {
 	ro := sched.BuildOpts(opts)
-	snap := register.NewSnapshot[renameState](procs)
-	snap.SetGate(ro.GateOf())
+	if ro.Controller != nil {
+		if gm, ok := mem.(core.GatedMemory); ok {
+			gm.SetGate(ro.Controller)
+		}
+	}
 	res := &RenamingResult{Names: make([]int, procs), Steps: make([]int, procs)}
 	errs := make([]error, procs)
 
@@ -59,28 +63,35 @@ func RunRenaming(procs int, participate []bool, crashAfter []int, opts ...sched.
 					return // fail-stop
 				}
 				res.Steps[i] = step
-				if proposal == 0 {
-					// First round: publish presence, then pick by rank.
-					snap.Update(i, renameState{id: i})
-				} else {
-					snap.Update(i, renameState{id: i, proposal: proposal})
+				if err := mem.Write(i, step, encodeRenameState(i, proposal)); err != nil {
+					errs[i] = err
+					return
 				}
-				view := snap.Scan()
+				vals, seqs, err := mem.SnapshotRead(i, step)
+				if err != nil {
+					errs[i] = err
+					return
+				}
 
 				contested := false
 				others := make(map[int]struct{})
 				var ids []int
-				for j, e := range view {
-					if !e.Present {
+				for j := range vals {
+					if seqs[j] == 0 {
 						continue
 					}
-					ids = append(ids, e.Val.id)
+					id, prop, err := decodeRenameState(vals[j])
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					ids = append(ids, id)
 					if j == i {
 						continue
 					}
-					if e.Val.proposal != 0 {
-						others[e.Val.proposal] = struct{}{}
-						if e.Val.proposal == proposal {
+					if prop != 0 {
+						others[prop] = struct{}{}
+						if prop == proposal {
 							contested = true
 						}
 					}
@@ -89,7 +100,6 @@ func RunRenaming(procs int, participate []bool, crashAfter []int, opts ...sched.
 					res.Names[i] = proposal
 					return
 				}
-				// Rank of own id among participants seen (1-based).
 				sort.Ints(ids)
 				rank := 1
 				for _, id := range ids {
@@ -97,7 +107,6 @@ func RunRenaming(procs int, participate []bool, crashAfter []int, opts ...sched.
 						rank++
 					}
 				}
-				// r-th positive name not proposed by others.
 				name := 0
 				for count := 0; count < rank; {
 					name++
@@ -138,4 +147,24 @@ func ValidateRenaming(res *RenamingResult, participants int) error {
 		}
 	}
 	return nil
+}
+
+func encodeRenameState(id, proposal int) string {
+	return strconv.Itoa(id) + ":" + strconv.Itoa(proposal)
+}
+
+func decodeRenameState(s string) (id, proposal int, err error) {
+	colon := strings.IndexByte(s, ':')
+	if colon < 0 {
+		return 0, 0, fmt.Errorf("tasks: bad rename state %q", s)
+	}
+	id, err = strconv.Atoi(s[:colon])
+	if err != nil {
+		return 0, 0, fmt.Errorf("tasks: bad rename id in %q: %w", s, err)
+	}
+	proposal, err = strconv.Atoi(s[colon+1:])
+	if err != nil {
+		return 0, 0, fmt.Errorf("tasks: bad rename proposal in %q: %w", s, err)
+	}
+	return id, proposal, nil
 }

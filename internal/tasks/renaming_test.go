@@ -9,7 +9,7 @@ import (
 func TestRenamingOverDirectMemory(t *testing.T) {
 	const procs = 4
 	for trial := 0; trial < 15; trial++ {
-		res, err := RunRenamingOver(core.NewDirectMemory(procs), procs, nil, nil)
+		res, err := RunRenaming(core.NewDirectMemory(procs), procs, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestRenamingOverEmulatedMemory(t *testing.T) {
 	const procs = 3
 	for trial := 0; trial < 10; trial++ {
 		mem := core.NewEmulatedMemory(procs)
-		res, err := RunRenamingOver(mem, procs, nil, nil)
+		res, err := RunRenaming(mem, procs, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestRenamingOverEmulatedMemory(t *testing.T) {
 func TestRenamingOverEmulatedWithCrash(t *testing.T) {
 	const procs = 3
 	for trial := 0; trial < 5; trial++ {
-		res, err := RunRenamingOver(core.NewEmulatedMemory(procs), procs, nil, []int{1, -1, -1})
+		res, err := RunRenaming(core.NewEmulatedMemory(procs), procs, nil, []int{1, -1, -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestRenamingOverMatchesNativeBound(t *testing.T) {
 	// participation tightens it.
 	const procs = 4
 	participate := []bool{true, false, true, false}
-	res, err := RunRenamingOver(core.NewEmulatedMemory(procs), procs, participate, nil)
+	res, err := RunRenaming(core.NewEmulatedMemory(procs), procs, participate, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,14 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"waitfree/internal/core"
 )
 
 func TestRenamingAllParticipate(t *testing.T) {
 	for _, procs := range []int{1, 2, 3, 5} {
 		for trial := 0; trial < 20; trial++ {
-			res, err := RunRenaming(procs, nil, nil)
+			res, err := RunRenaming(core.NewDirectMemory(procs), procs, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +39,7 @@ func TestRenamingSubsets(t *testing.T) {
 				p++
 			}
 		}
-		res, err := RunRenaming(procs, participate, nil)
+		res, err := RunRenaming(core.NewDirectMemory(procs), procs, participate, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func TestRenamingWithCrashes(t *testing.T) {
 	// decide distinct names within 2p−1.
 	const procs = 4
 	for trial := 0; trial < 20; trial++ {
-		res, err := RunRenaming(procs, nil, []int{1, -1, -1, -1})
+		res, err := RunRenaming(core.NewDirectMemory(procs), procs, nil, []int{1, -1, -1, -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,5 +203,21 @@ func TestSetConsensusZeroResilienceIsConsensus(t *testing.T) {
 		if d != 3 {
 			t.Fatalf("P%d decided %d, want global min 3", i, d)
 		}
+	}
+}
+
+func TestValidateApproxDetectsViolations(t *testing.T) {
+	inputs := []float64{0, 1}
+	check := func(outputs []float64, eps float64) error {
+		return ValidateApprox(inputs, &ApproxResult{Outputs: outputs}, eps)
+	}
+	if err := check([]float64{0, 0.9}, 0.5); err == nil {
+		t.Error("disagreement beyond eps not detected")
+	}
+	if err := check([]float64{-0.5, 0}, 1); err == nil {
+		t.Error("out-of-range output not detected")
+	}
+	if err := check([]float64{math.NaN(), 0.5}, 0.1); err != nil {
+		t.Errorf("NaN should be skipped: %v", err)
 	}
 }

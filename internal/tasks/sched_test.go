@@ -142,7 +142,7 @@ func TestSetConsensusUnderAdversarialSchedules(t *testing.T) {
 func TestRenamingUnderAdversarialSchedules(t *testing.T) {
 	const procs = 3
 	forEachSchedule(t, procs, 0, func(t *testing.T, ctl *sched.Controller, tc schedCase, mask int, crashAt []int) {
-		res, err := RunRenaming(procs, nil, nil, sched.Under(ctl))
+		res, err := RunRenaming(core.NewDirectMemory(procs), procs, nil, nil, sched.Under(ctl))
 		if err != nil {
 			t.Fatalf("adversary=%s seed=%d crash=%v: renaming is wait-free but did not finish: %v",
 				tc.adv, tc.seed, crashAt, err)
@@ -211,7 +211,7 @@ func TestRenamingOverEmulationUnderSchedules(t *testing.T) {
 				}
 				crashAt := crashVector(procs, mask)
 				ctl := sched.New(sched.Config{Procs: procs, Adversary: adv, CrashAt: crashAt})
-				res, err := RunRenamingOver(core.NewEmulatedMemory(procs), procs, nil, nil, sched.Under(ctl))
+				res, err := RunRenaming(core.NewEmulatedMemory(procs), procs, nil, nil, sched.Under(ctl))
 				if err != nil {
 					t.Fatalf("adversary=%s seed=11 crash=%v: %v", advName, crashAt, err)
 				}

@@ -370,7 +370,18 @@ func (c *Complex) HasSimplex(vs []Vertex) bool {
 	if len(vs) == 0 {
 		return false
 	}
-	s := sortedCopy(vs)
+	// The search asks this once per check item per node, and once per pair
+	// in the support tables. Every simplex of a task over at most 4
+	// processes fits the local array, so those calls allocate nothing.
+	var small [8]Vertex
+	var s []Vertex
+	if len(vs) <= len(small) {
+		s = small[:len(vs)]
+		copy(s, vs)
+		slices.Sort(s)
+	} else {
+		s = sortedCopy(vs)
+	}
 	for i := 1; i < len(s); i++ {
 		if s[i] == s[i-1] {
 			return false

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -172,4 +173,120 @@ func TestSDSStructuredStructure(t *testing.T) {
 			t.Fatalf("vertex %d: color mismatch", v)
 		}
 	}
+}
+
+// CheckEmbedding validates the structural invariants of an embedding:
+// coordinates are a probability vector supported exactly inside the
+// vertex's carrier.
+func CheckEmbedding(c *Complex, emb Embedding) error {
+	if len(emb) != c.NumVertices() {
+		return fmt.Errorf("topology: embedding size mismatch")
+	}
+	const eps = 1e-9
+	for v, coord := range emb {
+		sum := 0.0
+		for _, x := range coord {
+			if x < -eps {
+				return fmt.Errorf("topology: vertex %d has negative coordinate %g", v, x)
+			}
+			sum += x
+		}
+		if math.Abs(sum-1) > eps {
+			return fmt.Errorf("topology: vertex %d coordinates sum to %g", v, sum)
+		}
+		carrier := make(map[Vertex]bool)
+		for _, b := range c.Carrier(Vertex(v)) {
+			carrier[b] = true
+		}
+		for i, x := range coord {
+			if x > eps && !carrier[Vertex(i)] {
+				return fmt.Errorf("topology: vertex %d has weight %g outside carrier", v, x)
+			}
+			if carrier[Vertex(i)] && x < eps {
+				return fmt.Errorf("topology: vertex %d misses weight on carrier vertex %d", v, i)
+			}
+		}
+	}
+	return nil
+}
+
+// FacetVolumes returns the (unsigned, scaled) volume of each facet under
+// the embedding — zero volume means a degenerate (flattened) facet, i.e.
+// not a genuine geometric subdivision. The value is the Gram determinant of
+// the edge vectors from the facet's first vertex (proportional to squared
+// volume).
+func FacetVolumes(c *Complex, emb Embedding) []float64 {
+	out := make([]float64, len(c.Facets()))
+	for fi, f := range c.Facets() {
+		k := len(f) - 1
+		if k == 0 {
+			out[fi] = 1
+			continue
+		}
+		// Gram matrix of edge vectors.
+		vecs := make([][]float64, k)
+		for i := 0; i < k; i++ {
+			vecs[i] = sub(emb[f[i+1]], emb[f[0]])
+		}
+		g := make([][]float64, k)
+		for i := range g {
+			g[i] = make([]float64, k)
+			for j := range g[i] {
+				g[i][j] = dot(vecs[i], vecs[j])
+			}
+		}
+		out[fi] = det(g)
+	}
+	return out
+}
+
+func sub(a, b []float64) []float64 {
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] - b[i]
+	}
+	return out
+}
+
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// det computes the determinant by Gaussian elimination (small matrices).
+func det(m [][]float64) float64 {
+	n := len(m)
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = append([]float64(nil), m[i]...)
+	}
+	d := 1.0
+	for col := 0; col < n; col++ {
+		pivot := -1
+		best := 0.0
+		for r := col; r < n; r++ {
+			if abs := math.Abs(a[r][col]); abs > best {
+				best = abs
+				pivot = r
+			}
+		}
+		if pivot < 0 || best == 0 {
+			return 0
+		}
+		if pivot != col {
+			a[col], a[pivot] = a[pivot], a[col]
+			d = -d
+		}
+		d *= a[col][col]
+		for r := col + 1; r < n; r++ {
+			factor := a[r][col] / a[col][col]
+			for cc := col; cc < n; cc++ {
+				a[r][cc] -= factor * a[col][cc]
+			}
+		}
+	}
+	return d
 }

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestJoinOfTwoPointsIsEdge(t *testing.T) {
 	a := Points(1, 0, "a")
@@ -90,4 +93,61 @@ func TestJoinPreservesBothSides(t *testing.T) {
 	if cone.EulerCharacteristic() != 1 {
 		t.Fatalf("cones are contractible: χ = %d, want 1", cone.EulerCharacteristic())
 	}
+}
+
+// Join returns the simplicial join A * B: the complex on the disjoint union
+// of the vertex sets whose simplices are exactly σ ∪ τ for σ ∈ A (or empty)
+// and τ ∈ B (or empty). Input complexes (§3.2) decompose as joins of
+// per-process vertex sets, and joins underlie the face structure of tasks;
+// the join of sᵐ and sⁿ is s^(m+n+1).
+//
+// Vertex keys must be disjoint (they keep their identity), and for the
+// result to be chromatic the color sets must be disjoint too (not enforced
+// — check IsChromatic on the result when needed).
+func Join(a, b *Complex) (*Complex, error) {
+	a.mustBeSealed("Join")
+	b.mustBeSealed("Join")
+	// Joining is a key-identity operation: arena-built inputs materialize
+	// their keys here, once, rather than per-vertex inside the loop.
+	a.ensureKeys()
+	b.ensureKeys()
+	out := NewComplex()
+	mapA := make([]Vertex, a.NumVertices())
+	for v := 0; v < a.NumVertices(); v++ {
+		if _, dup := out.byKey[a.Key(Vertex(v))]; dup {
+			return nil, fmt.Errorf("topology: duplicate key %q in join", a.Key(Vertex(v)))
+		}
+		mapA[v] = out.MustAddVertex(a.Key(Vertex(v)), a.Color(Vertex(v)))
+	}
+	mapB := make([]Vertex, b.NumVertices())
+	for v := 0; v < b.NumVertices(); v++ {
+		if _, dup := out.byKey[b.Key(Vertex(v))]; dup {
+			return nil, fmt.Errorf("topology: duplicate key %q in join", b.Key(Vertex(v)))
+		}
+		mapB[v] = out.MustAddVertex(b.Key(Vertex(v)), b.Color(Vertex(v)))
+	}
+	for _, fa := range a.Facets() {
+		for _, fb := range b.Facets() {
+			joint := make([]Vertex, 0, len(fa)+len(fb))
+			for _, v := range fa {
+				joint = append(joint, mapA[v])
+			}
+			for _, v := range fb {
+				joint = append(joint, mapB[v])
+			}
+			out.MustAddSimplex(joint...)
+		}
+	}
+	return out.Seal(), nil
+}
+
+// Points returns a 0-dimensional complex of k isolated vertices with the
+// given color and key prefix — the building block for joins.
+func Points(k int, color int, keyPrefix string) *Complex {
+	c := NewComplex()
+	for i := 0; i < k; i++ {
+		v := c.MustAddVertex(fmt.Sprintf("%s%d", keyPrefix, i), color)
+		c.MustAddSimplex(v)
+	}
+	return c.Seal()
 }

@@ -78,21 +78,6 @@ func (m *SimplicialMap) carrierComparable() bool {
 	return fb == tb
 }
 
-// CarrierPreserving reports whether carrier(φ(v)) = carrier(v) for every
-// vertex — the paper's Section 2 definition. Both complexes must be
-// subdivisions of the same base.
-func (m *SimplicialMap) CarrierPreserving() bool {
-	if !m.carrierComparable() {
-		return false
-	}
-	for v, w := range m.Image {
-		if !equalVertexSets(m.From.Carrier(Vertex(v)), m.To.Carrier(w)) {
-			return false
-		}
-	}
-	return true
-}
-
 // CarrierRespecting reports whether carrier(φ(v)) ⊆ carrier(v) for every
 // vertex. This weaker condition is what task solvability consumes (the
 // output must be allowed for the carrier's participating set), and is what
@@ -103,30 +88,6 @@ func (m *SimplicialMap) CarrierRespecting() bool {
 	}
 	for v, w := range m.Image {
 		if !isSubset(m.To.Carrier(w), m.From.Carrier(Vertex(v))) {
-			return false
-		}
-	}
-	return true
-}
-
-// Compose returns n ∘ m (apply m, then n). m.To must be n.From.
-func (m *SimplicialMap) Compose(n *SimplicialMap) (*SimplicialMap, error) {
-	if m.To != n.From {
-		return nil, fmt.Errorf("topology: compose domain mismatch")
-	}
-	out := NewSimplicialMap(m.From, n.To)
-	for v, w := range m.Image {
-		out.Image[v] = n.Image[w]
-	}
-	return out, nil
-}
-
-func equalVertexSets(a, b []Vertex) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

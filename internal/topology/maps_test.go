@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestSDSToBsdIsSimplicialAndCarrierPreserving(t *testing.T) {
 	// Lemma 5.3's building block: the canonical map SDS(sⁿ) → Bsd(sⁿ),
@@ -137,4 +140,43 @@ func cornerVertex(t *testing.T, sds *Complex, color int) Vertex {
 	}
 	t.Fatalf("no corner vertex of color %d", color)
 	return 0
+}
+
+// CarrierPreserving reports whether carrier(φ(v)) = carrier(v) for every
+// vertex — the paper's Section 2 definition. Both complexes must be
+// subdivisions of the same base.
+func (m *SimplicialMap) CarrierPreserving() bool {
+	if !m.carrierComparable() {
+		return false
+	}
+	for v, w := range m.Image {
+		if !equalVertexSets(m.From.Carrier(Vertex(v)), m.To.Carrier(w)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Compose returns n ∘ m (apply m, then n). m.To must be n.From.
+func (m *SimplicialMap) Compose(n *SimplicialMap) (*SimplicialMap, error) {
+	if m.To != n.From {
+		return nil, fmt.Errorf("topology: compose domain mismatch")
+	}
+	out := NewSimplicialMap(m.From, n.To)
+	for v, w := range m.Image {
+		out.Image[v] = n.Image[w]
+	}
+	return out, nil
+}
+
+func equalVertexSets(a, b []Vertex) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -66,3 +66,23 @@ func restrictSDSRebuild(s *Complex, accept FacetFilter) (*Complex, error) {
 	}
 	return out.Seal(), nil
 }
+
+// SDSBlockSizes returns the block sizes (|B1|,…,|Bm|) of the ordered
+// partition that generated the given facet of an SDS-built complex, in
+// schedule order. The facet's vertices carry their snapshot faces in the
+// construction's provenance: within one facet the snapshots are totally
+// ordered by inclusion (immediacy), so the sorted distinct snapshot sizes
+// are the prefix sums |B1|, |B1|+|B2|, …, and the blocks are their
+// differences.
+//
+// It errors on complexes that were not built by the SDS operators (explicit
+// complexes, Bsd complexes, DTO-rehydrated complexes): those carry no
+// snapshot provenance. Subdivide restricts a level in the same step that
+// built it, so the provenance is always live there.
+func (c *Complex) SDSBlockSizes(facet []Vertex) ([]int, error) {
+	sizes, err := c.sdsSnapshotSizes(facet, make([]int, 0, len(facet)))
+	if err != nil {
+		return nil, err
+	}
+	return snapshotSizesToBlocks(sizes), nil
+}

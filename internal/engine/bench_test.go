@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -18,9 +20,22 @@ var benchReq = SolveRequest{Spec: TaskSpec{Family: "consensus", Procs: 2}, MaxLe
 // them, finding a map at b = 2 after 678 nodes.
 var coldReq = SolveRequest{Spec: TaskSpec{Family: "approx-agreement-n", Procs: 3, D: 4}, MaxLevel: 2}
 
+// gcOff collects once and turns the collector off until the benchmark
+// returns, so a fresh-engine benchmark's allocs/op is exact: a GC cycle
+// during the run empties the standard library's pools (fmt's among them),
+// and refilling them moved allocs/op by a few from run to run. Its ns/op
+// then excludes GC time.
+func gcOff(b *testing.B) {
+	runtime.GC()
+	percent := debug.SetGCPercent(-1)
+	b.Cleanup(func() { debug.SetGCPercent(percent) })
+	b.ResetTimer()
+}
+
 // BenchmarkEngineSolveCold measures a full computation: fresh engine per
 // iteration, nothing cached, every level built and searched.
 func BenchmarkEngineSolveCold(b *testing.B) {
+	gcOff(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := New(Options{}).Solve(context.Background(), coldReq); err != nil {
 			b.Fatal(err)
@@ -29,15 +44,16 @@ func BenchmarkEngineSolveCold(b *testing.B) {
 }
 
 // BenchmarkEngineComplexCold measures the complex endpoint's heaviest
-// answer cold: a fresh engine per iteration builds SDS³(s²), counts its
-// f-vector and hashes its canonical encoding. One untimed answer first
-// takes the process's one-time set-up out of the exact allocs/op.
+// answer cold: a fresh engine per iteration builds SDS³(s²) and hashes its
+// canonical encoding, and takes its f-vector from the closed form. One
+// untimed answer first takes the process's one-time set-up out of the exact
+// allocs/op.
 func BenchmarkEngineComplexCold(b *testing.B) {
 	req := ComplexRequest{N: 2, B: 3}
 	if _, err := New(Options{}).ComplexInfo(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
+	gcOff(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := New(Options{}).ComplexInfo(context.Background(), req); err != nil {
 			b.Fatal(err)

@@ -5,10 +5,6 @@ import (
 	"testing"
 )
 
-// Collects returns the total number of primitive collects performed, across
-// all operations. Tests use it to audit the wait-freedom step bound.
-func (s *Snapshot[T]) Collects() uint64 { return s.collects.Load() }
-
 // ScanWithStats is Scan, additionally reporting how many collects the scan
 // used (for the wait-freedom bound ≤ n+2).
 func (s *Snapshot[T]) ScanWithStats() ([]Entry[T], int) {

@@ -38,9 +38,6 @@ type cell[T any] struct {
 type Snapshot[T any] struct {
 	cells []atomic.Pointer[cell[T]]
 
-	// collects counts primitive collect operations, for wait-freedom audits.
-	collects atomic.Uint64
-
 	// gate, when set, receives a step point before every primitive collect
 	// and every component store — the register-level granularity of the
 	// deterministic scheduler. nil (the default) is the live Go scheduler.
@@ -118,7 +115,6 @@ func (s *Snapshot[T]) scan() ([]Entry[T], int) {
 // collect reads every component once (not atomic by itself).
 func (s *Snapshot[T]) collect() []*cell[T] {
 	sched.Point(s.gate)
-	s.collects.Add(1)
 	out := make([]*cell[T], len(s.cells))
 	for j := range s.cells {
 		out[j] = s.cells[j].Load()

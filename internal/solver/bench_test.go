@@ -14,11 +14,14 @@ import (
 // determinism tests), so cmd/benchguard gates them EXACTLY: any increase in
 // nodes/op is a pruning regression, caught even when ns/op noise would hide
 // it. The subdivision is built once outside the loop — these benchmarks
-// measure the search, not SDS construction.
+// measure the search, not SDS construction — and so is its incidence index,
+// which the level keeps once its first solve builds it (Faces), so every
+// timed iteration does the same work.
 
 func benchSolve(b *testing.B, task *tasks.Task, level int, solve func(context.Context, *tasks.Task, int, *topology.Complex) (*Result, error)) {
 	b.Helper()
 	sub := topology.SDSPow(task.Inputs, level)
+	sub.Faces(1) // builds the incidence index the level keeps
 	ctx := context.Background()
 	var nodes int64
 	b.ReportAllocs()
@@ -93,6 +96,7 @@ func BenchmarkSolverTResilient(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sub.Faces(1) // builds the incidence index the level keeps
 	ctx := context.Background()
 	var nodes int64
 	b.ReportAllocs()

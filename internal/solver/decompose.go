@@ -28,46 +28,19 @@ type component struct {
 	checks [][]checkItem
 }
 
-// components splits the vertices into connected components of the
-// 1-skeleton (isolated vertices form their own components), each with a
-// min-domain depth-first search order and its check schedule. Ordered by
-// smallest contained vertex, so the split is deterministic.
-func (st *searchState) components() []*component {
-	nv := len(st.vals)
-	comp := make([]int, nv)
-	for v := range comp {
-		comp[v] = -1
-	}
-	var groups [][]int
-	for v := 0; v < nv; v++ {
-		if comp[v] >= 0 {
-			continue
-		}
-		id := len(groups)
-		stack := []int{v}
-		comp[v] = id
-		var members []int
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members = append(members, x)
-			for _, nr := range st.adj[x] {
-				if comp[nr.nbr] < 0 {
-					comp[nr.nbr] = id
-					stack = append(stack, nr.nbr)
-				}
-			}
-		}
-		sort.Ints(members)
-		groups = append(groups, members)
-	}
-
+// components splits the vertices into the connected components of sub's
+// 1-skeleton (isolated vertices form their own components), ordered by
+// smallest vertex, each with a min-domain depth-first search order and its
+// check schedule.
+func (st *searchState) components(sub *topology.Complex) []*component {
+	groups := sub.ConnectedComponents()
 	out := make([]*component, len(groups))
-	pos := make([]int, nv)
+	comp := make([]int, len(st.vals))
+	pos := make([]int, len(st.vals))
 	for id, members := range groups {
 		c := &component{order: st.orderComponent(members)}
 		for p, v := range c.order {
-			pos[v] = p
+			comp[v], pos[v] = id, p
 		}
 		c.checks = make([][]checkItem, len(c.order))
 		out[id] = c
@@ -75,9 +48,9 @@ func (st *searchState) components() []*component {
 	// Schedule each dim ≥ 2 simplex at the position (within its
 	// component's order) where its last vertex is assigned. Dim 0 is folded
 	// into domains, dim 1 into forward checking. Only levels propagation
-	// left undecided get here, so only they enumerate faces past the edges.
-	for k := 3; k <= st.faces.maxLen; k++ {
-		for _, s := range st.faces.faces(k) {
+	// left undecided get here, so only they list faces past the edges.
+	for k := 3; k <= sub.Dimension()+1; k++ {
+		for _, s := range sub.Faces(k) {
 			last := -1
 			for _, v := range s {
 				last = max(last, pos[v])
@@ -96,7 +69,7 @@ func (st *searchState) components() []*component {
 // The domain sizes are the post-propagation counts — the AC-3 pass
 // typically leaves corner chains as singletons, which the ordering then
 // assigns first.
-func (st *searchState) orderComponent(members []int) []int {
+func (st *searchState) orderComponent(members []topology.Vertex) []int {
 	sorted := make(map[int][]int, len(members))
 	for _, v := range members {
 		ns := make([]int, 0, len(st.adj[v]))
@@ -109,7 +82,7 @@ func (st *searchState) orderComponent(members []int) []int {
 			}
 			return ns[i] < ns[j]
 		})
-		sorted[v] = ns
+		sorted[int(v)] = ns
 	}
 	visited := make(map[int]bool, len(members))
 	order := make([]int, 0, len(members))
@@ -126,8 +99,8 @@ func (st *searchState) orderComponent(members []int) []int {
 	for len(order) < len(members) {
 		seed := -1
 		for _, v := range members {
-			if !visited[v] && (seed < 0 || st.count[v] < st.count[seed]) {
-				seed = v
+			if !visited[int(v)] && (seed < 0 || st.count[v] < st.count[seed]) {
+				seed = int(v)
 			}
 		}
 		dfs(seed)
@@ -199,7 +172,7 @@ func searchLevel(ctx context.Context, task *tasks.Task, sub *topology.Complex, d
 	}
 
 	st.buildAdjacency()
-	comps := st.components()
+	comps := st.components(sub)
 	res.Stats.Components = len(comps)
 	for _, c := range comps {
 		found, nodes, err := st.searchComponent(ctx, c, maxNodes-res.Nodes)

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"waitfree/internal/tasks"
@@ -11,11 +12,12 @@ import (
 
 // The exhaustive oracle: the solver's original plain backtracking search,
 // kept only to check the production search against. It shares nothing with
-// the production path but the domains and the consistency check — no
-// propagation, no decomposition, no forward checking, no interned carriers —
-// so its vertex order, check schedule and node counts are byte-for-byte
-// those of the pre-structured solver. The differential suites require the
-// production search to reach the same verdict in no more nodes.
+// the production path but the domains and the consistency check — no face
+// listing, no propagation, no decomposition, no forward checking, no
+// interned carriers — so its vertex order, check schedule and node counts
+// are byte-for-byte those of the pre-structured solver. The differential
+// suites require the production search to reach the same verdict in no
+// more nodes.
 
 // solveExhaustive decides level b of task on sub (SDS^b of the inputs, or a
 // restriction of it) by plain backtracking within DefaultMaxNodes.
@@ -94,10 +96,43 @@ func solveExhaustiveWithin(ctx context.Context, task *tasks.Task, b int, sub *to
 	return res, nil
 }
 
+// listSimplices lists every simplex of sub by definition, not through
+// sub.Faces: each non-empty subset of each facet, deduplicated through a
+// map of packed vertex lists and sorted per dimension. So the oracle's
+// check schedule and vertex order share no enumeration with the search.
+func listSimplices(sub *topology.Complex) [][][]topology.Vertex {
+	seen := make(map[string]struct{})
+	byDim := make([][][]topology.Vertex, sub.Dimension()+1)
+	var (
+		buf []byte
+		s   []topology.Vertex
+	)
+	for _, f := range sub.Facets() {
+		for mask := 1; mask < 1<<len(f); mask++ {
+			s = s[:0]
+			for i, v := range f {
+				if mask&(1<<i) != 0 {
+					s = append(s, v)
+				}
+			}
+			buf = topology.EncodeVerts(buf[:0], s)
+			if _, ok := seen[string(buf)]; ok {
+				continue
+			}
+			seen[string(buf)] = struct{}{}
+			byDim[len(s)-1] = append(byDim[len(s)-1], slices.Clone(s))
+		}
+	}
+	for _, ss := range byDim {
+		slices.SortFunc(ss, slices.Compare[[]topology.Vertex])
+	}
+	return byDim
+}
+
 // flatSimplices enumerates every simplex of sub with its carrier.
 func flatSimplices(sub *topology.Complex) ([][]topology.Vertex, [][]topology.Vertex) {
 	var flat [][]topology.Vertex
-	for _, byDim := range sub.AllSimplices() {
+	for _, byDim := range listSimplices(sub) {
 		flat = append(flat, byDim...)
 	}
 	carriers := make([][]topology.Vertex, len(flat))
@@ -115,7 +150,7 @@ func flatSimplices(sub *topology.Complex) ([][]topology.Vertex, [][]topology.Ver
 func searchOrder(sub *topology.Complex, domains [][]topology.Vertex) []topology.Vertex {
 	nv := sub.NumVertices()
 	adj := make([][]topology.Vertex, nv)
-	all := sub.AllSimplices()
+	all := listSimplices(sub)
 	if len(all) > 1 {
 		for _, e := range all[1] {
 			adj[e[0]] = append(adj[e[0]], e[1])

@@ -67,7 +67,6 @@ type searchState struct {
 	active [][]bool            // active[v][i]: vals[v][i] still in the domain
 	count  []int               // number of active values per vertex
 
-	faces    *faceIndex
 	carriers *carrierTable
 	edges    []edgeRec
 	adj      [][]neighborRef // built by buildAdjacency once propagation leaves every domain non-empty
@@ -77,12 +76,12 @@ type searchState struct {
 }
 
 // newSearchState builds what propagation reads and nothing more: the
-// domains' active masks, the edges straight from the facets (in
-// AllSimplices()[1] order, which fixes AC-3's revision order and so
-// Stats.PrunedValues), their interned carriers, and one support table per
-// distinct (carrier, domain, domain) key — a handful per level, since
-// chromatic output complexes have few vertices per color. domIDs are
-// buildDomains' ids: vertices with equal ids share a domain.
+// domains' active masks, the edges (in sub.Faces(2) order, which fixes
+// AC-3's revision order and so Stats.PrunedValues), their interned
+// carriers, and one support table per distinct (carrier, domain, domain)
+// key — a handful per level, since chromatic output complexes have few
+// vertices per color. domIDs are buildDomains' ids: vertices with equal ids
+// share a domain.
 func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topology.Vertex, domIDs []int32) *searchState {
 	nv := sub.NumVertices()
 	st := &searchState{
@@ -90,7 +89,6 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 		vals:     domains,
 		active:   make([][]bool, nv),
 		count:    make([]int, nv),
-		faces:    newFaceIndex(sub),
 		carriers: newCarrierTable(sub),
 		assigned: make([]bool, nv),
 		assign:   make([]topology.Vertex, nv),
@@ -103,7 +101,7 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 		st.count[v] = len(domains[v])
 	}
 
-	edgeFaces := st.faces.faces(2)
+	edgeFaces := sub.Faces(2)
 	st.edges = make([]edgeRec, len(edgeFaces))
 	tables := make(map[supportKey][]bool)
 	pair := make([]topology.Vertex, 2)

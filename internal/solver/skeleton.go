@@ -9,132 +9,11 @@ import (
 // Stage-ordered precompute for the search. AC-3 reads only the 1-skeleton:
 // the edges, their carriers and their support tables. The check schedule
 // reads the dim ≥ 2 simplices, and only when propagation leaves every
-// domain non-empty. So the solver enumerates faces one dimension at a time,
-// straight from the facets (faceIndex), and interns carriers (carrierTable)
-// instead of allocating one per simplex. A level that propagation decides —
-// the whole consensus family — never builds a triangle.
-
-// faceIndex is the vertex → incident-facet index of a complex: everything
-// face enumeration needs.
-type faceIndex struct {
-	facets [][]topology.Vertex
-	inc    [][]int32 // vertex → indices of the facets containing it, ascending
-	maxLen int       // vertex count of the largest facet
-}
-
-func newFaceIndex(sub *topology.Complex) *faceIndex {
-	facets := sub.Facets()
-	counts := make([]int32, sub.NumVertices())
-	total, maxLen := 0, 0
-	for _, f := range facets {
-		total += len(f)
-		maxLen = max(maxLen, len(f))
-		for _, v := range f {
-			counts[v]++
-		}
-	}
-	backing := make([]int32, total)
-	inc := make([][]int32, len(counts))
-	off := 0
-	for v, n := range counts {
-		inc[v] = backing[off : off : off+int(n)]
-		off += int(n)
-	}
-	for fi, f := range facets {
-		for _, v := range f {
-			inc[v] = append(inc[v], int32(fi))
-		}
-	}
-	return &faceIndex{facets: facets, inc: inc, maxLen: maxLen}
-}
-
-// faces returns every k-vertex face (k ≥ 2) of the complex in
-// lexicographic order — element for element AllSimplices()[k-1] — backed by
-// one shared array. Each face is generated under its smallest vertex u, once
-// per facet containing it, and batches come out in ascending u. Edges, the
-// hot path, are deduplicated as they are generated by stamping each
-// neighbor with u, so only distinct neighbors are sorted; a larger face's
-// candidates under u are few (u's facets times their subsets), so sorting
-// that batch and dropping adjacent repeats dedupes it.
-func (fx *faceIndex) faces(k int) [][]topology.Vertex {
-	var (
-		backing []topology.Vertex
-		pool    []topology.Vertex   // candidates under u, k−1 vertices each
-		batch   [][]topology.Vertex // the candidates as slices of pool
-		idx     = make([]int, k-1)
-		stamp   []int // k = 2: stamp[v] == u+1 once v is in pool
-	)
-	if k == 2 {
-		stamp = make([]int, len(fx.inc))
-	}
-	for u := range fx.inc {
-		pool = pool[:0]
-		for _, fi := range fx.inc[u] {
-			f := fx.facets[fi]
-			rest := f[slices.Index(f, topology.Vertex(u))+1:]
-			if k > 2 {
-				pool = appendSubsets(pool, rest, idx)
-				continue
-			}
-			for _, v := range rest {
-				if stamp[v] != u+1 {
-					stamp[v] = u + 1
-					pool = append(pool, v)
-				}
-			}
-		}
-		if k == 2 {
-			slices.Sort(pool)
-			for _, v := range pool {
-				backing = append(backing, topology.Vertex(u), v)
-			}
-			continue
-		}
-		batch = batch[:0]
-		for i := 0; i < len(pool); i += k - 1 {
-			batch = append(batch, pool[i:i+k-1])
-		}
-		slices.SortFunc(batch, slices.Compare[[]topology.Vertex])
-		for i, s := range batch {
-			if i == 0 || !slices.Equal(s, batch[i-1]) {
-				backing = append(append(backing, topology.Vertex(u)), s...)
-			}
-		}
-	}
-	out := make([][]topology.Vertex, len(backing)/k)
-	for i := range out {
-		out[i] = backing[i*k : (i+1)*k : (i+1)*k]
-	}
-	return out
-}
-
-// appendSubsets appends each len(idx)-subset of the sorted slice rest, in
-// lexicographic order; idx is scratch.
-func appendSubsets(pool []topology.Vertex, rest []topology.Vertex, idx []int) []topology.Vertex {
-	r := len(idx)
-	if r > len(rest) {
-		return pool
-	}
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		for _, i := range idx {
-			pool = append(pool, rest[i])
-		}
-		i := r - 1
-		for i >= 0 && idx[i] == len(rest)-r+i {
-			i--
-		}
-		if i < 0 {
-			return pool
-		}
-		idx[i]++
-		for j := i + 1; j < r; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
-}
+// domain non-empty. So the solver asks the complex for its faces one
+// dimension at a time (topology.Complex.Faces), and interns carriers
+// (carrierTable) instead of allocating one per simplex. A level that
+// propagation decides — the whole consensus family — never lists a
+// triangle.
 
 // carrierTable interns simplex carriers. A carrier is a face of the base
 // complex, so a level has at most as many distinct carriers as its base has

@@ -383,9 +383,11 @@ func searchChain(ctx context.Context, task *tasks.Task, maxLevel int, opts Optio
 	return last, nil
 }
 
-// VerifyDecisionMap independently re-checks a claimed decision map against
-// the Proposition 3.1 conditions. Used by tests and by callers that persist
-// maps.
+// VerifyDecisionMap re-checks a claimed decision map against the
+// Proposition 3.1 conditions, simplex by simplex. It reads the same face
+// list as the search (Complex.Faces) but none of its constraint machinery:
+// no support tables, propagation, forward checking or check schedule. Used
+// by tests and by callers that persist maps.
 func VerifyDecisionMap(task *tasks.Task, res *Result) error {
 	if !res.Solvable || res.Map == nil {
 		return errors.New("solver: result carries no map")

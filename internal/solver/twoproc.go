@@ -144,19 +144,16 @@ func edgeDistances(task *tasks.Task, e []topology.Vertex) map[[2]topology.Vertex
 	}
 	// Adjacency restricted to allowed edges.
 	adj := make([][]topology.Vertex, nv)
-	all := out.AllSimplices()
-	if len(all) > 1 {
-		for _, oe := range all[1] {
-			a, b := oe[0], oe[1]
-			if !allowedVertex[a] || !allowedVertex[b] {
-				continue
-			}
-			if !task.Allowed(e, []topology.Vertex{a, b}) {
-				continue
-			}
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
+	for _, oe := range out.Faces(2) {
+		a, b := oe[0], oe[1]
+		if !allowedVertex[a] || !allowedVertex[b] {
+			continue
 		}
+		if !task.Allowed(e, []topology.Vertex{a, b}) {
+			continue
+		}
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
 	}
 	dist := make(map[[2]topology.Vertex]int)
 	for s := 0; s < nv; s++ {

@@ -182,49 +182,9 @@ func SetConsensus(procs, k int) *Task {
 // with the required subdivision level growing like log₃ D (SDS(s¹) cuts an
 // edge into 3).
 func ApproxAgreement(d int) *Task {
-	const procs = 2
-	inputs, inVals := buildAssignments(procs, inKey, allAssignments(procs, []string{"0", strconv.Itoa(d)}))
-	grid := make([]string, d+1)
-	for j := range grid {
-		grid[j] = strconv.Itoa(j)
-	}
-	var outFacets [][]string
-	for _, a := range allAssignments(procs, grid) {
-		x, _ := strconv.Atoi(a[0])
-		y, _ := strconv.Atoi(a[1])
-		if x-y <= 1 && y-x <= 1 {
-			outFacets = append(outFacets, a)
-		}
-	}
-	outputs, outVals := buildAssignments(procs, outKey, outFacets)
-
-	return &Task{
-		Name:    fmt.Sprintf("approx-agreement-1/%d", d),
-		Procs:   procs,
-		Inputs:  inputs,
-		Outputs: outputs,
-		Allowed: func(in, out []topology.Vertex) bool {
-			lo, hi := d, 0
-			for _, v := range in {
-				x, _ := strconv.Atoi(inVals.get(v))
-				if x < lo {
-					lo = x
-				}
-				if x > hi {
-					hi = x
-				}
-			}
-			for _, w := range out {
-				y, _ := strconv.Atoi(outVals.get(w))
-				if y < lo || y > hi {
-					return false
-				}
-			}
-			return true
-		},
-		InputValue:  inVals.get,
-		OutputValue: outVals.get,
-	}
+	t := ApproxAgreementN(2, d)
+	t.Name = fmt.Sprintf("approx-agreement-1/%d", d)
+	return t
 }
 
 // ApproxAgreementN generalizes ApproxAgreement to any number of processes:

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -45,10 +44,11 @@ type Complex struct {
 	base   *Complex          // non-nil iff this complex is a subdivision
 
 	// incidence[v] lists, ascending, the indices of the facets containing
-	// v. Seal builds it while absorbing faces; sealTrusted leaves it to the
-	// first HasSimplex or FVector (ensureIncidence): the solver asks neither
-	// of the level it solves on, so solve queries never pay for it.
-	incidence [][]int
+	// v: the one vertex → facet index of the complex, which HasSimplex and
+	// Faces read. Seal builds it while absorbing faces; sealTrusted leaves
+	// it to the first HasSimplex or Faces (ensureIncidence), so a level
+	// that is only hashed or restricted never pays for it.
+	incidence [][]int32
 	incOnce   sync.Once
 	sealed    bool
 
@@ -162,7 +162,7 @@ func (c *Complex) Seal() *Complex {
 	// deduplication is a linear scan, and a containment check against
 	// already-retained facets absorbs proper faces.
 	sortFacets(c.facets, len(c.verts))
-	inc := make([][]int, len(c.verts))
+	inc := make([][]int32, len(c.verts))
 	kept := c.facets[:0]
 	for i, f := range c.facets {
 		if i > 0 && slices.Equal(c.facets[i-1], f) {
@@ -171,7 +171,7 @@ func (c *Complex) Seal() *Complex {
 		if len(kept) > 0 && containedInAny(f, inc, kept) {
 			continue
 		}
-		idx := len(kept)
+		idx := int32(len(kept))
 		kept = append(kept, f)
 		for _, v := range f {
 			inc[v] = append(inc[v], idx)
@@ -210,7 +210,7 @@ func (c *Complex) ensureIncidence() {
 		}
 		// Every list is carved from one array: count each vertex's facets,
 		// then append into the vertex's window in facet order.
-		deg := make([]int, len(c.verts))
+		deg := make([]int32, len(c.verts))
 		total := 0
 		for _, f := range c.facets {
 			for _, v := range f {
@@ -218,16 +218,16 @@ func (c *Complex) ensureIncidence() {
 			}
 			total += len(f)
 		}
-		flat := make([]int, total)
-		inc := make([][]int, len(c.verts))
+		flat := make([]int32, total)
+		inc := make([][]int32, len(c.verts))
 		off := 0
 		for v, d := range deg {
-			inc[v] = flat[off : off : off+d]
-			off += d
+			inc[v] = flat[off : off : off+int(d)]
+			off += int(d)
 		}
 		for i, f := range c.facets {
 			for _, v := range f {
-				inc[v] = append(inc[v], i)
+				inc[v] = append(inc[v], int32(i))
 			}
 		}
 		c.incidence = inc
@@ -236,7 +236,7 @@ func (c *Complex) ensureIncidence() {
 
 // containedInAny reports whether sorted simplex f is a subset of one of the
 // facets, using the incidence lists built so far.
-func containedInAny(f []Vertex, inc [][]int, facets [][]Vertex) bool {
+func containedInAny(f []Vertex, inc [][]int32, facets [][]Vertex) bool {
 	if len(f) == 0 {
 		return true
 	}
@@ -392,107 +392,128 @@ func (c *Complex) HasSimplex(vs []Vertex) bool {
 }
 
 // AllSimplices returns every simplex of the complex grouped by dimension:
-// result[d] lists the d-dimensional simplices, each sorted, in a
-// deterministic order.
+// result[d] is Faces(d+1).
 func (c *Complex) AllSimplices() [][][]Vertex {
 	c.mustBeSealed("AllSimplices")
-	dim := c.Dimension()
-	if dim < 0 {
-		return nil
-	}
-	// Dedup across facets by the packed binary encoding of the vertex list:
-	// the map lookup on string(buf) does not allocate, and only distinct
-	// simplices pay for an inserted key.
-	seen := make(map[string]struct{})
-	byDim := make([][][]Vertex, dim+1)
-	buf := make([]byte, 0, 64)
-	for _, f := range c.facets {
-		forEachSubset(f, func(sub []Vertex) {
-			buf = EncodeVerts(buf[:0], sub)
-			if _, ok := seen[string(buf)]; ok {
-				return
-			}
-			seen[string(buf)] = struct{}{}
-			cp := append([]Vertex(nil), sub...)
-			byDim[len(cp)-1] = append(byDim[len(cp)-1], cp)
-		})
-	}
+	byDim := make([][][]Vertex, c.Dimension()+1)
 	for d := range byDim {
-		sort.Slice(byDim[d], func(i, j int) bool {
-			return simplexLess(byDim[d][i], byDim[d][j])
-		})
+		byDim[d] = c.Faces(d + 1)
 	}
 	return byDim
 }
 
 // FVector returns the number of simplices in each dimension: f[d] is the
-// count of d-simplices. It lists none of them: each simplex is counted
-// once, at the first facet in facet order that holds it. A face of facet
-// t is a subset of t's positions, and it lies in an earlier facet t' iff
-// it lies in t ∩ t', so t owns exactly the position subsets outside every
-// such intersection; the earlier facets meeting t are read off the
-// incidence lists of t's vertices, which list facets in order.
+// count of d-simplices, len(Faces(d+1)).
 func (c *Complex) FVector() []int {
 	c.mustBeSealed("FVector")
 	f := make([]int, c.Dimension()+1)
-	c.forEachFace(func(_ []Vertex, m uint32) { f[bits.OnesCount32(m)-1]++ })
+	for d := range f {
+		f[d] = len(c.Faces(d + 1))
+	}
 	return f
 }
 
-// forEachFace calls fn once per simplex of the sealed complex, as the
-// position mask m over the first facet t in facet order that holds it.
-func (c *Complex) forEachFace(fn func(t []Vertex, m uint32)) {
-	if len(c.facets) == 0 {
-		return
+// Faces returns the k-vertex simplices of the complex, each sorted, in
+// lexicographic order; Faces(1) lists the vertices that lie in some facet,
+// and k < 1 lists none. The faces are carved from one array and shared: do
+// not modify them. The order is part of the contract: the solver revises
+// edges in Faces(2) order, so its pruning counts depend on it.
+//
+// Each face is generated under its smallest vertex u, once per facet
+// holding it, and u's batch comes out before u+1's. Edges, the solver's hot
+// path, are deduplicated as they are generated by stamping each neighbor
+// with u, so only distinct neighbors are sorted; a larger face's candidates
+// under u are few (u's facets times their subsets), so sorting that batch
+// and dropping adjacent repeats dedupes it.
+func (c *Complex) Faces(k int) [][]Vertex {
+	c.mustBeSealed("Faces")
+	if k < 1 {
+		return nil
 	}
 	c.ensureIncidence()
-	var shared []uint32 // position masks over t of t ∩ t', one per earlier t'
-	for i, t := range c.facets {
-		if len(t) > 30 {
-			panic("topology: FVector of a facet with more than 30 vertices")
+	var (
+		backing []Vertex
+		pool    []Vertex   // candidates under u, k−1 vertices each
+		batch   [][]Vertex // the candidates as slices of pool
+		idx     = make([]int, k-1)
+		stamp   []int // k = 2: stamp[v] == u+1 once v is in pool
+	)
+	if k == 2 {
+		stamp = make([]int, len(c.verts))
+	}
+	for u, fs := range c.incidence {
+		if k == 1 {
+			if len(fs) > 0 {
+				backing = append(backing, Vertex(u))
+			}
+			continue
 		}
-		shared = shared[:0]
-		for p, v := range t {
-			for _, j := range c.incidence[v] {
-				if j >= i {
-					break
-				}
-				// t' is listed once per shared vertex; take it at the first.
-				if m, first := meetMask(t, c.facets[j]); first == p {
-					shared = append(shared, m)
+		pool = pool[:0]
+		for _, fi := range fs {
+			f := c.facets[fi]
+			rest := f[slices.Index(f, Vertex(u))+1:]
+			if k > 2 {
+				pool = appendSubsets(pool, rest, idx)
+				continue
+			}
+			for _, v := range rest {
+				if stamp[v] != u+1 {
+					stamp[v] = u + 1
+					pool = append(pool, v)
 				}
 			}
 		}
-	face:
-		for m := uint32(1); m < 1<<len(t); m++ {
-			for _, s := range shared {
-				if m&^s == 0 {
-					continue face
-				}
+		if k == 2 {
+			slices.Sort(pool)
+			for _, v := range pool {
+				backing = append(backing, Vertex(u), v)
 			}
-			fn(t, m)
+			continue
+		}
+		batch = batch[:0]
+		for i := 0; i < len(pool); i += k - 1 {
+			batch = append(batch, pool[i:i+k-1])
+		}
+		slices.SortFunc(batch, slices.Compare[[]Vertex])
+		for i, s := range batch {
+			if i == 0 || !slices.Equal(s, batch[i-1]) {
+				backing = append(append(backing, Vertex(u)), s...)
+			}
 		}
 	}
+	out := make([][]Vertex, len(backing)/k)
+	for i := range out {
+		out[i] = backing[i*k : (i+1)*k : (i+1)*k]
+	}
+	return out
 }
 
-// meetMask returns the positions in t of t ∩ u as a bitmask, and the
-// position of the first shared vertex (len(t) if none), for sorted t, u.
-func meetMask(t, u []Vertex) (mask uint32, first int) {
-	first = len(t)
-	for i, j := 0, 0; i < len(t) && j < len(u); {
-		switch {
-		case t[i] < u[j]:
-			i++
-		case t[i] > u[j]:
-			j++
-		default:
-			mask |= 1 << i
-			first = min(first, i)
-			i++
-			j++
+// appendSubsets appends each len(idx)-subset of the sorted slice rest, in
+// lexicographic order; idx is scratch.
+func appendSubsets(pool, rest []Vertex, idx []int) []Vertex {
+	r := len(idx)
+	if r > len(rest) {
+		return pool
+	}
+	for i := range idx {
+		idx[i] = i
+	}
+	for {
+		for _, i := range idx {
+			pool = append(pool, rest[i])
+		}
+		i := r - 1
+		for i >= 0 && idx[i] == len(rest)-r+i {
+			i--
+		}
+		if i < 0 {
+			return pool
+		}
+		idx[i]++
+		for j := i + 1; j < r; j++ {
+			idx[j] = idx[j-1] + 1
 		}
 	}
-	return mask, first
 }
 
 // VerticesOfColor returns all vertices with the given color, ascending.
@@ -583,16 +604,18 @@ func (c *Complex) ConnectedComponents() [][]Vertex {
 			union(int(f[0]), int(f[i]))
 		}
 	}
-	groups := make(map[int][]Vertex)
+	// An ascending scan meets each component first at its smallest vertex,
+	// so numbering components on first sight orders them.
+	id := make([]int, len(c.verts)) // root → component index + 1
+	var out [][]Vertex
 	for v := range c.verts {
 		r := find(v)
-		groups[r] = append(groups[r], Vertex(v))
+		if id[r] == 0 {
+			out = append(out, nil)
+			id[r] = len(out)
+		}
+		out[id[r]-1] = append(out[id[r]-1], Vertex(v))
 	}
-	out := make([][]Vertex, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
@@ -648,48 +671,10 @@ func (c *Complex) mustBeSealed(op string) {
 	}
 }
 
-// simplexKey canonically encodes a sorted vertex slice.
-func simplexKey(s []Vertex) string {
-	var b strings.Builder
-	for i, v := range s {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return b.String()
-}
-
-// simplexLess orders simplices lexicographically.
-func simplexLess(a, b []Vertex) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
 func sortedCopy(s []Vertex) []Vertex {
 	cp := append([]Vertex(nil), s...)
 	slices.Sort(cp)
 	return cp
-}
-
-// forEachSubset calls fn on every non-empty subset of the sorted slice f,
-// reusing a scratch buffer (fn must not retain its argument).
-func forEachSubset(f []Vertex, fn func([]Vertex)) {
-	n := len(f)
-	buf := make([]Vertex, 0, n)
-	for mask := 1; mask < 1<<n; mask++ {
-		buf = buf[:0]
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				buf = append(buf, f[i])
-			}
-		}
-		fn(buf)
-	}
 }
 
 // Simplex returns the standard chromatic n-simplex sⁿ: vertices P0…Pn with

@@ -82,12 +82,8 @@ func Mesh(c *Complex, emb Embedding) (float64, error) {
 	if len(emb) != c.NumVertices() {
 		return 0, fmt.Errorf("topology: embedding size mismatch")
 	}
-	all := c.AllSimplices()
-	if len(all) < 2 {
-		return 0, nil
-	}
 	max := 0.0
-	for _, e := range all[1] {
+	for _, e := range c.Faces(2) {
 		d := euclid(emb[e[0]], emb[e[1]])
 		if d > max {
 			max = d

@@ -64,15 +64,17 @@ func RestrictedFVector(f []int, round *Complex, b int) ([]int, error) {
 	for k := range M {
 		M[k] = make([]int, k+1)
 	}
-	round.forEachFace(func(t []Vertex, mask uint32) {
-		var carrier uint32
-		for r := mask; r != 0; r &= r - 1 {
-			for _, v := range round.verts[t[bits.TrailingZeros32(r)]].carrier {
-				carrier |= 1 << v
+	for j, faces := range round.AllSimplices() {
+		for _, s := range faces {
+			var carrier uint32
+			for _, v := range s {
+				for _, w := range round.verts[v].carrier {
+					carrier |= 1 << w
+				}
 			}
+			M[bits.OnesCount32(carrier)-1][j]++
 		}
-		M[bits.OnesCount32(carrier)-1][bits.OnesCount32(mask)-1]++
-	})
+	}
 	for k, row := range M {
 		faces := binomial(m, k+1)
 		for j := range row {

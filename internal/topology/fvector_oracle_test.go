@@ -1,16 +1,51 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// fvectorOracle is the f-vector by definition: list every simplex
-// (AllSimplices) and count each dimension's list.
+// allSimplicesOracle is the listing oracle: every simplex by definition,
+// each non-empty subset of each facet, deduplicated through a map of packed
+// vertex lists and sorted per dimension. It shares nothing with Faces but
+// the sealed facets.
+func allSimplicesOracle(c *Complex) [][][]Vertex {
+	seen := make(map[string]struct{})
+	byDim := make([][][]Vertex, c.Dimension()+1)
+	var (
+		buf []byte
+		s   []Vertex
+	)
+	for _, f := range c.Facets() {
+		for mask := 1; mask < 1<<len(f); mask++ {
+			s = s[:0]
+			for i, v := range f {
+				if mask&(1<<i) != 0 {
+					s = append(s, v)
+				}
+			}
+			buf = EncodeVerts(buf[:0], s)
+			if _, ok := seen[string(buf)]; ok {
+				continue
+			}
+			seen[string(buf)] = struct{}{}
+			byDim[len(s)-1] = append(byDim[len(s)-1], slices.Clone(s))
+		}
+	}
+	for _, ss := range byDim {
+		slices.SortFunc(ss, slices.Compare[[]Vertex])
+	}
+	return byDim
+}
+
+// fvectorOracle is the f-vector by definition: the length of each
+// dimension's list in the listing oracle.
 func fvectorOracle(c *Complex) []int {
-	all := c.AllSimplices()
+	all := allSimplicesOracle(c)
 	f := make([]int, len(all))
 	for d, ss := range all {
 		f[d] = len(ss)
@@ -18,15 +53,51 @@ func fvectorOracle(c *Complex) []int {
 	return f
 }
 
+// checkFVector compares FVector, and Faces(k) element for element for every
+// k from 0 to one past the dimension, with the listing oracle.
 func checkFVector(t *testing.T, name string, c *Complex) {
 	t.Helper()
-	if got, want := c.FVector(), fvectorOracle(c); !slices.Equal(got, want) {
+	all := allSimplicesOracle(c)
+	want := make([]int, len(all))
+	for d, ss := range all {
+		want[d] = len(ss)
+	}
+	if got := c.FVector(); !slices.Equal(got, want) {
 		t.Errorf("%s: FVector %v, oracle %v", name, got, want)
+	}
+	for k := 0; k <= len(all)+1; k++ {
+		var wantFaces [][]Vertex
+		if k >= 1 && k <= len(all) {
+			wantFaces = all[k-1]
+		}
+		got := c.Faces(k)
+		if len(got) != len(wantFaces) {
+			t.Errorf("%s: Faces(%d) lists %d faces, oracle %d", name, k, len(got), len(wantFaces))
+			continue
+		}
+		for i := range got {
+			if !slices.Equal(got[i], wantFaces[i]) {
+				t.Errorf("%s: Faces(%d)[%d] is %v, oracle %v", name, k, i, got[i], wantFaces[i])
+				break
+			}
+		}
 	}
 }
 
-// TestGoldenFVector checks FVector against the listing oracle on every
-// level of the Lemma 3.3 golden table. SDS³(s³) runs behind GOLDEN_FULL
+// simplexKey canonically encodes a sorted vertex slice.
+func simplexKey(s []Vertex) string {
+	var b strings.Builder
+	for i, v := range s {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", v)
+	}
+	return b.String()
+}
+
+// TestGoldenFVector checks FVector and Faces against the listing oracle on
+// every level of the Lemma 3.3 golden table. SDS³(s³) runs behind GOLDEN_FULL
 // and is checked against the closed form instead: its simplices, listed,
 // would hold millions of map entries.
 func TestGoldenFVector(t *testing.T) {
@@ -89,12 +160,13 @@ func TestFVectorMatchesOracle(t *testing.T) {
 	if got := empty.FVector(); got == nil || len(got) != 0 {
 		t.Errorf("empty: FVector %#v, want an empty non-nil slice", got)
 	}
+	checkFVector(t, "empty", empty)
 }
 
 // FuzzFVector builds a complex from arbitrary bytes — up to 8 vertices,
 // facets of one to five of them, shared faces, duplicates and absorbed
-// faces included — and checks FVector against the listing oracle on the
-// complex and on its subdivision when it is chromatic.
+// faces included — and checks FVector and Faces against the listing oracle
+// on the complex and on its subdivision when it is chromatic.
 func FuzzFVector(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 2, 1, 3})
 	f.Add([]byte{5, 0, 1, 2, 3, 4, 4, 4, 5, 6, 7})

@@ -72,13 +72,13 @@ func TestBsdPropertiesOnRandomComplexes(t *testing.T) {
 }
 
 // TestHasSimplexAgreesWithClosure: HasSimplex must agree with membership in
-// the explicit closure AllSimplices.
+// the explicit closure the listing oracle builds.
 func TestHasSimplexAgreesWithClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		c := randomChromaticComplex(rng)
 		inClosure := make(map[string]bool)
-		for _, byDim := range c.AllSimplices() {
+		for _, byDim := range allSimplicesOracle(c) {
 			for _, s := range byDim {
 				inClosure[simplexKey(s)] = true
 			}

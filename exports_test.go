@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,7 @@ var exportAllowlist = map[string]string{
 	"netfault.Transport.Injected":      "test: serve's chaos and churn soaks",
 	"obs.TraceSnapshot.Find":           "test: engine, serve, solver and topology span tests",
 	"sched.Controller.Crashed":         "test: the runtimes' schedule tests",
+	"sched.ExploreFiltered":            "test: the model, modelcheck and solver schedule cross-checks",
 	"topology.Complex.CanonicalString": "test: engine and solver differential tests",
 	"topology.Complex.Link":            "test: homology's link condition",
 	"topology.RandomChromaticComplex":  "test: converge and solver property tests",
@@ -55,23 +57,28 @@ var exportAllowlist = map[string]string{
 
 // exportDecl is one exported top-level declaration.
 type exportDecl struct {
-	key  string // pkg.Name or pkg.Type.Method
-	name string
-	pos  token.Position
+	key    string // pkg.Name or pkg.Type.Method
+	name   string
+	method bool
+	pos    token.Position
 }
 
-// TestEveryExportHasAProductionCaller is a name-matching scan: every
-// exported top-level func, method, type, const and var declared in a
-// non-test file under internal/ must appear as an identifier in some
-// non-test Go file outside cmd/wfbench, other than at its declaration, or
-// be allowlisted. A shared name (two types' Injected methods) counts as used
-// when either is, so the scan undercounts. A method that only a
-// standard-library interface calls (MarshalJSON, say) would read as unused;
-// it gets an iface entry.
+// TestEveryExportHasAProductionCaller is a syntax scan: every exported
+// top-level func, method, type, const and var declared in a non-test file
+// under internal/ must be named in some non-test Go file outside
+// cmd/wfbench, other than at its declaration, or be allowlisted. A
+// top-level name counts as used as pkg.Name in another package or as a bare
+// Name in its own, so a call of one package's Explore is no use of another's.
+// A method counts as used when its name appears anywhere: a shared name (two
+// types' Injected methods) counts as used when either is, so the scan
+// undercounts methods. A method that only a standard-library interface
+// calls (MarshalJSON, say) would read as unused; it gets an iface entry.
 func TestEveryExportHasAProductionCaller(t *testing.T) {
 	fset := token.NewFileSet()
 	uses := map[string]int{}     // identifier → occurrences in production files
 	declared := map[string]int{} // exported name → declarations under internal/
+	refs := map[string]int{}     // pkg.Name → qualified and own-package bare references
+	byKey := map[string]int{}    // pkg.Name → top-level declarations under internal/
 	var decls []exportDecl
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -90,19 +97,59 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		pkg := f.Name.Name
+		imports := map[string]string{} // local name → package under internal/
+		for _, imp := range f.Imports {
+			ipath, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			if ipkg, ok := strings.CutPrefix(ipath, "waitfree/internal/"); ok {
+				local := ipkg
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				imports[local] = ipkg
+			}
+		}
+		// Selected names, method names and field names are not bare
+		// references to a top-level declaration.
+		notBare := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				notBare[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok {
+					if ipkg, ok := imports[x.Name]; ok {
+						refs[ipkg+"."+n.Sel.Name]++
+					}
+				}
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					notBare[n.Name] = true
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					notBare[id] = true
+				}
+			case *ast.Ident:
+				uses[n.Name]++
+				if internal && !notBare[n] {
+					refs[pkg+"."+n.Name]++
+				}
 			}
 			return true
 		})
-		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+		if !internal {
 			return nil
 		}
-		pkg := f.Name.Name
-		add := func(key string, id *ast.Ident) {
-			decls = append(decls, exportDecl{key: key, name: id.Name, pos: fset.Position(id.Pos())})
+		add := func(key string, id *ast.Ident, method bool) {
+			decls = append(decls, exportDecl{key: key, name: id.Name, method: method, pos: fset.Position(id.Pos())})
 			declared[id.Name]++
+			if !method {
+				byKey[key]++
+			}
 		}
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
@@ -110,26 +157,26 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 				if !decl.Name.IsExported() {
 					continue
 				}
-				key := pkg + "." + decl.Name.Name
-				if decl.Recv != nil {
-					recv := receiverName(decl.Recv.List[0].Type)
-					if !ast.IsExported(recv) {
-						continue // reachable only through an exported interface
-					}
-					key = pkg + "." + recv + "." + decl.Name.Name
+				if decl.Recv == nil {
+					add(pkg+"."+decl.Name.Name, decl.Name, false)
+					continue
 				}
-				add(key, decl.Name)
+				recv := receiverName(decl.Recv.List[0].Type)
+				if !ast.IsExported(recv) {
+					continue // reachable only through an exported interface
+				}
+				add(pkg+"."+recv+"."+decl.Name.Name, decl.Name, true)
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						if spec.Name.IsExported() {
-							add(pkg+"."+spec.Name.Name, spec.Name)
+							add(pkg+"."+spec.Name.Name, spec.Name, false)
 						}
 					case *ast.ValueSpec:
 						for _, id := range spec.Names {
 							if id.IsExported() {
-								add(pkg+"."+id.Name, id)
+								add(pkg+"."+id.Name, id, false)
 							}
 						}
 					}
@@ -142,11 +189,17 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seen := map[string]bool{}
+	used := func(d exportDecl) bool {
+		if d.method {
+			return uses[d.name] > declared[d.name]
+		}
+		return refs[d.key] > byKey[d.key]
+	}
+	declByKey := map[string]exportDecl{}
 	var unused []string
 	for _, d := range decls {
-		seen[d.key] = true
-		if uses[d.name] > declared[d.name] {
+		declByKey[d.key] = d
+		if used(d) {
 			continue
 		}
 		if _, ok := exportAllowlist[d.key]; ok {
@@ -160,10 +213,10 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 	}
 	var stale []string
 	for key := range exportAllowlist {
-		switch name := key[strings.LastIndexByte(key, '.')+1:]; {
-		case !seen[key]:
+		switch d, ok := declByKey[key]; {
+		case !ok:
 			stale = append(stale, key+", which is no longer declared")
-		case uses[name] > declared[name]:
+		case used(d):
 			stale = append(stale, key+", which has a production caller now")
 		}
 	}

@@ -221,7 +221,7 @@ func combinations(set []int, k int) [][]int {
 // pickPartition drives the Replay adversary as a direct nondeterminism
 // oracle: a sequence of (block size, block members) decisions yielding one
 // ordered partition of procs. Distinct decision strings yield distinct
-// partitions, so Explore's tree walk enumerates each exactly once.
+// partitions, so ExploreFiltered's tree walk enumerates each exactly once.
 func pickPartition(adv *sched.Replay, procs []int) [][]int {
 	remaining := append([]int(nil), procs...)
 	var blocks [][]int

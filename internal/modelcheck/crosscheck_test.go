@@ -12,7 +12,7 @@ import (
 )
 
 // TestScheduledImmediateMatchesModelChecker closes the loop between the two
-// verification planes: sched.Explore enumerates every interleaving of the
+// verification planes: sched.ExploreFiltered enumerates every interleaving of the
 // REAL immediate.OneShot code for 2 processes (gated at the same write/scan
 // granularity the model checker's step machine uses — the register-level
 // double collect inside a Scan stays atomic, exactly like the model's atomic
@@ -22,7 +22,7 @@ func TestScheduledImmediateMatchesModelChecker(t *testing.T) {
 	const n = 2
 	got := map[string]struct{}{}
 
-	count, err := sched.Explore(0, func(adv *sched.Replay) error {
+	count, _, err := sched.ExploreFiltered(0, func(adv *sched.Replay) error {
 		one := immediate.New[int](n)
 		views := make([]immediate.View[int], n)
 		errs := make([]error, n)
@@ -48,7 +48,7 @@ func TestScheduledImmediateMatchesModelChecker(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Explore: %v", err)
+		t.Fatalf("ExploreFiltered: %v", err)
 	}
 	if count < 6 {
 		t.Fatalf("Explore ran only %d schedules; the interleaving tree of two 2-segment processes alone has 6", count)

@@ -97,8 +97,16 @@ type Result struct {
 // Explore runs the exhaustive check for n processes, all participating.
 // It returns an error on the first property violation.
 func Explore(n int) (*Result, error) {
+	res, _, err := explore(n)
+	return res, err
+}
+
+// explore is the breadth-first walk over every global state behind Explore
+// and ReachableOutcomes. It checks the §3.5 properties on each terminal
+// state and returns the counts and the set of outcome keys.
+func explore(n int) (*Result, map[string]struct{}, error) {
 	if n > 4 {
-		return nil, fmt.Errorf("modelcheck: state space too large for n=%d (use n ≤ 4)", n)
+		return nil, nil, fmt.Errorf("modelcheck: state space too large for n=%d (use n ≤ 4)", n)
 	}
 	init := &state{
 		shared: make([]int8, n),
@@ -137,13 +145,13 @@ func Explore(n int) (*Result, error) {
 		if allDone {
 			res.Terminal++
 			if err := checkProperties(s, n); err != nil {
-				return res, err
+				return res, outcomes, err
 			}
 			outcomes[outcomeKey(s, n)] = struct{}{}
 		}
 	}
 	res.Outcomes = len(outcomes)
-	return res, nil
+	return res, outcomes, nil
 }
 
 // checkProperties verifies the three §3.5 properties on a terminal state.
@@ -174,45 +182,13 @@ func outcomeKey(s *state, n int) string {
 	return strings.Join(parts, ";")
 }
 
-// ReachableOutcomes re-runs the exploration and returns the sorted set of
+// ReachableOutcomes runs the exploration and returns the sorted set of
 // outcome keys, for comparison with the ordered-partition outcomes of
-// internal/protocol.
+// internal/protocol. A property violation is an error, as in Explore.
 func ReachableOutcomes(n int) ([]string, error) {
-	if n > 4 {
-		return nil, fmt.Errorf("modelcheck: n ≤ 4 only")
-	}
-	init := &state{
-		shared: make([]int8, n),
-		level:  make([]int8, n),
-		pcs:    make([]pc, n),
-		view:   make([]uint32, n),
-	}
-	for i := 0; i < n; i++ {
-		init.level[i] = int8(n + 1)
-	}
-	seen := map[string]struct{}{init.key(): {}}
-	outcomes := map[string]struct{}{}
-	queue := []*state{init}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		allDone := true
-		for i := 0; i < n; i++ {
-			if s.pcs[i] == pcDone {
-				continue
-			}
-			allDone = false
-			ns := step(s, i, n)
-			k := ns.key()
-			if _, ok := seen[k]; ok {
-				continue
-			}
-			seen[k] = struct{}{}
-			queue = append(queue, ns)
-		}
-		if allDone {
-			outcomes[outcomeKey(s, n)] = struct{}{}
-		}
+	_, outcomes, err := explore(n)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]string, 0, len(outcomes))
 	for k := range outcomes {

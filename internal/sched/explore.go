@@ -8,7 +8,8 @@ import (
 // Replay is the adversary used for systematic schedule enumeration: at its
 // i-th decision it picks ready[Choices[i]] (0 when the choice string is
 // exhausted) and records the width of the decision — how many processes were
-// ready. Explore uses the recorded widths to walk the whole schedule tree.
+// ready. ExploreFiltered uses the recorded widths to walk the whole schedule
+// tree.
 type Replay struct {
 	Choices []int
 	pos     int
@@ -33,21 +34,6 @@ func (r *Replay) Pick(ready, steps []int) int {
 	return ready[c]
 }
 
-// Explore enumerates every schedule of a deterministic bounded computation:
-// it repeatedly invokes run with a Replay adversary, using the decision
-// widths recorded by each run to generate the lexicographically next choice
-// string, until the tree is exhausted. run must build fresh state each call,
-// drive a Controller whose Adversary is the given Replay, and return any
-// property violation as an error (which aborts the walk).
-//
-// Explore returns the number of complete schedules executed. limit > 0
-// aborts after that many schedules (an error reports the truncation, so a
-// test can never silently under-explore).
-func Explore(limit int, run func(adv *Replay) error) (int, error) {
-	kept, _, err := ExploreFiltered(limit, run)
-	return kept, err
-}
-
 // ErrScheduleFiltered is the sentinel a run callback returns from
 // ExploreFiltered to report that the completed schedule falls outside the
 // model under exploration: the schedule still contributes its decision
@@ -57,13 +43,21 @@ func Explore(limit int, run func(adv *Replay) error) (int, error) {
 // completed normally — a filtered verdict needs the full schedule.
 var ErrScheduleFiltered = errors.New("sched: schedule outside model")
 
-// ExploreFiltered enumerates every schedule like Explore, but lets run
-// classify each completed schedule as inside the model (nil), outside it
-// (ErrScheduleFiltered), or a genuine violation (any other error, which
-// aborts the walk). It returns how many schedules were kept and how many
-// filtered; limit > 0 bounds their sum. This is the executable form of the
-// GACT model definition — a model is the subset of runs it admits — and the
-// ground truth the restricted-subdivision semantics is tested against.
+// ExploreFiltered enumerates every schedule of a deterministic bounded
+// computation: it repeatedly invokes run with a Replay adversary, using the
+// decision widths recorded by each run to generate the lexicographically
+// next choice string, until the tree is exhausted. run must build fresh
+// state each call and drive a Controller whose Adversary is the given
+// Replay. It classifies each completed schedule as inside the model (nil),
+// outside it (ErrScheduleFiltered), or a genuine violation (any other
+// error, which aborts the walk).
+//
+// ExploreFiltered returns how many schedules were kept and how many
+// filtered. limit > 0 aborts once their sum reaches it (an error reports
+// the truncation, so a test can never silently under-explore). This is the
+// executable form of the GACT model definition — a model is the subset of
+// runs it admits — and the ground truth the restricted-subdivision
+// semantics is tested against.
 func ExploreFiltered(limit int, run func(adv *Replay) error) (kept, filtered int, err error) {
 	choices := []int{}
 	for {

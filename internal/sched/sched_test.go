@@ -193,7 +193,7 @@ func TestExploreEnumeratesAllInterleavings(t *testing.T) {
 	// Two processes with one step point each: two segments per process, so
 	// the complete schedules are the interleavings of AABB — C(4,2) = 6.
 	traces := map[string]bool{}
-	count, err := Explore(0, func(adv *Replay) error {
+	count, _, err := ExploreFiltered(0, func(adv *Replay) error {
 		ctl := New(Config{Procs: 2, Adversary: adv})
 		for i := 0; i < 2; i++ {
 			ctl.Go(i, func() { ctl.Step() })
@@ -209,15 +209,15 @@ func TestExploreEnumeratesAllInterleavings(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Explore: %v", err)
+		t.Fatalf("ExploreFiltered: %v", err)
 	}
 	if count != 6 || len(traces) != 6 {
-		t.Fatalf("Explore ran %d schedules over %d distinct traces, want 6/6: %v", count, len(traces), traces)
+		t.Fatalf("ExploreFiltered kept %d schedules over %d distinct traces, want 6/6: %v", count, len(traces), traces)
 	}
 }
 
 func TestExploreLimitReportsTruncation(t *testing.T) {
-	_, err := Explore(2, func(adv *Replay) error {
+	_, _, err := ExploreFiltered(2, func(adv *Replay) error {
 		ctl := New(Config{Procs: 2, Adversary: adv})
 		for i := 0; i < 2; i++ {
 			ctl.Go(i, func() { ctl.Step() })
@@ -225,7 +225,7 @@ func TestExploreLimitReportsTruncation(t *testing.T) {
 		return ctl.Wait()
 	})
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("Explore with limit 2 = %v, want truncation error", err)
+		t.Fatalf("ExploreFiltered with limit 2 = %v, want truncation error", err)
 	}
 }
 

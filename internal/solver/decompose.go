@@ -1,9 +1,10 @@
 package solver
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"waitfree/internal/tasks"
 	"waitfree/internal/topology"
@@ -37,8 +38,9 @@ func (st *searchState) components(sub *topology.Complex) []*component {
 	out := make([]*component, len(groups))
 	comp := make([]int, len(st.vals))
 	pos := make([]int, len(st.vals))
+	visited := make([]bool, len(st.vals))
 	for id, members := range groups {
-		c := &component{order: st.orderComponent(members)}
+		c := &component{order: st.orderComponent(members, visited)}
 		for p, v := range c.order {
 			comp[v], pos[v] = id, p
 		}
@@ -68,30 +70,26 @@ func (st *searchState) components(sub *topology.Complex) []*component {
 // vertex, visiting neighbors by ascending current domain size (then index).
 // The domain sizes are the post-propagation counts — the AC-3 pass
 // typically leaves corner chains as singletons, which the ordering then
-// assigns first.
-func (st *searchState) orderComponent(members []topology.Vertex) []int {
-	sorted := make(map[int][]int, len(members))
-	for _, v := range members {
-		ns := make([]int, 0, len(st.adj[v]))
-		for _, nr := range st.adj[v] {
-			ns = append(ns, nr.nbr)
-		}
-		sort.Slice(ns, func(i, j int) bool {
-			if st.count[ns[i]] != st.count[ns[j]] {
-				return st.count[ns[i]] < st.count[ns[j]]
-			}
-			return ns[i] < ns[j]
+// assigns first. Each member's incident list is sorted into that visiting
+// order in place, which moves only the order in which forwardCheck prunes
+// the neighbors: whether a neighbor empties does not depend on it, and a
+// failed check undoes every pruning, so node counts stay the same. visited
+// marks vertices across the level's components.
+func (st *searchState) orderComponent(members []topology.Vertex, visited []bool) []int {
+	for _, m := range members {
+		v := int(m)
+		slices.SortFunc(st.incident[v], func(a, b int32) int {
+			na, nb := st.edges[a].other(v), st.edges[b].other(v)
+			return cmp.Or(cmp.Compare(st.count[na], st.count[nb]), cmp.Compare(na, nb))
 		})
-		sorted[int(v)] = ns
 	}
-	visited := make(map[int]bool, len(members))
 	order := make([]int, 0, len(members))
 	var dfs func(v int)
 	dfs = func(v int) {
 		visited[v] = true
 		order = append(order, v)
-		for _, u := range sorted[v] {
-			if !visited[u] {
+		for _, ei := range st.incident[v] {
+			if u := st.edges[ei].other(v); !visited[u] {
 				dfs(u)
 			}
 		}
@@ -171,7 +169,6 @@ func searchLevel(ctx context.Context, task *tasks.Task, sub *topology.Complex, d
 		return nil // an emptied domain is an unsolvability proof
 	}
 
-	st.buildAdjacency()
 	comps := st.components(sub)
 	res.Stats.Components = len(comps)
 	for _, c := range comps {
@@ -182,9 +179,7 @@ func searchLevel(ctx context.Context, task *tasks.Task, sub *topology.Complex, d
 			return err
 		}
 	}
-	m := topology.NewSimplicialMap(sub, task.Outputs)
-	copy(m.Image, st.assign)
 	res.Solvable = true
-	res.Map = m
+	res.Map = &topology.SimplicialMap{From: sub, To: task.Outputs, Image: st.assign}
 	return nil
 }

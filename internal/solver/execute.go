@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 
 	"waitfree/internal/protocol"
 	"waitfree/internal/tasks"
@@ -37,7 +38,7 @@ func Execute(task *tasks.Task, res *Result, inputs []topology.Vertex, crashAfter
 		}
 		keys[i] = task.Inputs.Key(v)
 	}
-	if !task.Inputs.HasSimplex(dedupe(append([]topology.Vertex(nil), inputs...))) {
+	if !task.Inputs.HasSimplex(inputs) {
 		return nil, fmt.Errorf("solver: inputs %v are not an input simplex", inputs)
 	}
 
@@ -86,14 +87,17 @@ func ValidateExecution(task *tasks.Task, inputs []topology.Vertex, outputs []top
 	if len(outSimplex) == 0 {
 		return nil
 	}
-	outSimplex = dedupe(outSimplex)
+	slices.Sort(outSimplex)
+	outSimplex = slices.Compact(outSimplex)
 	if !task.Outputs.HasSimplex(outSimplex) {
 		return fmt.Errorf("solver: decisions %v do not span an output simplex", outSimplex)
 	}
 	if len(inSimplex) == 0 {
 		return fmt.Errorf("solver: decisions exist but no process participated")
 	}
-	if !task.Allowed(dedupe(inSimplex), outSimplex) {
+	slices.Sort(inSimplex)
+	inSimplex = slices.Compact(inSimplex)
+	if !task.Allowed(inSimplex, outSimplex) {
 		return fmt.Errorf("solver: decisions %v not allowed for participating inputs %v", outSimplex, inSimplex)
 	}
 	return nil

@@ -42,14 +42,6 @@ type supportKey struct {
 	carrier, du, dv int32
 }
 
-// neighborRef is an adjacency entry: the neighbor vertex and the incident
-// edge, plus the orientation (flip: the owner is the edge's v side).
-type neighborRef struct {
-	nbr  int
-	edge int
-	flip bool
-}
-
 // trailEntry records one forward-checking domain deactivation for undo.
 type trailEntry struct {
 	vert int
@@ -59,7 +51,7 @@ type trailEntry struct {
 // searchState is the search's per-level state: fixed value tables with
 // active masks (so pruning is O(1) flag flips, original value order is
 // preserved, and undo is a trail walk), the edge support tables, and the
-// adjacency over them.
+// one adjacency over them.
 type searchState struct {
 	task *tasks.Task
 
@@ -69,7 +61,10 @@ type searchState struct {
 
 	carriers *carrierTable
 	edges    []edgeRec
-	adj      [][]neighborRef // built by buildAdjacency once propagation leaves every domain non-empty
+	// incident[v] lists the ids of v's edges, ascending until
+	// orderComponent re-sorts a member's list by neighbor; the neighbor and
+	// the orientation come from the edge record.
+	incident [][]int32
 
 	assigned []bool
 	assign   []topology.Vertex
@@ -78,9 +73,10 @@ type searchState struct {
 // newSearchState builds what propagation reads and nothing more: the
 // domains' active masks, the edges (in sub.Faces(2) order, which fixes
 // AC-3's revision order and so Stats.PrunedValues), their interned
-// carriers, and one support table per distinct (carrier, domain, domain)
+// carriers, one support table per distinct (carrier, domain, domain)
 // key — a handful per level, since chromatic output complexes have few
-// vertices per color. domIDs are buildDomains' ids: vertices with equal ids
+// vertices per color — and the incident-edge lists, carved from one array
+// in edge order. domIDs are buildDomains' ids: vertices with equal ids
 // share a domain.
 func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topology.Vertex, domIDs []int32) *searchState {
 	nv := sub.NumVertices()
@@ -124,7 +120,32 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 		}
 		st.edges[i] = edgeRec{u: int(u), v: int(v), dv: len(dv), ok: ok}
 	}
+
+	degree := make([]int32, nv)
+	for _, e := range st.edges {
+		degree[e.u]++
+		degree[e.v]++
+	}
+	backing := make([]int32, 2*len(st.edges))
+	st.incident = make([][]int32, nv)
+	off := 0
+	for v, d := range degree {
+		st.incident[v] = backing[off : off : off+int(d)]
+		off += int(d)
+	}
+	for i, e := range st.edges {
+		st.incident[e.u] = append(st.incident[e.u], int32(i))
+		st.incident[e.v] = append(st.incident[e.v], int32(i))
+	}
 	return st
+}
+
+// other returns the endpoint of e that is not v.
+func (e *edgeRec) other(v int) int {
+	if e.u == v {
+		return e.v
+	}
+	return e.u
 }
 
 // propagate runs AC-3 to a fixpoint: a vertex-based worklist — when v's
@@ -135,23 +156,6 @@ func newSearchState(task *tasks.Task, sub *topology.Complex, domains [][]topolog
 // decision map restricted to an edge would be a support).
 func (st *searchState) propagate(ctx context.Context) (pruned int64, ok bool, err error) {
 	nv := len(st.vals)
-	// vertex → incident edge indices, ascending, carved from one array.
-	degree := make([]int32, nv)
-	for _, e := range st.edges {
-		degree[e.u]++
-		degree[e.v]++
-	}
-	backing := make([]int32, 2*len(st.edges))
-	incident := make([][]int32, nv)
-	off := 0
-	for v, d := range degree {
-		incident[v] = backing[off : off : off+int(d)]
-		off += int(d)
-	}
-	for i, e := range st.edges {
-		incident[e.u] = append(incident[e.u], int32(i))
-		incident[e.v] = append(incident[e.v], int32(i))
-	}
 	inQueue := make([]bool, nv)
 	queue := make([]int, 0, nv)
 	for v := 0; v < nv; v++ {
@@ -169,12 +173,9 @@ func (st *searchState) propagate(ctx context.Context) (pruned int64, ok bool, er
 			}
 		}
 		// Revise every neighbor u against v.
-		for _, ei := range incident[v] {
+		for _, ei := range st.incident[v] {
 			e := &st.edges[ei]
-			u := e.u
-			if u == v {
-				u = e.v
-			}
+			u := e.other(v)
 			changed := false
 			for i, act := range st.active[u] {
 				if !act {
@@ -218,24 +219,13 @@ func (st *searchState) hasSupport(e *edgeRec, u, i, other int) bool {
 	return false
 }
 
-// pairOK reports whether assigning value index iv at vertex v and value
-// index iu at vertex u satisfies edge e ({u,v} in either orientation —
-// flip means v is the edge's second endpoint).
-func (e *edgeRec) pairOK(iOwner, iNbr int, flip bool) bool {
-	if flip { // owner is e.v
+// pairOK reports whether value index iOwner at endpoint owner of e and
+// value index iNbr at the other endpoint satisfy the edge.
+func (e *edgeRec) pairOK(owner, iOwner, iNbr int) bool {
+	if owner == e.v {
 		return e.ok[iNbr*e.dv+iOwner]
 	}
 	return e.ok[iOwner*e.dv+iNbr]
-}
-
-// buildAdjacency wires up the neighbor references of every edge.
-func (st *searchState) buildAdjacency() {
-	st.adj = make([][]neighborRef, len(st.vals))
-	for i := range st.edges {
-		e := &st.edges[i]
-		st.adj[e.u] = append(st.adj[e.u], neighborRef{nbr: e.v, edge: i, flip: false})
-		st.adj[e.v] = append(st.adj[e.v], neighborRef{nbr: e.u, edge: i, flip: true})
-	}
 }
 
 // forwardCheck prunes the domains of v's unassigned neighbors down to
@@ -244,17 +234,17 @@ func (st *searchState) buildAdjacency() {
 // whether all neighbor domains stayed non-empty.
 func (st *searchState) forwardCheck(v, iv int, trail *[]trailEntry) (mark int, ok bool) {
 	mark = len(*trail)
-	for _, nr := range st.adj[v] {
-		u := nr.nbr
+	for _, ei := range st.incident[v] {
+		e := &st.edges[ei]
+		u := e.other(v)
 		if st.assigned[u] {
 			continue
 		}
-		e := &st.edges[nr.edge]
 		for j, act := range st.active[u] {
 			if !act {
 				continue
 			}
-			if !e.pairOK(iv, j, nr.flip) {
+			if !e.pairOK(v, iv, j) {
 				st.active[u][j] = false
 				st.count[u]--
 				*trail = append(*trail, trailEntry{vert: u, idx: j})

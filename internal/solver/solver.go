@@ -271,20 +271,16 @@ type checkItem struct {
 	carrier []topology.Vertex
 }
 
-// consistent verifies every newly completed simplex: its image must be a
-// simplex of the output complex and allowed for the simplex's carrier.
-// scratch is a caller-owned buffer reused across calls so the hot loop
-// allocates nothing (the pre-PR-8 version allocated a fresh image slice per
-// check item per search node); it is grown on demand and returned through
-// the pointer.
+// consistent verifies every newly completed simplex: its image under the
+// assignment must be a simplex of the output complex and allowed for the
+// simplex's carrier. scratch is a caller-owned buffer reused across calls,
+// grown on demand and returned through the pointer, so the hot loop
+// allocates nothing.
 func consistent(task *tasks.Task, newly []checkItem, assign []topology.Vertex, scratch *[]topology.Vertex) bool {
+	m := topology.SimplicialMap{Image: assign}
 	for _, item := range newly {
-		image := (*scratch)[:0]
-		for _, v := range item.simplex {
-			image = append(image, assign[v])
-		}
-		image = dedupe(image)
-		*scratch = image[:0]
+		image := m.AppendImage((*scratch)[:0], item.simplex)
+		*scratch = image
 		if len(image) > 1 && !task.Outputs.HasSimplex(image) {
 			return false
 		}
@@ -293,25 +289,6 @@ func consistent(task *tasks.Task, newly []checkItem, assign []topology.Vertex, s
 		}
 	}
 	return true
-}
-
-// dedupe sorts and deduplicates in place. Insertion sort, deliberately:
-// images are tiny (≤ procs vertices) and this runs once per check item per
-// search node, where sort.Slice's closure allocation alone was measurable
-// churn (see TestConsistentAllocFree).
-func dedupe(vs []topology.Vertex) []topology.Vertex {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // SolveUpTo tries levels 0 … maxLevel and returns the first solvable result,
@@ -385,9 +362,11 @@ func searchChain(ctx context.Context, task *tasks.Task, maxLevel int, opts Optio
 
 // VerifyDecisionMap re-checks a claimed decision map against the
 // Proposition 3.1 conditions, simplex by simplex. It reads the same face
-// list as the search (Complex.Faces) but none of its constraint machinery:
-// no support tables, propagation, forward checking or check schedule. Used
-// by tests and by callers that persist maps.
+// list as the search (Complex.Faces) and the same image and carrier of a
+// simplex (SimplicialMap.AppendImage, Complex.AppendCarrierOfSimplex), but
+// none of its constraint machinery: no support tables, propagation, forward
+// checking, check schedule or carrier interning. Used by tests and by
+// callers that persist maps.
 func VerifyDecisionMap(task *tasks.Task, res *Result) error {
 	if !res.Solvable || res.Map == nil {
 		return errors.New("solver: result carries no map")
@@ -399,10 +378,12 @@ func VerifyDecisionMap(task *tasks.Task, res *Result) error {
 		return errors.New("solver: map not color preserving")
 	}
 	sub := res.Subdivision
+	var image, carrier []topology.Vertex
 	for _, byDim := range sub.AllSimplices() {
 		for _, s := range byDim {
-			image := res.Map.ImageSimplex(s)
-			if !task.Allowed(sub.CarrierOfSimplex(s), image) {
+			image = res.Map.AppendImage(image[:0], s)
+			carrier = sub.AppendCarrierOfSimplex(carrier[:0], s)
+			if !task.Allowed(carrier, image) {
 				return fmt.Errorf("solver: simplex %v image %v not allowed for its carrier", s, image)
 			}
 		}

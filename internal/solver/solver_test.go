@@ -3,6 +3,10 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"waitfree/internal/model"
@@ -174,7 +178,7 @@ func TestWeakSymmetryBreaking(t *testing.T) {
 		}
 		// The found map must actually break symmetry: the full-tuple image
 		// is non-constant by the output complex construction.
-		img := res.Map.ImageSimplex(res.Subdivision.Facets()[0])
+		img := res.Map.AppendImage(nil, res.Subdivision.Facets()[0])
 		vals := map[string]bool{}
 		for _, w := range img {
 			vals[task.OutputValue(w)] = true
@@ -286,4 +290,107 @@ func TestVerifyDecisionMapRejectsUnsolvable(t *testing.T) {
 	if err := VerifyDecisionMap(tasks.Consensus(2), res); err == nil {
 		t.Fatal("VerifyDecisionMap must reject results without maps")
 	}
+}
+
+// TestVerifyDecisionMapRejectsWrongMaps changes one vertex's image in a found
+// map three ways, each breaking exactly one of the conditions
+// VerifyDecisionMap checks, and requires each to fail with its own error.
+func TestVerifyDecisionMapRejectsWrongMaps(t *testing.T) {
+	found := func(task *tasks.Task, b int) *Result {
+		t.Helper()
+		res, err := SolveAtLevelOn(context.Background(), task, b, topology.SDSPow(task.Inputs, b), Options{})
+		if err != nil || !res.Solvable {
+			t.Fatalf("%s b=%d: solvable=%v err=%v", task.Name, b, res.Solvable, err)
+		}
+		if err := VerifyDecisionMap(task, res); err != nil {
+			t.Fatalf("%s b=%d: found map rejected: %v", task.Name, b, err)
+		}
+		return res
+	}
+	// with returns res with v's image replaced by w, res itself untouched.
+	with := func(res *Result, v, w topology.Vertex) *Result {
+		m := *res.Map
+		m.Image = slices.Clone(m.Image)
+		m.Image[v] = w
+		bad := *res
+		bad.Map = &m
+		return &bad
+	}
+	reject := func(name string, task *tasks.Task, bad *Result, simplicial, colored bool, want string) {
+		t.Helper()
+		if got := bad.Map.Validate() == nil; got != simplicial {
+			t.Fatalf("%s: setup: simplicial = %v, want %v", name, got, simplicial)
+		}
+		if got := bad.Map.ColorPreserving(); got != colored {
+			t.Fatalf("%s: setup: color preserving = %v, want %v", name, got, colored)
+		}
+		if err := VerifyDecisionMap(task, bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: VerifyDecisionMap = %v, want an error containing %q", name, err, want)
+		}
+	}
+
+	// Another color's output: input vertex 0 of the identity task decides
+	// what a process of another color in its facet decides, so every facet's
+	// image is a face of that facet's image.
+	identity := tasks.IdentityTask(3)
+	res := found(identity, 0)
+	f := res.Subdivision.Facets()[0]
+	reject("another color", identity, with(res, f[0], res.Map.Image[f[1]]), true, false, "solver: map not color preserving")
+
+	approx := tasks.ApproxAgreementN(3, 4)
+	res = found(approx, 2)
+	sub := res.Subdivision
+	value := func(w topology.Vertex) int {
+		x, err := strconv.Atoi(approx.OutputValue(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	output := func(color, x int) topology.Vertex {
+		for _, w := range approx.Outputs.VerticesOfColor(color) {
+			if value(w) == x {
+				return w
+			}
+		}
+		t.Fatalf("no output of color %d decides %d", color, x)
+		return -1
+	}
+	inputs := func(v topology.Vertex) map[string]bool {
+		vals := map[string]bool{}
+		for _, u := range sub.Carrier(v) {
+			vals[approx.InputValue(u)] = true
+		}
+		return vals
+	}
+	// A same-color output far from the vertex's decision, at a vertex that
+	// sees both inputs, so Δ allows every value for every simplex containing
+	// it: some facet's decisions now span more than one grid step.
+	far, corner := topology.Vertex(-1), topology.Vertex(-1)
+	for v := 0; v < sub.NumVertices(); v++ {
+		if in := inputs(topology.Vertex(v)); in["0"] && in["4"] && far < 0 {
+			far = topology.Vertex(v)
+		} else if len(sub.Carrier(topology.Vertex(v))) == 1 && in["0"] && corner < 0 {
+			corner = topology.Vertex(v)
+		}
+	}
+	if far < 0 || corner < 0 {
+		t.Fatalf("setup: no vertex seeing both inputs (%d) or no solo corner with input 0 (%d)", far, corner)
+	}
+	x := value(res.Map.Image[far])
+	y := 4
+	if x >= 2 {
+		y = 0
+	}
+	reject("non-simplex image", approx, with(res, far, output(sub.Color(far), y)), false, true, "solver: map not simplicial")
+
+	// A solo corner with input 0 moved one grid step: its neighbors decide 0
+	// or 1, so every image stays a simplex, but Δ allows only 0 for its
+	// carrier.
+	if value(res.Map.Image[corner]) != 0 {
+		t.Fatalf("setup: solo corner %d decides %d, want 0", corner, value(res.Map.Image[corner]))
+	}
+	moved := output(sub.Color(corner), 1)
+	want := fmt.Sprintf("solver: simplex [%d] image [%d] not allowed for its carrier", corner, moved)
+	reject("not allowed", approx, with(res, corner, moved), true, true, want)
 }

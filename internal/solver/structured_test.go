@@ -127,10 +127,10 @@ func TestSolveUpToRejectsNegativeLevel(t *testing.T) {
 }
 
 // TestConsistentAllocFree pins that the per-node consistency check
-// allocates nothing: it reuses a caller-owned scratch buffer (and an
-// allocation-free insertion sort in dedupe), where it used to allocate a
-// fresh image slice per check item per search node, and the edge items make
-// it ask Outputs.HasSimplex, which sorts a small simplex in place.
+// allocates nothing: it fills a caller-owned scratch buffer through
+// SimplicialMap.AppendImage on a stack map, once per check item per search
+// node, and the edge items make it ask Outputs.HasSimplex, which sorts a
+// small simplex in place.
 // Renaming's Allowed is a pure function of nothing, so the whole call must
 // be allocation-free.
 func TestConsistentAllocFree(t *testing.T) {

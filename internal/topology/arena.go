@@ -110,19 +110,6 @@ func EncodeVerts(buf []byte, vs []Vertex) []byte {
 	return buf
 }
 
-// carrierUnion returns the sorted union of the carriers of the face's
-// vertices in c (which must have a base), using scratch for the gather; the
-// returned scratch is handed back for reuse.
-func carrierUnion(c *Complex, face []Vertex, scratch []Vertex) (union, scratch2 []Vertex) {
-	scratch = scratch[:0]
-	for _, w := range face {
-		scratch = append(scratch, c.verts[w].carrier...)
-	}
-	slices.Sort(scratch)
-	scratch = slices.Compact(scratch)
-	return append([]Vertex(nil), scratch...), scratch
-}
-
 // sdsBuilder builds one SDS level. Source facets are subdivided in order,
 // each facet's ordered partitions in the order of ForEachOrderedPartition,
 // and every face and vertex is interned into the level's tables on first
@@ -335,7 +322,8 @@ func (b *sdsBuilder) finish() *Complex {
 		} else {
 			fi := p.face[v]
 			if carriers[fi] == nil {
-				carriers[fi], scratch = carrierUnion(b.c, p.faceOf(fi), scratch)
+				scratch = b.c.AppendCarrierOfSimplex(scratch[:0], p.faceOf(fi))
+				carriers[fi] = slices.Clone(scratch)
 			}
 			out.verts[v].carrier = carriers[fi]
 		}

@@ -82,7 +82,8 @@ func Bsd(c *Complex) *Complex {
 		if c.base == nil {
 			out.verts[v].carrier = face
 		} else {
-			out.verts[v].carrier, scratch = carrierUnion(c, face, scratch)
+			scratch = c.AppendCarrierOfSimplex(scratch[:0], face)
+			out.verts[v].carrier = slices.Clone(scratch)
 		}
 	}
 	// Chains are pairwise distinct (the permutation is recoverable from the

@@ -299,12 +299,19 @@ func (c *Complex) Carrier(v Vertex) []Vertex {
 // carriers of its vertices, which for a subdivision is the smallest base face
 // containing the simplex.
 func (c *Complex) CarrierOfSimplex(s []Vertex) []Vertex {
-	var scratch []Vertex
+	return c.AppendCarrierOfSimplex(nil, s)
+}
+
+// AppendCarrierOfSimplex appends the carrier of s, sorted and deduplicated,
+// to dst and returns the extended slice; a caller that reuses a buffer
+// passes buf[:0].
+func (c *Complex) AppendCarrierOfSimplex(dst, s []Vertex) []Vertex {
+	n := len(dst)
 	for _, v := range s {
-		scratch = append(scratch, c.Carrier(v)...)
+		dst = append(dst, c.Carrier(v)...)
 	}
-	slices.Sort(scratch)
-	return slices.Compact(scratch)
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
 }
 
 // Facets returns the maximal simplices. The returned slices are shared; do

@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SimplicialMap is a vertex map between two sealed complexes, candidate for
@@ -30,8 +30,9 @@ func (m *SimplicialMap) Validate() error {
 			return fmt.Errorf("topology: image vertex %d out of range", v)
 		}
 	}
+	var img []Vertex
 	for _, f := range m.From.Facets() {
-		img := m.ImageSimplex(f)
+		img = m.AppendImage(img[:0], f)
 		if !m.To.HasSimplex(img) {
 			return fmt.Errorf("topology: facet %v maps to non-simplex %v", f, img)
 		}
@@ -39,19 +40,16 @@ func (m *SimplicialMap) Validate() error {
 	return nil
 }
 
-// ImageSimplex returns the image of a simplex with duplicates collapsed,
-// sorted.
-func (m *SimplicialMap) ImageSimplex(s []Vertex) []Vertex {
-	set := make(map[Vertex]struct{}, len(s))
+// AppendImage appends the image of simplex s, sorted and with duplicates
+// collapsed, to dst and returns the extended slice; a caller that reuses a
+// buffer passes buf[:0]. It reads only Image.
+func (m *SimplicialMap) AppendImage(dst, s []Vertex) []Vertex {
+	n := len(dst)
 	for _, v := range s {
-		set[m.Image[v]] = struct{}{}
+		dst = append(dst, m.Image[v])
 	}
-	img := make([]Vertex, 0, len(set))
-	for v := range set {
-		img = append(img, v)
-	}
-	sort.Slice(img, func(i, j int) bool { return img[i] < img[j] })
-	return img
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
 }
 
 // ColorPreserving reports whether every vertex maps to a vertex of the same

@@ -2,6 +2,9 @@ package topology
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -179,4 +182,69 @@ func equalVertexSets(a, b []Vertex) bool {
 		}
 	}
 	return true
+}
+
+// imageSimplexOracle is the image of a simplex by definition: the set of its
+// vertices' images, sorted.
+func imageSimplexOracle(m *SimplicialMap, s []Vertex) []Vertex {
+	set := make(map[Vertex]struct{}, len(s))
+	for _, v := range s {
+		set[m.Image[v]] = struct{}{}
+	}
+	img := make([]Vertex, 0, len(set))
+	for v := range set {
+		img = append(img, v)
+	}
+	sort.Slice(img, func(i, j int) bool { return img[i] < img[j] })
+	return img
+}
+
+// carrierOfSimplexOracle is the carrier of a simplex by definition: the set
+// union of its vertices' carriers, sorted.
+func carrierOfSimplexOracle(c *Complex, s []Vertex) []Vertex {
+	set := map[Vertex]struct{}{}
+	for _, v := range s {
+		for _, w := range c.Carrier(v) {
+			set[w] = struct{}{}
+		}
+	}
+	out := make([]Vertex, 0, len(set))
+	for w := range set {
+		out = append(out, w)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestAppendImageAndCarrierMatchDefinition pins the buffer-filling image and
+// carrier, which the search's check and VerifyDecisionMap both read, against
+// their definitions on every simplex of random chromatic complexes and their
+// first two SDS levels, under random vertex maps. The buffer keeps a prefix,
+// so each call must append after it and leave it alone.
+func TestAppendImageAndCarrierMatchDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	prefix := []Vertex{-1, -2}
+	for i := 0; i < 12; i++ {
+		base, to := RandomChromaticComplex(rng), RandomChromaticComplex(rng)
+		for b, from := range []*Complex{base, SDS(base), SDSPow(base, 2)} {
+			m := NewSimplicialMap(from, to)
+			for v := range m.Image {
+				m.Image[v] = Vertex(rng.Intn(to.NumVertices()))
+			}
+			img := slices.Clone(prefix)
+			car := slices.Clone(prefix)
+			for k := 1; k <= from.Dimension()+1; k++ {
+				for _, s := range from.Faces(k) {
+					img = m.AppendImage(img[:len(prefix)], s)
+					if want := imageSimplexOracle(m, s); !slices.Equal(img[:len(prefix)], prefix) || !slices.Equal(img[len(prefix):], want) {
+						t.Fatalf("complex %d, level %d: image of %v is %v after the prefix %v, want %v", i, b, s, img[len(prefix):], img[:len(prefix)], want)
+					}
+					car = from.AppendCarrierOfSimplex(car[:len(prefix)], s)
+					if want := carrierOfSimplexOracle(from, s); !slices.Equal(car[:len(prefix)], prefix) || !slices.Equal(car[len(prefix):], want) {
+						t.Fatalf("complex %d, level %d: carrier of %v is %v after the prefix %v, want %v", i, b, s, car[len(prefix):], car[:len(prefix)], want)
+					}
+				}
+			}
+		}
+	}
 }

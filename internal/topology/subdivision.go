@@ -136,9 +136,12 @@ func ForEachOrderedPartition(n int, fn func(blocks [][]int)) {
 		return
 	}
 	full := (1 << n) - 1
-	var blocks [][]int
-	var rec func(remaining int)
-	rec = func(remaining int) {
+	// The blocks of one partition hold n elements in all, so each block is
+	// carved from elems at the offset where the blocks before it end.
+	elems := make([]int, n)
+	blocks := make([][]int, 0, n)
+	var rec func(remaining, off int)
+	rec = func(remaining, off int) {
 		if remaining == 0 {
 			fn(blocks)
 			return
@@ -146,18 +149,19 @@ func ForEachOrderedPartition(n int, fn func(blocks [][]int)) {
 		// Enumerate non-empty subsets of the remaining elements as the next
 		// block. Iterating sub = (sub-1)&remaining visits each subset once.
 		for sub := remaining; sub > 0; sub = (sub - 1) & remaining {
-			block := make([]int, 0, n)
+			end := off
 			for i := 0; i < n; i++ {
 				if sub&(1<<i) != 0 {
-					block = append(block, i)
+					elems[end] = i
+					end++
 				}
 			}
-			blocks = append(blocks, block)
-			rec(remaining &^ sub)
+			blocks = append(blocks, elems[off:end:end])
+			rec(remaining&^sub, end)
 			blocks = blocks[:len(blocks)-1]
 		}
 	}
-	rec(full)
+	rec(full, 0)
 }
 
 // CountOrderedPartitions returns the n-th Fubini number, the number of
